@@ -11,11 +11,11 @@
 
 use crate::args::Args;
 use crate::commands::{load_context, with_limits, DEFAULT_STORE_DIR, EXIT_DEGRADED, EXIT_OK};
-use secreta_core::distributed::{run_distributed, worker_loop, DistOptions};
-use secreta_core::store::{read_events_checked, JournalEvent, RunStore};
+use secreta_core::distributed::{run_distributed, wait_for_sweep, worker_loop, DistOptions};
+use secreta_core::store::{unfinished_sweeps, JournalEvent, RunStore};
 use secreta_core::{context_digest, Configuration, Orchestrated, Orchestrator, SessionContext};
 use serde::Value;
-use std::time::{Duration, Instant};
+use std::process::{Child, Command, Stdio};
 
 /// Parse the distributed-execution options shared by the coordinator
 /// (`evaluate`/`compare` with `--workers`/`--distributed`) and the
@@ -72,27 +72,28 @@ pub(crate) fn run_sweep(
         "config",
         "threads",
     ]);
-    let spawner = move |i: usize, sweep: &str| -> std::io::Result<std::process::Child> {
-        let mut cmd = std::process::Command::new(std::env::current_exe()?);
-        cmd.arg("worker")
-            .args(&forwarded)
-            .arg("--sweep")
-            .arg(sweep)
-            // the worker's own output would interleave with the
-            // coordinator's report; chaos/abort messages stay visible
-            .stdout(std::process::Stdio::null())
-            .stderr(std::process::Stdio::inherit());
-        let child = cmd.spawn()?;
-        eprintln!("spawned worker {} (pid {})", i + 1, child.id());
-        Ok(child)
-    };
-    let spawn_ref: Option<&secreta_core::WorkerSpawner> = if opts.workers > 0 {
-        Some(&spawner)
-    } else {
-        None
-    };
+    let spawner = worker_spawner(forwarded);
+    let spawn_ref = (opts.workers > 0).then_some(&spawner as &secreta_core::WorkerSpawner);
     run_distributed(ctx, store, configurations, invocation, &opts, spawn_ref)
         .map_err(|e| e.to_string())
+}
+
+/// The worker spawner of a coordinator: worker `i` of a sweep is this
+/// binary re-run as `secreta worker <forwarded> --sweep ID`.
+fn worker_spawner(forwarded: Vec<String>) -> impl Fn(usize, &str) -> std::io::Result<Child> + Sync {
+    move |i, sweep| {
+        let child = Command::new(std::env::current_exe()?)
+            .arg("worker")
+            .args(&forwarded)
+            .args(["--sweep", sweep])
+            // the worker's own output would interleave with the
+            // coordinator's report; chaos/abort messages stay visible
+            .stdout(Stdio::null())
+            .stderr(Stdio::inherit())
+            .spawn()?;
+        eprintln!("spawned worker {} (pid {})", i + 1, child.id());
+        Ok(child)
+    }
 }
 
 /// `secreta worker DATA [--tx COL] [--store-dir DIR] [--sweep ID]
@@ -111,7 +112,27 @@ pub(crate) fn cmd_worker(args: &Args) -> Result<i32, String> {
     let opts = dist_options_of(args)?;
     let sweep = match args.opt("sweep") {
         Some(id) => id.to_owned(),
-        None => discover_sweep(&ctx, &store, &opts)?,
+        None => {
+            // the newest open sweep whose recorded context matches
+            let digest = context_digest(&ctx);
+            let newest_open = |events: &[JournalEvent]| {
+                unfinished_sweeps(events)
+                    .into_iter()
+                    .rfind(|rec| rec.context == digest)
+            };
+            wait_for_sweep(&store, newest_open, &opts)
+                .map_err(|e| e.to_string())?
+                .ok_or_else(|| {
+                    format!(
+                        "no open sweep matching this session appeared in {} within \
+                         {}ms; start the coordinator (evaluate/compare --distributed) \
+                         or pass --sweep ID",
+                        store.root().display(),
+                        opts.worker_wait_ms
+                    )
+                })?
+                .id
+        }
     };
     println!(
         "worker {} attaching to sweep {} in {}",
@@ -137,45 +158,6 @@ pub(crate) fn cmd_worker(args: &Args) -> Result<i32, String> {
     } else {
         EXIT_OK
     })
-}
-
-/// Poll the journal for the newest open sweep (started, not finished)
-/// whose recorded context digest matches this worker's session.
-fn discover_sweep(
-    ctx: &SessionContext,
-    store: &RunStore,
-    opts: &DistOptions,
-) -> Result<String, String> {
-    let digest = context_digest(ctx);
-    let path = store.journal_path();
-    let deadline = Instant::now() + Duration::from_millis(opts.worker_wait_ms);
-    loop {
-        if path.exists() {
-            // concurrent appenders make a torn final line normal here
-            let (events, _torn) = read_events_checked(&path).map_err(|e| e.to_string())?;
-            let mut open: Vec<&str> = Vec::new();
-            for e in &events {
-                match e {
-                    JournalEvent::SweepStarted(rec) if rec.context == digest => open.push(&rec.id),
-                    JournalEvent::SweepFinished { sweep, .. } => open.retain(|id| id != sweep),
-                    _ => {}
-                }
-            }
-            if let Some(id) = open.last() {
-                return Ok((*id).to_owned());
-            }
-        }
-        if Instant::now() >= deadline {
-            return Err(format!(
-                "no open sweep matching this session appeared in {} within \
-                 {}ms; start the coordinator (evaluate/compare --distributed) \
-                 or pass --sweep ID",
-                store.root().display(),
-                opts.worker_wait_ms
-            ));
-        }
-        std::thread::sleep(Duration::from_millis(opts.poll_ms.max(1)));
-    }
 }
 
 /// `bench --suite dist`: distributed-execution scaling — the same
@@ -274,17 +256,9 @@ pub(crate) fn bench_dist(args: &Args) -> Result<(), String> {
             workers,
             ..DistOptions::default()
         };
-        let forwarded = session_args.forward(&[]);
-        let store_dir = store.root().display().to_string();
-        let spawner = move |_i: usize, sweep_id: &str| -> std::io::Result<std::process::Child> {
-            let mut cmd = std::process::Command::new(std::env::current_exe()?);
-            cmd.arg("worker")
-                .args(&forwarded)
-                .args(["--store-dir", &store_dir, "--sweep", sweep_id])
-                .stdout(std::process::Stdio::null())
-                .stderr(std::process::Stdio::inherit());
-            cmd.spawn()
-        };
+        let mut forwarded = session_args.forward(&[]);
+        forwarded.extend(["--store-dir".to_owned(), store.root().display().to_string()]);
+        let spawner = worker_spawner(forwarded);
         let t = Instant::now();
         let out = run_distributed(&ctx, &store, &configs, Value::Null, &opts, Some(&spawner))
             .map_err(|e| e.to_string())?;

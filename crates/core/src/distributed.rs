@@ -1,26 +1,34 @@
-//! Distributed sweep execution: a crash-tolerant coordinator/worker
-//! split over the run store.
+//! Distributed sweep execution: the worker executor of the
+//! orchestrator's sweep frame, and the worker processes it relies on.
 //!
-//! The in-process orchestrator fans sweep jobs over a thread pool; this
-//! module fans the *same* expansion over independent worker processes
-//! that share nothing but the store directory. The split:
+//! [`run_distributed`] runs the *same* frame as
+//! [`Orchestrator::compare`](crate::orchestrator::Orchestrator::compare)
+//! — store lock, journaled intent, cache hits, failure accounting,
+//! `SweepFinished`, reassembly — and differs only in how the misses
+//! execute. Instead of a thread pool, independent worker processes
+//! that share nothing but the store directory run them:
 //!
-//! * **Coordinator** ([`run_distributed`]) — holds the store lock,
-//!   journals the sweep intent, serves cache hits, publishes one
+//! * **Worker executor** (the coordinator side) — publishes one
 //!   claimable [`JobRecord`] per miss, optionally spawns local worker
-//!   processes, then waits for the store to fill in. Results are merged
-//!   in deterministic expansion order, so the output is byte-identical
-//!   to a single-process run no matter which worker executed what — or
-//!   how many of them crashed along the way.
-//! * **Worker** ([`worker_loop`]) — discovers the sweep in the journal,
-//!   validates its session against the recorded context digest, then
-//!   repeatedly claims pending jobs through crash-safe lease files
-//!   ([`secreta_store::lease`]), executes them via
-//!   [`run_isolated`](crate::anonymizer::run_isolated), and publishes
-//!   through the lease-fenced [`RunStore::put_fenced`]. A worker that
-//!   dies mid-job (even `kill -9`) leaves a lease that goes stale after
-//!   its TTL and is reclaimed — with an epoch bump that fences off the
-//!   dead worker's late writes — by any surviving worker.
+//!   processes, then watches the store fill in. Results are merged
+//!   from the store in deterministic expansion order, so the output is
+//!   byte-identical to a single-process run no matter which worker
+//!   executed what — or how many of them crashed along the way.
+//! * **Worker** ([`worker_loop`]) — finds the sweep in the journal
+//!   ([`wait_for_sweep`]), validates its session against the recorded
+//!   context digest, then repeatedly claims pending jobs through
+//!   crash-safe lease files ([`secreta_store::lease`]), executes them
+//!   via [`run_isolated`], and publishes through the lease-fenced
+//!   [`RunStore::put_fenced`]. A worker that dies mid-job (even
+//!   `kill -9`) leaves a lease that goes stale after its TTL and is
+//!   reclaimed — with an epoch bump that fences off the dead worker's
+//!   late writes — by any surviving worker.
+//!
+//! Both locks stay, because they arbitrate different things: the
+//! coordinator's `store.lock` keeps two sweep writers (a second
+//! coordinator, or `runs resume`) from journaling on one store at
+//! once, while per-job leases decide which of many workers inside one
+//! sweep owns each job.
 //!
 //! **Failure model.** Every result commit is a tmp+rename; every lease
 //! transition is a hard-link (fresh claim) or rename (reclaim) with a
@@ -28,32 +36,32 @@
 //! Because runs are deterministic in (context, spec, seed), the one
 //! benign race — two workers computing the same job across a reclaim —
 //! commits identical bytes whichever one wins. When *no* worker is left
-//! alive and jobs remain, the coordinator degrades gracefully: lost
-//! jobs are journaled as failed (marking the sweep resumable), merged
-//! as [`RunError::Lost`], and the sweep reports failures — `secreta
-//! runs resume` then re-executes exactly the lost tail.
+//! alive and jobs remain, the executor degrades gracefully: lost jobs
+//! are journaled as failed (marking the sweep resumable), merged as
+//! [`RunError::Lost`], and the sweep reports failures — `secreta runs
+//! resume` then re-executes exactly the lost tail.
 
 use crate::anonymizer::{run_isolated, RunError, RunResult};
-use crate::comparison::{ComparisonResult, Configuration};
+use crate::comparison::Configuration;
 use crate::config::MethodSpec;
 use crate::context::SessionContext;
 use crate::orchestrator::{
-    context_digest, expand_jobs, manifest_of, replay, sweep_id_of, sweep_record_of, CacheStats,
-    Orchestrated,
+    context_digest, journal_outcome, lookup, manifest_of, Exec, Misses, Orchestrated, Orchestrator,
 };
-use crate::sweep::{SweepPoint, VaryingParam};
+use crate::sweep::VaryingParam;
 use secreta_store::{
-    read_events_checked, ClaimOutcome, JobRecord, Journal, JournalEvent, LeaseSet, RunKey,
-    RunStore, StoreError, SweepRecord, STORE_SCHEMA_VERSION,
+    find_sweep, read_events_checked, ClaimOutcome, JobRecord, Journal, JournalEvent, LeaseSet,
+    RunKey, RunStore, StoreError, SweepRecord,
 };
 use serde::{Deserialize, Value};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::process::Child;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+
+pub use crate::orchestrator::sweep_id_for;
 
 /// Knobs of the distributed execution layer. The defaults suit
 /// interactive runs; tests shrink the TTL to exercise reclaim quickly.
@@ -100,6 +108,15 @@ pub enum WorkerError {
         /// Digest of this worker's session.
         actual: String,
     },
+    /// The sweep's intent record names a varying parameter this build
+    /// does not know: its manifests would be mislabelled, so the
+    /// worker refuses to claim anything.
+    UnknownParam {
+        /// Sweep whose record carried the label.
+        sweep: String,
+        /// The unrecognised parameter label.
+        param: String,
+    },
     /// A job record's spec payload did not decode.
     BadJobRecord(String, String),
     /// A store operation failed.
@@ -122,6 +139,11 @@ impl std::fmt::Display for WorkerError {
                 f,
                 "session context {actual} does not match sweep {sweep}'s \
                  recorded context {expected}: refusing to execute jobs"
+            ),
+            WorkerError::UnknownParam { sweep, param } => write!(
+                f,
+                "sweep {sweep} varies an unknown parameter `{param}`: \
+                 refusing to execute jobs"
             ),
             WorkerError::BadJobRecord(key, why) => {
                 write!(f, "job record {key} is malformed: {why}")
@@ -184,14 +206,6 @@ fn now_ms() -> u64 {
         .unwrap_or(0)
 }
 
-fn param_from_label(label: &str) -> VaryingParam {
-    match label {
-        "m" => VaryingParam::M,
-        "δ" => VaryingParam::Delta,
-        _ => VaryingParam::K,
-    }
-}
-
 fn fnv(text: &str) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for b in text.as_bytes() {
@@ -201,79 +215,75 @@ fn fnv(text: &str) -> u64 {
     h
 }
 
-/// Read the journal tolerantly (workers append while we read, so a
-/// torn final line is expected, not an error) and return the last
-/// intent record for `sweep_id`, if any.
-fn find_sweep(journal_path: &Path, sweep_id: &str) -> io::Result<Option<SweepRecord>> {
+/// Read the journal tolerantly: workers and the coordinator append
+/// while we read, so a torn final line is expected, not an error.
+fn read_journal(journal_path: &Path) -> io::Result<Vec<JournalEvent>> {
     if !journal_path.exists() {
-        return Ok(None);
+        return Ok(Vec::new());
     }
-    let (events, _torn) = read_events_checked(journal_path)?;
-    Ok(events
-        .into_iter()
-        .filter_map(|e| match e {
-            JournalEvent::SweepStarted(rec) if rec.id == sweep_id => Some(rec),
-            _ => None,
-        })
-        .next_back())
+    Ok(read_events_checked(journal_path)?.0)
 }
 
 /// Keys of `sweep_id` jobs that ran and failed (ok-false finishes with
 /// a recorded error): nobody should re-claim these until a resume.
 fn failed_keys(journal_path: &Path, sweep_id: &str) -> io::Result<HashMap<String, String>> {
-    if !journal_path.exists() {
-        return Ok(HashMap::new());
-    }
-    let (events, _torn) = read_events_checked(journal_path)?;
-    let mut out = HashMap::new();
-    for e in events {
-        if let JournalEvent::JobFailed {
-            sweep, key, error, ..
-        } = e
-        {
-            if sweep == sweep_id {
-                out.insert(key, error);
-            }
+    let events = read_journal(journal_path)?.into_iter();
+    Ok(events
+        .filter_map(|e| match e {
+            JournalEvent::JobFailed {
+                sweep, key, error, ..
+            } if sweep == sweep_id => Some((key, error)),
+            _ => None,
+        })
+        .collect())
+}
+
+/// Poll the store journal until `pick` finds a sweep in it, for at
+/// most `opts.worker_wait_ms` (workers may start before their
+/// coordinator has journaled the intent). `Ok(None)` when the window
+/// closes first.
+pub fn wait_for_sweep(
+    store: &RunStore,
+    pick: impl Fn(&[JournalEvent]) -> Option<SweepRecord>,
+    opts: &DistOptions,
+) -> Result<Option<SweepRecord>, WorkerError> {
+    let path = store.journal_path();
+    let deadline = Instant::now() + Duration::from_millis(opts.worker_wait_ms);
+    loop {
+        let events = read_journal(&path).map_err(|e| WorkerError::Io(path.clone(), e))?;
+        if let Some(record) = pick(&events) {
+            return Ok(Some(record));
         }
+        if Instant::now() >= deadline {
+            return Ok(None);
+        }
+        std::thread::sleep(Duration::from_millis(opts.poll_ms.max(1)));
     }
-    Ok(out)
 }
 
 /// A background thread refreshing one held lease every TTL/3 until
-/// dropped (or until the lease is lost to a reclaimer).
+/// dropped (or until the lease is lost to a reclaimer). Dropping
+/// closes the channel, which wakes the thread at once.
 struct Heartbeat {
-    stop: Arc<AtomicBool>,
+    stop: Option<mpsc::Sender<()>>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Heartbeat {
     fn start(path: &Path, token: &str, ttl_ms: u64) -> Heartbeat {
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = stop.clone();
+        let (stop, stopped) = mpsc::channel::<()>();
         let path = path.to_path_buf();
         let token = token.to_owned();
         let interval = Duration::from_millis((ttl_ms / 3).max(5));
         let handle = std::thread::spawn(move || {
-            let step = Duration::from_millis(5);
-            'beat: loop {
-                let mut slept = Duration::ZERO;
-                while slept < interval {
-                    if flag.load(Ordering::Relaxed) {
-                        break 'beat;
-                    }
-                    std::thread::sleep(step);
-                    slept += step;
-                }
-                // Ok(false) = the lease is no longer ours: stop beating
-                // and let the fence reject the publish
-                match secreta_store::lease::heartbeat(&path, &token) {
-                    Ok(true) => {}
-                    _ => break,
-                }
-            }
+            // Ok(false) = the lease is no longer ours: stop beating and
+            // let the fence reject the publish
+            while stopped.recv_timeout(interval) == Err(RecvTimeoutError::Timeout)
+                && matches!(secreta_store::lease::heartbeat(&path, &token), Ok(true))
+            {}
         });
         Heartbeat {
-            stop,
+            stop: Some(stop),
             handle: Some(handle),
         }
     }
@@ -281,7 +291,7 @@ impl Heartbeat {
 
 impl Drop for Heartbeat {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        drop(self.stop.take());
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
@@ -307,18 +317,8 @@ pub fn worker_loop(
         move |e: io::Error| WorkerError::Io(p.clone(), e)
     };
 
-    // the sweep may not be journaled yet (workers can start first):
-    // poll for the intent record until the wait window closes
-    let deadline = Instant::now() + Duration::from_millis(opts.worker_wait_ms);
-    let record = loop {
-        match find_sweep(&journal_path, sweep_id).map_err(io_err(&journal_path))? {
-            Some(rec) => break rec,
-            None if Instant::now() < deadline => {
-                std::thread::sleep(Duration::from_millis(opts.poll_ms.max(1)))
-            }
-            None => return Err(WorkerError::NoSuchSweep(sweep_id.to_owned())),
-        }
-    };
+    let record = wait_for_sweep(store, |events| find_sweep(events, sweep_id), opts)?
+        .ok_or_else(|| WorkerError::NoSuchSweep(sweep_id.to_owned()))?;
     if record.context != digest {
         return Err(WorkerError::ContextMismatch {
             sweep: sweep_id.to_owned(),
@@ -326,7 +326,11 @@ pub fn worker_loop(
             actual: digest,
         });
     }
-    let param = param_from_label(&record.param);
+    let param =
+        VaryingParam::from_label(&record.param).ok_or_else(|| WorkerError::UnknownParam {
+            sweep: sweep_id.to_owned(),
+            param: record.param.clone(),
+        })?;
     // the intent record is the authoritative job list; job records
     // supply the spec/seed payload per key as the coordinator lands them
     let keys: Vec<String> = record
@@ -429,11 +433,10 @@ pub fn worker_loop(
             };
             // chaos hook: die after computing, before publishing
             secreta_faults::fault::crash_point("worker.publish");
-            match &outcome {
+            let landed = match &outcome {
                 Ok(rr) => {
-                    let key = RunKey(job.key.clone());
                     let manifest = manifest_of(
-                        &key,
+                        &RunKey(key.clone()),
                         &record.context,
                         &job.label,
                         &spec,
@@ -441,51 +444,26 @@ pub fn worker_loop(
                         Some((param, job.value as usize)),
                         rr,
                     );
-                    let committed =
-                        store.put_fenced(&manifest, &rr.anon, guard.epoch(), &|| guard.verify())?;
-                    if committed {
-                        journal
-                            .append(&JournalEvent::JobFinished {
-                                sweep: sweep_id.to_owned(),
-                                key: key.0.clone(),
-                                cache_hit: false,
-                                ok: true,
-                                wall_ms: rr.indicators.runtime_ms,
-                            })
-                            .map_err(io_err(&journal_path))?;
-                        report.executed += 1;
-                    } else {
-                        report.fenced += 1;
-                    }
+                    store.put_fenced(&manifest, &rr.anon, guard.epoch(), &|| guard.verify())?
                 }
-                Err(run_err) => {
-                    // journal the failure only while the lease still
-                    // stands: a fenced-off worker must not poison the
-                    // job for its reclaimer
-                    if guard.verify() {
-                        journal
-                            .append(&JournalEvent::JobFailed {
-                                sweep: sweep_id.to_owned(),
-                                key: key.clone(),
-                                label: job.label.clone(),
-                                value: job.value,
-                                error: run_err.to_string(),
-                            })
-                            .and_then(|_| {
-                                journal.append(&JournalEvent::JobFinished {
-                                    sweep: sweep_id.to_owned(),
-                                    key: key.clone(),
-                                    cache_hit: false,
-                                    ok: false,
-                                    wall_ms: 0.0,
-                                })
-                            })
-                            .map_err(io_err(&journal_path))?;
-                        report.failed += 1;
-                    } else {
-                        report.fenced += 1;
-                    }
+                // journal a failure only while the lease still stands:
+                // a fenced-off worker must not poison the job for its
+                // reclaimer
+                Err(_) => guard.verify(),
+            };
+            if landed {
+                let summary = outcome
+                    .as_ref()
+                    .map(|rr| rr.indicators.runtime_ms)
+                    .map_err(ToString::to_string);
+                if summary.is_ok() {
+                    report.executed += 1;
+                } else {
+                    report.failed += 1;
                 }
+                journal_outcome(&mut journal, sweep_id, key, &job.label, job.value, summary)?;
+            } else {
+                report.fenced += 1;
             }
             guard.release();
             progressed = true;
@@ -526,12 +504,9 @@ pub fn worker_loop(
 /// worker index and the sweep id, returns the spawned [`Child`].
 pub type WorkerSpawner = dyn Fn(usize, &str) -> io::Result<Child> + Sync;
 
-/// Spawned worker children, killed (not orphaned) if the coordinator
-/// errors out early.
-struct ChildSet {
-    children: Vec<Child>,
-    spawned: bool,
-}
+/// Spawned worker children, killed and reaped (not orphaned) when the
+/// executor returns — including when spawning a later one fails.
+struct ChildSet(Vec<Child>);
 
 impl ChildSet {
     fn spawn(
@@ -539,34 +514,25 @@ impl ChildSet {
         workers: usize,
         sweep_id: &str,
     ) -> io::Result<ChildSet> {
-        match spawner {
-            Some(f) if workers > 0 => {
-                let mut children = Vec::with_capacity(workers);
-                for i in 0..workers {
-                    children.push(f(i, sweep_id)?);
-                }
-                Ok(ChildSet {
-                    children,
-                    spawned: true,
-                })
+        // push into the set as we go: if spawning worker i fails, the
+        // early return drops the set, which kills workers 0..i
+        let mut set = ChildSet(Vec::new());
+        if let Some(f) = spawner {
+            for i in 0..workers {
+                set.0.push(f(i, sweep_id)?);
             }
-            _ => Ok(ChildSet {
-                children: Vec::new(),
-                spawned: false,
-            }),
         }
+        Ok(set)
     }
 
     fn any_alive(&mut self) -> bool {
-        self.children
-            .iter_mut()
-            .any(|c| matches!(c.try_wait(), Ok(None)))
+        self.0.iter_mut().any(|c| matches!(c.try_wait(), Ok(None)))
     }
 }
 
 impl Drop for ChildSet {
     fn drop(&mut self) {
-        for c in &mut self.children {
+        for c in &mut self.0 {
             if matches!(c.try_wait(), Ok(None)) {
                 let _ = c.kill();
             }
@@ -575,10 +541,123 @@ impl Drop for ChildSet {
     }
 }
 
-/// Run a comparison through the distributed coordinator: journal the
-/// intent, serve cache hits, publish claimable job records, optionally
-/// spawn `opts.workers` local worker processes via `spawner`, wait for
-/// workers to fill the store, and merge in expansion order.
+/// The worker executor: publish the misses as claimable job records,
+/// spawn `opts.workers` local workers via `spawner` (none in attach
+/// mode), wait until every miss is stored or journaled as failed —
+/// journaling the lost ones itself when no worker is left to finish
+/// them — then merge the outcomes from the store, in expansion order.
+pub(crate) fn run_on_workers(
+    store: &RunStore,
+    journal: &mut Journal,
+    misses: &Misses<'_>,
+    opts: &DistOptions,
+    spawner: Option<&WorkerSpawner>,
+) -> Result<Vec<Result<RunResult, RunError>>, StoreError> {
+    if misses.jobs.is_empty() {
+        return Ok(Vec::new());
+    }
+    let sweep_id = misses.sweep_id;
+    let root_err = |e: io::Error| StoreError::Io(store.root().to_path_buf(), e);
+    let records: Vec<JobRecord> = misses
+        .jobs
+        .iter()
+        .map(|&(i, e)| JobRecord {
+            sweep: sweep_id.to_owned(),
+            key: e.key.0.clone(),
+            seq: i as u64,
+            label: e.label.clone(),
+            value: e.value as f64,
+            seed: e.seed,
+            spec: serde::Serialize::ser(&e.spec),
+        })
+        .collect();
+    store.put_jobs(&records)?;
+
+    let mut children = ChildSet::spawn(spawner, opts.workers, sweep_id).map_err(root_err)?;
+    // observer-only lease view, used to tell "a worker is on it" from
+    // "nobody will ever finish this"
+    let leases = LeaseSet::open(store.root(), sweep_id, opts.lease_ttl_ms).map_err(root_err)?;
+    let journal_path = store.journal_path();
+    let mut pending: Vec<usize> = (0..misses.jobs.len()).collect();
+    let mut failed: HashMap<usize, String> = HashMap::new();
+    // grace before declaring jobs lost: long enough for an external
+    // worker to attach and for stale leases to expire
+    let grace = Duration::from_millis((2 * opts.lease_ttl_ms).max(500));
+    let mut last_activity = Instant::now();
+    loop {
+        let journaled_failures = failed_keys(&journal_path, sweep_id)
+            .map_err(|e| StoreError::Io(journal_path.clone(), e))?;
+        let before = pending.len();
+        pending.retain(|&m| {
+            let key = &misses.jobs[m].1.key;
+            if store.contains(key) {
+                return false;
+            }
+            match journaled_failures.get(&key.0) {
+                Some(error) => {
+                    failed.insert(m, error.clone());
+                    false
+                }
+                None => true,
+            }
+        });
+        if pending.is_empty() {
+            break;
+        }
+        let now = now_ms();
+        let fresh_lease = pending.iter().any(|&m| {
+            leases
+                .peek(&misses.jobs[m].1.key.0)
+                .ok()
+                .flatten()
+                .is_some_and(|rec| !rec.is_stale(now))
+        });
+        if pending.len() < before || fresh_lease {
+            last_activity = Instant::now();
+        } else if !children.any_alive() && last_activity.elapsed() >= grace {
+            // nobody holds a live lease on anything pending, no spawned
+            // worker is alive and nothing landed within the grace
+            // window: the remaining jobs are lost. Merging wraps the
+            // error in `RunError::Lost`, whose Display adds the
+            // "job lost:" prefix
+            let error = format!("every worker of sweep {sweep_id} died before completing it");
+            for &m in &pending {
+                let e = misses.jobs[m].1;
+                let lost = Err(error.clone());
+                journal_outcome(journal, sweep_id, &e.key.0, &e.label, e.value as f64, lost)?;
+                failed.insert(m, error.clone());
+            }
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(opts.poll_ms.max(1)));
+    }
+    drop(children);
+
+    // merge from the store in expansion order — this is what makes the
+    // distributed result byte-identical to a single-process run
+    let outcomes = (0..misses.jobs.len())
+        .map(|m| match failed.remove(&m) {
+            Some(error) => Ok(Err(RunError::Lost(error))),
+            None => {
+                let key = &misses.jobs[m].1.key;
+                lookup(store, key)?.map(Ok).ok_or_else(|| {
+                    StoreError::Corrupt(
+                        store.root().to_path_buf(),
+                        format!("run {} vanished after its worker committed it", key.0),
+                    )
+                })
+            }
+        })
+        .collect::<Result<Vec<_>, StoreError>>()?;
+    store.clear_jobs(sweep_id)?;
+    Ok(outcomes)
+}
+
+/// Run a comparison through the sweep frame with the worker executor:
+/// journal the intent, serve cache hits, publish claimable job records,
+/// optionally spawn `opts.workers` local worker processes via
+/// `spawner`, wait for workers to fill the store, and merge in
+/// expansion order.
 ///
 /// With `spawner: None` (or `workers: 0`) the coordinator runs in
 /// *attach* mode: it executes nothing itself and waits for externally
@@ -594,251 +673,10 @@ pub fn run_distributed(
     opts: &DistOptions,
     spawner: Option<&WorkerSpawner>,
 ) -> Result<Orchestrated, StoreError> {
-    // same exclusivity as the in-process orchestrator: one sweep writer
-    // per store (workers don't take the lock; they only append)
-    let _store_lock = store.lock()?;
-    let digest = context_digest(ctx);
-    let (expanded, shape, param) = expand_jobs(&digest, configurations);
-    let sweep_id = sweep_id_of(&digest, &expanded);
-
-    let mut journal = store.journal()?;
-    let jerr = |j: &Journal| {
-        let p = j.path().to_path_buf();
-        move |e: io::Error| StoreError::Io(p.clone(), e)
-    };
-    let record = sweep_record_of(
-        &sweep_id,
-        &digest,
-        param,
+    Orchestrator::new(0).with_store(store.clone()).sweep(
+        ctx,
         configurations,
-        &expanded,
-        &shape,
         invocation,
-    );
-    journal
-        .append(&JournalEvent::SweepStarted(record))
-        .map_err(jerr(&journal))?;
-
-    // serve what the store already holds; the rest becomes job records
-    let mut slots: Vec<Option<(Result<RunResult, RunError>, bool)>> =
-        expanded.iter().map(|_| None).collect();
-    let mut miss_indices: Vec<usize> = Vec::new();
-    for (i, e) in expanded.iter().enumerate() {
-        let hit = store
-            .get(&e.key)?
-            .filter(|s| s.manifest.schema_version == STORE_SCHEMA_VERSION)
-            .map(replay);
-        match hit {
-            Some(rr) => {
-                slots[i] = Some((Ok(rr), true));
-                journal
-                    .append(&JournalEvent::JobFinished {
-                        sweep: sweep_id.clone(),
-                        key: e.key.0.clone(),
-                        cache_hit: true,
-                        ok: true,
-                        wall_ms: 0.0,
-                    })
-                    .map_err(jerr(&journal))?;
-            }
-            None => miss_indices.push(i),
-        }
-    }
-
-    let mut stats = CacheStats {
-        hits: (expanded.len() - miss_indices.len()) as u64,
-        ..CacheStats::default()
-    };
-
-    if !miss_indices.is_empty() {
-        let records: Vec<JobRecord> = miss_indices
-            .iter()
-            .map(|&i| {
-                let e = &expanded[i];
-                JobRecord {
-                    sweep: sweep_id.clone(),
-                    key: e.key.0.clone(),
-                    seq: i as u64,
-                    label: e.label.clone(),
-                    value: e.value as f64,
-                    seed: e.seed,
-                    spec: serde::Serialize::ser(&e.spec),
-                }
-            })
-            .collect();
-        store.put_jobs(&records)?;
-
-        let mut children = ChildSet::spawn(spawner, opts.workers, &sweep_id)
-            .map_err(|e| StoreError::Io(store.root().to_path_buf(), e))?;
-        // observer-only lease view, used to tell "a worker is on it"
-        // from "nobody will ever finish this"
-        let leases = LeaseSet::open(store.root(), &sweep_id, opts.lease_ttl_ms)
-            .map_err(|e| StoreError::Io(store.root().to_path_buf(), e))?;
-        let journal_path = store.journal_path();
-
-        let mut done: HashSet<usize> = HashSet::new();
-        let mut failed: HashMap<usize, String> = HashMap::new();
-        // grace before declaring jobs lost: long enough for an external
-        // worker to attach and for stale leases to expire
-        let grace = Duration::from_millis((2 * opts.lease_ttl_ms).max(500));
-        let mut last_activity = Instant::now();
-        loop {
-            let journaled_failures = failed_keys(&journal_path, &sweep_id)
-                .map_err(|e| StoreError::Io(journal_path.clone(), e))?;
-            let mut changed = false;
-            for &i in &miss_indices {
-                if done.contains(&i) || failed.contains_key(&i) {
-                    continue;
-                }
-                let e = &expanded[i];
-                if store.contains(&e.key) {
-                    done.insert(i);
-                    changed = true;
-                } else if let Some(err) = journaled_failures.get(&e.key.0) {
-                    failed.insert(i, err.clone());
-                    changed = true;
-                }
-            }
-            let pending: Vec<usize> = miss_indices
-                .iter()
-                .copied()
-                .filter(|i| !done.contains(i) && !failed.contains_key(i))
-                .collect();
-            if pending.is_empty() {
-                break;
-            }
-            if changed {
-                last_activity = Instant::now();
-            }
-            let now = now_ms();
-            let fresh_lease = pending.iter().any(|&i| {
-                leases
-                    .peek(&expanded[i].key.0)
-                    .ok()
-                    .flatten()
-                    .is_some_and(|rec| !rec.is_stale(now))
-            });
-            if fresh_lease {
-                last_activity = Instant::now();
-            } else {
-                // nobody holds a live lease on anything pending; if the
-                // spawned workers are all dead and nothing lands within
-                // the grace window, the remaining jobs are lost
-                let abandoned = if children.spawned {
-                    !children.any_alive()
-                } else {
-                    true
-                };
-                if abandoned && last_activity.elapsed() >= grace {
-                    for &i in &pending {
-                        let e = &expanded[i];
-                        // merging wraps this in `RunError::Lost`, whose
-                        // Display adds the "job lost:" prefix
-                        let error =
-                            format!("every worker of sweep {sweep_id} died before completing it");
-                        journal
-                            .append(&JournalEvent::JobFailed {
-                                sweep: sweep_id.clone(),
-                                key: e.key.0.clone(),
-                                label: e.label.clone(),
-                                value: e.value as f64,
-                                error: error.clone(),
-                            })
-                            .and_then(|_| {
-                                journal.append(&JournalEvent::JobFinished {
-                                    sweep: sweep_id.clone(),
-                                    key: e.key.0.clone(),
-                                    cache_hit: false,
-                                    ok: false,
-                                    wall_ms: 0.0,
-                                })
-                            })
-                            .map_err(jerr(&journal))?;
-                        failed.insert(i, error);
-                    }
-                    break;
-                }
-            }
-            std::thread::sleep(Duration::from_millis(opts.poll_ms.max(1)));
-        }
-        drop(children);
-
-        // merge from the store in expansion order — this is what makes
-        // the distributed result byte-identical to a single-process run
-        for &i in &miss_indices {
-            let e = &expanded[i];
-            if let Some(error) = failed.get(&i) {
-                slots[i] = Some((Err(RunError::Lost(error.clone())), false));
-                stats.failures += 1;
-                continue;
-            }
-            let stored = store
-                .get(&e.key)?
-                .ok_or_else(|| {
-                    StoreError::Corrupt(
-                        store.root().to_path_buf(),
-                        format!("run {} vanished after its worker committed it", e.key.0),
-                    )
-                })
-                .map(replay)?;
-            slots[i] = Some((Ok(stored), false));
-            stats.misses += 1;
-        }
-        store.clear_jobs(&sweep_id)?;
-    }
-
-    journal
-        .append(&JournalEvent::SweepFinished {
-            sweep: sweep_id.clone(),
-            hits: stats.hits,
-            misses: stats.misses,
-            failures: stats.failures,
-        })
-        .map_err(jerr(&journal))?;
-    if let Some(sink) = ctx.obsv.sink() {
-        sink.write_record(&secreta_obsv::trace::cache_record(
-            &sweep_id,
-            stats.hits,
-            stats.misses,
-            stats.failures,
-        ));
-    }
-
-    // reassemble per-configuration point lists, exactly like compare()
-    let mut results = slots.into_iter();
-    let mut expanded_it = expanded.iter();
-    let mut points = Vec::with_capacity(configurations.len());
-    for values in &shape {
-        let mut cfg_points = Vec::with_capacity(values.len());
-        for _ in 0..values.len() {
-            let e = expanded_it.next().expect("shape matches expansion");
-            let (outcome, _) = results.next().flatten().expect("slot filled");
-            cfg_points.push((
-                e.value,
-                outcome.map(|rr| SweepPoint {
-                    value: e.value,
-                    indicators: rr.indicators,
-                }),
-            ));
-        }
-        points.push(cfg_points);
-    }
-
-    Ok(Orchestrated {
-        result: ComparisonResult {
-            labels: configurations.iter().map(|c| c.label.clone()).collect(),
-            param,
-            points,
-        },
-        stats,
-        sweep_id,
-    })
-}
-
-/// The sweep id this session + configuration set would get — what the
-/// CLI prints so externally attached workers know what to look for.
-pub fn sweep_id_for(ctx: &SessionContext, configurations: &[Configuration]) -> String {
-    let digest = context_digest(ctx);
-    let (expanded, _, _) = expand_jobs(&digest, configurations);
-    sweep_id_of(&digest, &expanded)
+        Exec::Workers(opts, spawner),
+    )
 }

@@ -38,8 +38,8 @@ pub use comparison::{compare, ComparisonResult, Configuration};
 pub use config::{Bounding, MethodSpec, RelAlgo, TxAlgo};
 pub use context::SessionContext;
 pub use distributed::{
-    run_distributed, sweep_id_for, worker_loop, DistOptions, WorkerError, WorkerReport,
-    WorkerSpawner,
+    run_distributed, sweep_id_for, wait_for_sweep, worker_loop, DistOptions, WorkerError,
+    WorkerReport, WorkerSpawner,
 };
 pub use orchestrator::{context_digest, CacheStats, Orchestrated, Orchestrator};
 pub use session::{SessionError, SessionSpec};

@@ -1,45 +1,55 @@
-//! The experiment orchestrator: cached, journaled, resumable sweeps.
+//! The experiment orchestrator: the one sweep engine behind every
+//! evaluation and comparison, cached, journaled and resumable.
 //!
 //! The Experimentation Module's two modes — single-method evaluation
 //! and multi-method comparison — both expand into the same shape of
 //! work: a list of configurations, each swept over a varying
-//! parameter, yielding a DAG of independent (spec, sweep point, seed)
-//! jobs fanned out over the evaluator's worker pool. This module owns
-//! that expansion and adds three properties on top of the plain
-//! [`run_many`](crate::evaluator::run_many) fan-out:
+//! parameter, yielding independent (spec, sweep point, seed) jobs.
+//! Every sweep runs through one frame, whichever executor runs its
+//! jobs:
 //!
-//! * **Caching** — with a [`RunStore`] attached, every job is content
-//!   addressed (see [`secreta_store::key`]) and looked up before it
-//!   runs. A hit replays the stored table, indicators and phase
-//!   timings without touching the algorithms; re-running an identical
-//!   experiment does zero anonymization work and produces
-//!   byte-identical results (every stored field round-trips JSON
-//!   exactly).
-//! * **Journaling** — a [`SweepRecord`] intent event is appended to
-//!   the store's write-ahead journal *before* any job starts, and
-//!   per-job start/finish events plus a final hit/miss summary follow.
-//!   The journal doubles as the observability layer: cache counters,
-//!   per-job wall time and scheduling order all come from it.
-//! * **Resumability** — because results are individually durable and
-//!   the intent record carries the full invocation, a sweep killed
-//!   mid-run is resumed by replaying its invocation against the same
-//!   store: completed jobs are cache hits, only the missing tail
-//!   executes.
+//! 1. **Lock and expand** — take the store's writer lock, digest the
+//!    session, expand the jobs in deterministic order and derive the
+//!    sweep id from their content addresses (see [`secreta_store::key`]).
+//! 2. **Journal the intent** — a [`SweepRecord`] carrying the full
+//!    invocation is appended to the store's write-ahead journal
+//!    *before* any job starts.
+//! 3. **Serve hits** — a job the store already holds replays its
+//!    stored table, indicators and phase timings without touching the
+//!    algorithms, byte-identically (every stored field round-trips
+//!    JSON exactly).
+//! 4. **Execute the misses** — the only step that varies.
+//! 5. **Close** — count hits, misses and failures, journal
+//!    `SweepFinished`, mirror it into the NDJSON trace, and reassemble
+//!    per-configuration point lists in sweep order.
 //!
-//! Without a store, the orchestrator degrades to exactly the old
-//! behaviour — [`crate::comparison::compare`] and
+//! Step 4 has two executors. The **thread executor**
+//! ([`Orchestrator::compare`]) fans the misses over the evaluator pool
+//! and persists and journals each result on its thread the moment it
+//! lands. The **worker executor**
+//! ([`run_distributed`](crate::distributed::run_distributed)) publishes
+//! the misses as claimable job records, lets worker processes fill the
+//! store, and merges from it (see [`crate::distributed`]). Either way
+//! every finished job is durable before the sweep closes, so a sweep
+//! killed mid-run resumes by replaying its journaled invocation
+//! against the same store: completed jobs are hits, only the missing
+//! tail executes.
+//!
+//! Without a store the frame skips lock, journal and cache, leaving the
+//! plain fan-out — [`crate::comparison::compare`] and
 //! [`crate::sweep::evaluate_sweep`] are thin wrappers over it.
 
 use crate::anonymizer::{run_isolated, RunError, RunResult};
 use crate::comparison::{ComparisonResult, Configuration};
 use crate::config::MethodSpec;
 use crate::context::SessionContext;
+use crate::distributed::{DistOptions, WorkerSpawner};
 use crate::evaluator::{run_many_with, Job};
 use crate::sweep::{SweepPoint, VaryingParam};
 use secreta_data::CsvOptions;
 use secreta_store::{
-    run_key, DigestWriter, JournalEvent, RunKey, RunManifest, RunStore, Sha256, StoreError,
-    SweepRecord, STORE_SCHEMA_VERSION,
+    run_key, DigestWriter, Journal, JournalEvent, RunKey, RunManifest, RunStore, Sha256,
+    StoreError, SweepRecord, STORE_SCHEMA_VERSION,
 };
 use serde::{Serialize, Value};
 use std::sync::Mutex;
@@ -137,17 +147,35 @@ pub(crate) struct ExpandedJob {
     pub(crate) key: RunKey,
 }
 
-/// Expand `configurations` into the deterministic flat job list shared
-/// by the in-process orchestrator and the distributed coordinator /
-/// worker roles: one [`ExpandedJob`] per (configuration, sweep value),
-/// in configuration order then sweep order, plus the per-configuration
-/// value shape and the varied parameter.
-pub(crate) fn expand_jobs(
+/// How the sweep frame turns misses into outcomes.
+pub(crate) enum Exec<'a> {
+    /// The in-process evaluator pool, on this many threads.
+    Threads(usize),
+    /// Worker processes claiming jobs through the store, optionally
+    /// spawned by the coordinator.
+    Workers(&'a DistOptions, Option<&'a WorkerSpawner>),
+}
+
+/// The jobs of one sweep the store could not serve, as the frame hands
+/// them to an executor.
+pub(crate) struct Misses<'a> {
+    pub(crate) sweep_id: &'a str,
+    pub(crate) digest: &'a str,
+    pub(crate) param: VaryingParam,
+    /// `(expansion index, job)`, in expansion order.
+    pub(crate) jobs: Vec<(usize, &'a ExpandedJob)>,
+}
+
+/// Expand `configurations` into the deterministic flat job list: one
+/// [`ExpandedJob`] per (configuration, sweep value), in configuration
+/// order then sweep order, plus each configuration's job count and the
+/// varied parameter.
+fn expand_jobs(
     digest: &str,
     configurations: &[Configuration],
-) -> (Vec<ExpandedJob>, Vec<Vec<usize>>, VaryingParam) {
+) -> (Vec<ExpandedJob>, Vec<usize>, VaryingParam) {
     let mut expanded: Vec<ExpandedJob> = Vec::new();
-    let mut shape: Vec<Vec<usize>> = Vec::new();
+    let mut shape: Vec<usize> = Vec::new();
     for cfg in configurations {
         let values = cfg.sweep.values();
         for &v in &values {
@@ -166,45 +194,13 @@ pub(crate) fn expand_jobs(
                 key,
             });
         }
-        shape.push(values);
+        shape.push(values.len());
     }
     let param = configurations
         .first()
         .map(|c| c.sweep.param)
         .unwrap_or(VaryingParam::K);
     (expanded, shape, param)
-}
-
-/// The journal intent record for an expansion — shared by the
-/// in-process sweep and the distributed coordinator so `runs resume`
-/// treats both identically.
-pub(crate) fn sweep_record_of(
-    sweep_id: &str,
-    digest: &str,
-    param: VaryingParam,
-    configurations: &[Configuration],
-    expanded: &[ExpandedJob],
-    shape: &[Vec<usize>],
-    invocation: Value,
-) -> SweepRecord {
-    let mut jobs_per_cfg: Vec<Vec<(f64, String)>> = Vec::new();
-    let mut it = expanded.iter();
-    for values in shape {
-        jobs_per_cfg.push(
-            it.by_ref()
-                .take(values.len())
-                .map(|e| (e.value as f64, e.key.0.clone()))
-                .collect(),
-        );
-    }
-    SweepRecord {
-        id: sweep_id.to_owned(),
-        context: digest.to_owned(),
-        param: param.label().to_owned(),
-        labels: configurations.iter().map(|c| c.label.clone()).collect(),
-        jobs: jobs_per_cfg,
-        invocation,
-    }
 }
 
 impl Orchestrator {
@@ -248,10 +244,8 @@ impl Orchestrator {
         let digest = context_digest(ctx);
         let key = job_key(&digest, spec, seed, None);
         if let (Some(store), false) = (&self.store, self.bypass_cache) {
-            if let Some(stored) = store.get(&key)? {
-                if stored.manifest.schema_version == STORE_SCHEMA_VERSION {
-                    return Ok((Ok(replay(stored)), true));
-                }
+            if let Some(rr) = lookup(store, &key)? {
+                return Ok((Ok(rr), true));
             }
         }
         let result = run_isolated(ctx, spec, seed);
@@ -276,178 +270,114 @@ impl Orchestrator {
         configurations: &[Configuration],
         invocation: Value,
     ) -> Result<Orchestrated, StoreError> {
-        // one journal writer at a time: a second orchestrator sharing
-        // this store gets StoreError::Locked instead of interleaving
-        // sweep events (released when the guard drops at return)
-        let _store_lock = match &self.store {
-            Some(store) => Some(store.lock()?),
-            None => None,
-        };
-        let digest = context_digest(ctx);
+        self.sweep(ctx, configurations, invocation, Exec::Threads(self.threads))
+    }
 
-        // expand the DAG: one job per (configuration, sweep value)
+    /// The sweep frame shared by both executors (module docs, steps
+    /// 1–5); `exec` turns the misses into outcomes.
+    pub(crate) fn sweep(
+        &self,
+        ctx: &SessionContext,
+        configurations: &[Configuration],
+        invocation: Value,
+        exec: Exec<'_>,
+    ) -> Result<Orchestrated, StoreError> {
+        // one journal writer at a time: a second coordinator (or a
+        // `runs resume`) sharing this store gets StoreError::Locked
+        // instead of interleaving sweep events; workers never take it
+        let _store_lock = self.store.as_ref().map(RunStore::lock).transpose()?;
+        let digest = context_digest(ctx);
         let (expanded, shape, param) = expand_jobs(&digest, configurations);
         let sweep_id = sweep_id_of(&digest, &expanded);
 
         // write-ahead intent: everything needed to resume after a kill
-        let mut journal = match &self.store {
-            Some(store) => Some(store.journal()?),
-            None => None,
-        };
+        let mut journal = self.store.as_ref().map(RunStore::journal).transpose()?;
         if let Some(j) = &mut journal {
-            let record = sweep_record_of(
-                &sweep_id,
-                &digest,
-                param,
-                configurations,
-                &expanded,
-                &shape,
+            let mut it = expanded.iter().map(|e| (e.value as f64, e.key.0.clone()));
+            let jobs = shape
+                .iter()
+                .map(|&n| it.by_ref().take(n).collect())
+                .collect();
+            let record = SweepRecord {
+                id: sweep_id.clone(),
+                context: digest.clone(),
+                param: param.label().to_owned(),
+                labels: configurations.iter().map(|c| c.label.clone()).collect(),
+                jobs,
                 invocation,
-            );
-            j.append(&JournalEvent::SweepStarted(record))
-                .map_err(|e| StoreError::Io(j.path().to_path_buf(), e))?;
+            };
+            append(j, &JournalEvent::SweepStarted(record))?;
         }
 
-        // serve hits from the store, collect misses
-        let mut slots: Vec<Option<(Result<RunResult, RunError>, bool)>> =
-            expanded.iter().map(|_| None).collect();
-        let mut miss_indices: Vec<usize> = Vec::new();
+        // serve hits from the store (replays complete at lookup time,
+        // so they are journaled right away), collect misses
+        let mut slots: Vec<Option<Result<RunResult, RunError>>> = Vec::new();
+        let mut misses = Misses {
+            sweep_id: &sweep_id,
+            digest: &digest,
+            param,
+            jobs: Vec::new(),
+        };
         for (i, e) in expanded.iter().enumerate() {
             let hit = match (&self.store, self.bypass_cache) {
-                (Some(store), false) => store
-                    .get(&e.key)?
-                    .filter(|s| s.manifest.schema_version == STORE_SCHEMA_VERSION)
-                    .map(replay),
+                (Some(store), false) => lookup(store, &e.key)?,
                 _ => None,
             };
-            match hit {
-                Some(rr) => slots[i] = Some((Ok(rr), true)),
-                None => miss_indices.push(i),
-            }
-        }
-
-        if let Some(j) = &mut journal {
-            // replays complete at lookup time: journal them first
-            for (e, slot) in expanded.iter().zip(&slots) {
-                if slot.is_some() {
-                    j.append(&JournalEvent::JobFinished {
+            if let (Some(j), Some(_)) = (&mut journal, &hit) {
+                append(
+                    j,
+                    &JournalEvent::JobFinished {
                         sweep: sweep_id.clone(),
                         key: e.key.0.clone(),
                         cache_hit: true,
                         ok: true,
                         wall_ms: 0.0,
-                    })
-                    .map_err(|err| StoreError::Io(j.path().to_path_buf(), err))?;
-                }
+                    },
+                )?;
             }
-            for &i in &miss_indices {
-                let e = &expanded[i];
-                j.append(&JournalEvent::JobStarted {
-                    sweep: sweep_id.clone(),
-                    key: e.key.0.clone(),
-                    label: e.label.clone(),
-                    value: e.value as f64,
-                })
-                .map_err(|err| StoreError::Io(j.path().to_path_buf(), err))?;
+            if hit.is_none() {
+                misses.jobs.push((i, e));
             }
+            slots.push(hit.map(Ok));
         }
-
-        // fan the misses out over the evaluator pool, persisting and
-        // journaling each result on the worker the moment it lands —
-        // that is what makes a killed sweep resumable: everything that
-        // finished before the kill is already durable
-        let jobs: Vec<Job> = miss_indices
-            .iter()
-            .map(|&i| Job {
-                spec: expanded[i].spec.clone(),
-                seed: expanded[i].seed,
-            })
-            .collect();
-        let journal_mx = Mutex::new(journal);
-        let deferred_err: Mutex<Option<StoreError>> = Mutex::new(None);
-        let defer = |err: StoreError| {
-            let mut slot = deferred_err.lock().unwrap_or_else(|e| e.into_inner());
-            slot.get_or_insert(err);
+        let mut stats = CacheStats {
+            hits: (expanded.len() - misses.jobs.len()) as u64,
+            ..CacheStats::default()
         };
-        let outcomes = run_many_with(ctx, &jobs, self.threads, |slot, outcome| {
-            let e = &expanded[miss_indices[slot]];
-            if let (Some(store), Ok(rr)) = (&self.store, outcome) {
-                let manifest = manifest_of(
-                    &e.key,
-                    &digest,
-                    &e.label,
-                    &e.spec,
-                    e.seed,
-                    Some((param, e.value)),
-                    rr,
-                );
-                if let Err(err) = store.put(&manifest, &rr.anon) {
-                    defer(err);
-                    return;
-                }
-            }
-            let (ok, wall_ms) = match outcome {
-                Ok(rr) => (true, rr.indicators.runtime_ms),
-                Err(_) => (false, 0.0),
-            };
-            let mut guard = journal_mx.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(j) = guard.as_mut() {
-                // a failed job gets both lines: JobFinished keeps the
-                // counters consistent, JobFailed carries the error and
-                // marks the sweep degraded (hence resumable)
-                if let Err(run_err) = outcome {
-                    if let Err(err) = j.append(&JournalEvent::JobFailed {
-                        sweep: sweep_id.clone(),
-                        key: e.key.0.clone(),
-                        label: e.label.clone(),
-                        value: e.value as f64,
-                        error: run_err.to_string(),
-                    }) {
-                        defer(StoreError::Io(j.path().to_path_buf(), err));
-                    }
-                }
-                if let Err(err) = j.append(&JournalEvent::JobFinished {
-                    sweep: sweep_id.clone(),
-                    key: e.key.0.clone(),
-                    cache_hit: false,
-                    ok,
-                    wall_ms,
-                }) {
-                    defer(StoreError::Io(j.path().to_path_buf(), err));
-                }
-            }
-        });
-        let mut journal = journal_mx.into_inner().unwrap_or_else(|e| e.into_inner());
-        if let Some(err) = deferred_err.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            return Err(err);
-        }
-        for (&i, outcome) in miss_indices.iter().zip(outcomes) {
-            slots[i] = Some((outcome, false));
-        }
 
-        // summary counters close the sweep in the journal
-        let mut stats = CacheStats::default();
-        for slot in &slots {
-            let (outcome, cache_hit) = slot.as_ref().expect("every job has an outcome");
-            if *cache_hit {
-                stats.hits += 1;
-            } else if outcome.is_ok() {
+        let outcomes = match exec {
+            Exec::Threads(threads) => {
+                self.run_on_threads(ctx, &misses, journal.as_mut(), threads)?
+            }
+            Exec::Workers(opts, spawner) => {
+                let (Some(store), Some(journal)) = (&self.store, journal.as_mut()) else {
+                    unreachable!("distributed sweeps always run against a store")
+                };
+                crate::distributed::run_on_workers(store, journal, &misses, opts, spawner)?
+            }
+        };
+        for (&(i, _), outcome) in misses.jobs.iter().zip(outcomes) {
+            if outcome.is_ok() {
                 stats.misses += 1;
             } else {
                 stats.failures += 1;
             }
+            slots[i] = Some(outcome);
         }
+
+        // summary counters close the sweep in the journal, and are
+        // mirrored into the NDJSON trace stream when one is configured
         if let Some(j) = &mut journal {
-            j.append(&JournalEvent::SweepFinished {
-                sweep: sweep_id.clone(),
-                hits: stats.hits,
-                misses: stats.misses,
-                failures: stats.failures,
-            })
-            .map_err(|err| StoreError::Io(j.path().to_path_buf(), err))?;
+            append(
+                j,
+                &JournalEvent::SweepFinished {
+                    sweep: sweep_id.clone(),
+                    hits: stats.hits,
+                    misses: stats.misses,
+                    failures: stats.failures,
+                },
+            )?;
         }
-        // mirror the summary into the NDJSON trace stream, when one is
-        // configured — the per-run records are already there
         if let Some(sink) = ctx.obsv.sink() {
             sink.write_record(&secreta_obsv::trace::cache_record(
                 &sweep_id,
@@ -458,25 +388,19 @@ impl Orchestrator {
         }
 
         // reassemble per-configuration point lists, in sweep order
-        let mut results = slots.into_iter();
-        let mut expanded_it = expanded.iter();
-        let mut points = Vec::with_capacity(configurations.len());
-        for values in shape {
-            let mut cfg_points = Vec::with_capacity(values.len());
-            for _ in 0..values.len() {
-                let e = expanded_it.next().expect("shape matches expansion");
-                let (outcome, _) = results.next().flatten().expect("slot filled");
-                cfg_points.push((
-                    e.value,
-                    outcome.map(|rr| SweepPoint {
-                        value: e.value,
-                        indicators: rr.indicators,
-                    }),
-                ));
-            }
-            points.push(cfg_points);
-        }
-
+        let mut results = slots.into_iter().zip(&expanded);
+        let point = |(slot, e): (Option<Result<RunResult, RunError>>, &ExpandedJob)| {
+            let outcome = slot.expect("every job has an outcome");
+            let indicators = |rr: RunResult| SweepPoint {
+                value: e.value,
+                indicators: rr.indicators,
+            };
+            (e.value, outcome.map(indicators))
+        };
+        let points = shape
+            .iter()
+            .map(|&n| results.by_ref().take(n).map(point).collect())
+            .collect();
         Ok(Orchestrated {
             result: ComparisonResult {
                 labels: configurations.iter().map(|c| c.label.clone()).collect(),
@@ -487,17 +411,139 @@ impl Orchestrator {
             sweep_id,
         })
     }
+
+    /// The thread executor: fan the misses out over the evaluator
+    /// pool, persisting and journaling each result on its thread the
+    /// moment it lands — that is what makes a killed sweep resumable:
+    /// everything that finished before the kill is already durable.
+    fn run_on_threads(
+        &self,
+        ctx: &SessionContext,
+        misses: &Misses<'_>,
+        mut journal: Option<&mut Journal>,
+        threads: usize,
+    ) -> Result<Vec<Result<RunResult, RunError>>, StoreError> {
+        if let Some(j) = journal.as_deref_mut() {
+            for &(_, e) in &misses.jobs {
+                append(
+                    j,
+                    &JournalEvent::JobStarted {
+                        sweep: misses.sweep_id.to_owned(),
+                        key: e.key.0.clone(),
+                        label: e.label.clone(),
+                        value: e.value as f64,
+                    },
+                )?;
+            }
+        }
+        let jobs: Vec<Job> = misses
+            .jobs
+            .iter()
+            .map(|(_, e)| Job {
+                spec: e.spec.clone(),
+                seed: e.seed,
+            })
+            .collect();
+        let journal = Mutex::new(journal);
+        let land =
+            |e: &ExpandedJob, outcome: &Result<RunResult, RunError>| -> Result<(), StoreError> {
+                if let (Some(store), Ok(rr)) = (&self.store, outcome) {
+                    let sweep = Some((misses.param, e.value));
+                    let manifest =
+                        manifest_of(&e.key, misses.digest, &e.label, &e.spec, e.seed, sweep, rr);
+                    store.put(&manifest, &rr.anon)?;
+                }
+                let mut guard = journal.lock().unwrap_or_else(|e| e.into_inner());
+                match guard.as_deref_mut() {
+                    Some(j) => journal_outcome(
+                        j,
+                        misses.sweep_id,
+                        &e.key.0,
+                        &e.label,
+                        e.value as f64,
+                        outcome
+                            .as_ref()
+                            .map(|rr| rr.indicators.runtime_ms)
+                            .map_err(ToString::to_string),
+                    ),
+                    None => Ok(()),
+                }
+            };
+        let deferred: Mutex<Option<StoreError>> = Mutex::new(None);
+        let outcomes = run_many_with(ctx, &jobs, threads, |slot, outcome| {
+            if let Err(err) = land(misses.jobs[slot].1, outcome) {
+                let mut first = deferred.lock().unwrap_or_else(|e| e.into_inner());
+                first.get_or_insert(err);
+            }
+        });
+        match deferred.into_inner().unwrap_or_else(|e| e.into_inner()) {
+            Some(err) => Err(err),
+            None => Ok(outcomes),
+        }
+    }
 }
 
-/// Rebuild a `RunResult` from a stored run. Exact: the stored JSON
-/// preserves every float bit-for-bit.
-pub(crate) fn replay(stored: secreta_store::StoredRun) -> RunResult {
-    RunResult {
-        anon: stored.anon,
-        phases: stored.manifest.phases,
-        indicators: stored.manifest.indicators,
-        profile: stored.manifest.profile,
-    }
+/// Append one event, attributing a failure to the journal's path.
+fn append(journal: &mut Journal, event: &JournalEvent) -> Result<(), StoreError> {
+    journal
+        .append(event)
+        .map_err(|e| StoreError::Io(journal.path().to_path_buf(), e))
+}
+
+/// Journal the end of one executed (non-cached) job: `Ok(wall_ms)`
+/// or `Err(error)`. A failed job gets two lines: `JobFinished` keeps
+/// the counters consistent, `JobFailed` carries the error and marks
+/// the sweep degraded (hence resumable).
+pub(crate) fn journal_outcome(
+    journal: &mut Journal,
+    sweep: &str,
+    key: &str,
+    label: &str,
+    value: f64,
+    outcome: Result<f64, String>,
+) -> Result<(), StoreError> {
+    let (ok, wall_ms) = match outcome {
+        Ok(wall_ms) => (true, wall_ms),
+        Err(error) => {
+            append(
+                journal,
+                &JournalEvent::JobFailed {
+                    sweep: sweep.to_owned(),
+                    key: key.to_owned(),
+                    label: label.to_owned(),
+                    value,
+                    error,
+                },
+            )?;
+            (false, 0.0)
+        }
+    };
+    append(
+        journal,
+        &JournalEvent::JobFinished {
+            sweep: sweep.to_owned(),
+            key: key.to_owned(),
+            cache_hit: false,
+            ok,
+            wall_ms,
+        },
+    )
+}
+
+/// Serve `key` from the store: the stored run rebuilt exactly (the
+/// stored JSON preserves every float bit-for-bit), or `None` when it
+/// is absent, was quarantined as corrupt, or predates the current
+/// schema.
+pub(crate) fn lookup(store: &RunStore, key: &RunKey) -> Result<Option<RunResult>, StoreError> {
+    Ok(store
+        .get(key)?
+        .filter(|s| s.manifest.schema_version == STORE_SCHEMA_VERSION)
+        .map(|stored| RunResult {
+            anon: stored.anon,
+            phases: stored.manifest.phases,
+            indicators: stored.manifest.indicators,
+            profile: stored.manifest.profile,
+        }))
 }
 
 pub(crate) fn manifest_of(
@@ -534,7 +580,7 @@ pub(crate) fn manifest_of(
 /// every job's (label, key). The same experiment against the same
 /// session always gets the same id, which is what lets `runs resume`
 /// find the matching intent record.
-pub(crate) fn sweep_id_of(digest: &str, expanded: &[ExpandedJob]) -> String {
+fn sweep_id_of(digest: &str, expanded: &[ExpandedJob]) -> String {
     let mut h = Sha256::new();
     h.update(digest.as_bytes());
     for e in expanded {
@@ -545,6 +591,13 @@ pub(crate) fn sweep_id_of(digest: &str, expanded: &[ExpandedJob]) -> String {
     }
     let hex = h.finalize_hex();
     hex[..16].to_owned()
+}
+
+/// The sweep id this session + configuration set gets — what the CLI
+/// prints so externally attached workers know what to look for.
+pub fn sweep_id_for(ctx: &SessionContext, configurations: &[Configuration]) -> String {
+    let digest = context_digest(ctx);
+    sweep_id_of(&digest, &expand_jobs(&digest, configurations).0)
 }
 
 #[cfg(test)]

@@ -34,6 +34,14 @@ impl VaryingParam {
             VaryingParam::Delta => "δ",
         }
     }
+
+    /// The parameter whose [`label`](VaryingParam::label) is `label`,
+    /// if any — how journaled sweep records name their parameter.
+    pub fn from_label(label: &str) -> Option<VaryingParam> {
+        [VaryingParam::K, VaryingParam::M, VaryingParam::Delta]
+            .into_iter()
+            .find(|p| p.label() == label)
+    }
 }
 
 /// A start/end/step sweep, inclusive of `end` when the step lands on
@@ -176,6 +184,16 @@ mod tests {
             step: 0,
         };
         assert_eq!(s0.values(), vec![1, 2, 3], "step 0 clamps to 1");
+    }
+
+    #[test]
+    fn param_labels_round_trip() {
+        for p in [VaryingParam::K, VaryingParam::M, VaryingParam::Delta] {
+            assert_eq!(VaryingParam::from_label(p.label()), Some(p));
+        }
+        for unknown in ["", "K", "delta", "q"] {
+            assert_eq!(VaryingParam::from_label(unknown), None, "{unknown:?}");
+        }
     }
 
     #[test]

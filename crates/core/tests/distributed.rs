@@ -263,3 +263,72 @@ fn worker_validates_sweep_and_context() {
         other => panic!("expected ContextMismatch, got {other:?}"),
     }
 }
+
+/// A sweep record naming a varying parameter this build does not know
+/// is refused with a typed error, instead of being executed and stored
+/// under manifests labelled `k`.
+#[test]
+fn worker_rejects_an_unknown_sweep_parameter() {
+    let ctx = ctx();
+    let store = tmp_store("unknown-param");
+    store
+        .journal()
+        .unwrap()
+        .append(&JournalEvent::SweepStarted(SweepRecord {
+            id: "0123456789abcdef".to_owned(),
+            context: secreta_core::context_digest(&ctx),
+            param: "q".to_owned(),
+            labels: vec![],
+            jobs: vec![],
+            invocation: Value::Null,
+        }))
+        .unwrap();
+    match worker_loop(&ctx, &store, "0123456789abcdef", &opts()) {
+        Err(WorkerError::UnknownParam { sweep, param }) => {
+            assert_eq!(sweep, "0123456789abcdef");
+            assert_eq!(param, "q");
+        }
+        other => panic!("expected UnknownParam, got {other:?}"),
+    }
+    assert!(store.list().unwrap().is_empty(), "nothing was stored");
+}
+
+/// A spawner that fails part-way must not orphan the workers it already
+/// started: when the coordinator errors out, they are killed and reaped.
+#[cfg(target_os = "linux")]
+#[test]
+fn partial_spawn_failure_kills_the_workers_already_spawned() {
+    use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+    let ctx = ctx();
+    let store = tmp_store("partial-spawn");
+    // spawners are `'static` callbacks, so the probes live in statics
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    static FIRST_PID: AtomicU32 = AtomicU32::new(0);
+    let spawner = |_i: usize, _sweep: &str| {
+        if CALLS.fetch_add(1, Ordering::SeqCst) > 0 {
+            return Err(std::io::Error::other("second worker refused to start"));
+        }
+        let child = std::process::Command::new("sleep").arg("60").spawn()?;
+        FIRST_PID.store(child.id(), Ordering::SeqCst);
+        Ok(child)
+    };
+    let o = DistOptions {
+        workers: 2,
+        ..opts()
+    };
+    let out = run_distributed(
+        &ctx,
+        &store,
+        &configs(2, 4),
+        Value::Null,
+        &o,
+        Some(&spawner),
+    );
+    assert!(out.is_err(), "a failed spawn fails the sweep");
+    let pid = FIRST_PID.load(Ordering::SeqCst);
+    assert_ne!(pid, 0, "the first worker was spawned");
+    assert!(
+        !std::path::Path::new(&format!("/proc/{pid}")).exists(),
+        "worker {pid} outlived its coordinator"
+    );
+}

@@ -299,68 +299,7 @@ impl RunStore {
     /// backoff; each attempt stages into a fresh directory, so a
     /// failed attempt never pollutes the next.
     pub fn put(&self, manifest: &RunManifest, anon: &AnonTable) -> Result<(), StoreError> {
-        let key = RunKey(manifest.key.clone());
-        if self.contains(&key) {
-            return Ok(());
-        }
-        let anon_text = serde_json::to_string(anon)
-            .map_err(|e| StoreError::Corrupt(self.root.clone(), e.to_string()))?;
-        let mut manifest = manifest.clone();
-        manifest.anon_sha256 = Some(sha256_hex(anon_text.as_bytes()));
-        let manifest_text = serde_json::to_string_pretty(&manifest)
-            .map_err(|e| StoreError::Corrupt(self.root.clone(), e.to_string()))?;
-        RetryPolicy::store_default().run(
-            || self.put_once(&key, &manifest_text, &anon_text),
-            StoreError::is_transient,
-        )
-    }
-
-    /// One staged-write-and-rename attempt of [`RunStore::put`].
-    fn put_once(
-        &self,
-        key: &RunKey,
-        manifest_text: &str,
-        anon_text: &str,
-    ) -> Result<(), StoreError> {
-        // fault-injection point: before any bytes touch disk, so a
-        // retried attempt starts from a clean slate
-        if let Some(e) = secreta_faults::fault::io("store.put") {
-            return Err(StoreError::Io(self.root.join("tmp"), e));
-        }
-        let stage = self.root.join("tmp").join(format!(
-            "{}-{}-{}",
-            &key.as_str()[..key.as_str().len().min(16)],
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, Ordering::Relaxed),
-        ));
-        let staged = (|| -> Result<(), StoreError> {
-            fs::create_dir_all(&stage).map_err(io_err(&stage))?;
-            for (name, text) in [("manifest.json", manifest_text), ("anon.json", anon_text)] {
-                let path = stage.join(name);
-                fs::write(&path, text).map_err(io_err(&path))?;
-            }
-            Ok(())
-        })();
-        if let Err(e) = staged {
-            let _ = fs::remove_dir_all(&stage);
-            return Err(e);
-        }
-        let dest = self.run_dir(key.as_str());
-        if let Some(parent) = dest.parent() {
-            fs::create_dir_all(parent).map_err(io_err(parent))?;
-        }
-        match fs::rename(&stage, &dest) {
-            Ok(()) => Ok(()),
-            Err(_) if self.contains(key) => {
-                // lost a race with a concurrent writer of the same run
-                let _ = fs::remove_dir_all(&stage);
-                Ok(())
-            }
-            Err(e) => {
-                let _ = fs::remove_dir_all(&stage);
-                Err(StoreError::Io(dest, e))
-            }
-        }
+        self.commit(manifest, anon, None).map(|_| ())
     }
 
     /// Directory of claimable job records for `sweep`.
@@ -441,10 +380,21 @@ impl RunStore {
         epoch: u64,
         fence: &dyn Fn() -> bool,
     ) -> Result<bool, StoreError> {
+        self.commit(manifest, anon, Some((epoch, fence)))
+    }
+
+    /// The one commit routine behind [`RunStore::put`] (unfenced) and
+    /// [`RunStore::put_fenced`]. `Ok(true)` once the key holds a
+    /// complete run, whoever wrote it; `Ok(false)` only when the fence
+    /// rejected this write.
+    fn commit(
+        &self,
+        manifest: &RunManifest,
+        anon: &AnonTable,
+        fence: Option<(u64, &dyn Fn() -> bool)>,
+    ) -> Result<bool, StoreError> {
         let key = RunKey(manifest.key.clone());
         if self.contains(&key) {
-            // someone already committed this key; contents are
-            // deterministic, so the result is identical — success
             return Ok(true);
         }
         let anon_text = serde_json::to_string(anon)
@@ -454,55 +404,66 @@ impl RunStore {
         let manifest_text = serde_json::to_string_pretty(&manifest)
             .map_err(|e| StoreError::Corrupt(self.root.clone(), e.to_string()))?;
         RetryPolicy::store_default().run(
-            || {
-                if let Some(e) = secreta_faults::fault::io("store.put") {
-                    return Err(StoreError::Io(self.root.join("tmp"), e));
-                }
-                let stage = self.root.join("tmp").join(format!(
-                    "{}-{}-{}-e{}",
-                    &key.as_str()[..key.as_str().len().min(16)],
-                    std::process::id(),
-                    TMP_COUNTER.fetch_add(1, Ordering::Relaxed),
-                    epoch,
-                ));
-                let staged = (|| -> Result<(), StoreError> {
-                    fs::create_dir_all(&stage).map_err(io_err(&stage))?;
-                    for (name, text) in
-                        [("manifest.json", &manifest_text), ("anon.json", &anon_text)]
-                    {
-                        let path = stage.join(name);
-                        fs::write(&path, text).map_err(io_err(&path))?;
-                    }
-                    Ok(())
-                })();
-                if let Err(e) = staged {
-                    let _ = fs::remove_dir_all(&stage);
-                    return Err(e);
-                }
-                // the fence: a reclaimed lease means another worker
-                // owns this job now — discard the late write
-                if !fence() {
-                    let _ = fs::remove_dir_all(&stage);
-                    return Ok(false);
-                }
-                let dest = self.run_dir(key.as_str());
-                if let Some(parent) = dest.parent() {
-                    fs::create_dir_all(parent).map_err(io_err(parent))?;
-                }
-                match fs::rename(&stage, &dest) {
-                    Ok(()) => Ok(true),
-                    Err(_) if self.contains(&key) => {
-                        let _ = fs::remove_dir_all(&stage);
-                        Ok(true)
-                    }
-                    Err(e) => {
-                        let _ = fs::remove_dir_all(&stage);
-                        Err(StoreError::Io(dest, e))
-                    }
-                }
-            },
+            || self.commit_once(&key, &manifest_text, &anon_text, fence),
             StoreError::is_transient,
         )
+    }
+
+    /// One staged-write-and-rename attempt of [`RunStore::commit`].
+    fn commit_once(
+        &self,
+        key: &RunKey,
+        manifest_text: &str,
+        anon_text: &str,
+        fence: Option<(u64, &dyn Fn() -> bool)>,
+    ) -> Result<bool, StoreError> {
+        // fault-injection point: before any bytes touch disk, so a
+        // retried attempt starts from a clean slate
+        if let Some(e) = secreta_faults::fault::io("store.put") {
+            return Err(StoreError::Io(self.root.join("tmp"), e));
+        }
+        let epoch = fence.map(|(epoch, _)| format!("-e{epoch}"));
+        let stage = self.root.join("tmp").join(format!(
+            "{}-{}-{}{}",
+            &key.as_str()[..key.as_str().len().min(16)],
+            std::process::id(),
+            TMP_COUNTER.fetch_add(1, Ordering::Relaxed),
+            epoch.unwrap_or_default(),
+        ));
+        let staged = (|| -> Result<(), StoreError> {
+            fs::create_dir_all(&stage).map_err(io_err(&stage))?;
+            for (name, text) in [("manifest.json", manifest_text), ("anon.json", anon_text)] {
+                let path = stage.join(name);
+                fs::write(&path, text).map_err(io_err(&path))?;
+            }
+            Ok(())
+        })();
+        if let Err(e) = staged {
+            let _ = fs::remove_dir_all(&stage);
+            return Err(e);
+        }
+        // the fence: a reclaimed lease means another worker owns this
+        // job now — discard the late write
+        if fence.is_some_and(|(_, still_ours)| !still_ours()) {
+            let _ = fs::remove_dir_all(&stage);
+            return Ok(false);
+        }
+        let dest = self.run_dir(key.as_str());
+        if let Some(parent) = dest.parent() {
+            fs::create_dir_all(parent).map_err(io_err(parent))?;
+        }
+        match fs::rename(&stage, &dest) {
+            Ok(()) => Ok(true),
+            Err(_) if self.contains(key) => {
+                // lost a race with a concurrent writer of the same run
+                let _ = fs::remove_dir_all(&stage);
+                Ok(true)
+            }
+            Err(e) => {
+                let _ = fs::remove_dir_all(&stage);
+                Err(StoreError::Io(dest, e))
+            }
+        }
     }
 
     /// Manifests of every complete run, oldest first (ties broken by
