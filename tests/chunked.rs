@@ -5,8 +5,11 @@
 //! from it, is byte-identical to the in-memory path at every chunk
 //! size and thread count.
 
+mod common;
+
+use common::every_method;
 use proptest::prelude::*;
-use secreta::core::config::{Bounding, MethodSpec, RelAlgo, TxAlgo};
+use secreta::core::config::MethodSpec;
 use secreta::core::data::chunk::read_chunked;
 use secreta::core::data::{csv as dcsv, CsvOptions, MemoryBudget, RtTable};
 use secreta::core::{anonymizer, export, SessionContext};
@@ -122,39 +125,6 @@ proptest! {
             );
         }
     }
-}
-
-fn every_method() -> Vec<MethodSpec> {
-    let mut specs = Vec::new();
-    for algo in RelAlgo::all() {
-        specs.push(MethodSpec::Relational { algo, k: 4 });
-    }
-    for algo in TxAlgo::all() {
-        specs.push(MethodSpec::Transaction { algo, k: 3, m: 2 });
-    }
-    for bounding in Bounding::all() {
-        specs.push(MethodSpec::Rt {
-            rel: RelAlgo::Cluster,
-            tx: TxAlgo::Apriori,
-            bounding,
-            k: 3,
-            m: 2,
-            delta: 2,
-        });
-    }
-    specs.push(MethodSpec::Rho {
-        rho: 0.5,
-        sensitive: vec!["item_0000".into(), "item_0001".into()],
-        max_antecedent: 2,
-        generalize: false,
-    });
-    specs.push(MethodSpec::Rho {
-        rho: 0.5,
-        sensitive: vec!["item_0000".into(), "item_0001".into()],
-        max_antecedent: 2,
-        generalize: true,
-    });
-    specs
 }
 
 fn anonymized_bytes(ctx: &SessionContext, spec: &MethodSpec, seed: u64) -> Vec<u8> {
