@@ -23,7 +23,6 @@ const BOOL_FLAGS: &[&str] = &[
     "help",
     "ascii",
     "verify",
-    "json",
     "no-cache",
     "all",
     "repair",

@@ -68,11 +68,9 @@ COMMANDS
   edit       apply a Dataset Editor script   DATA --script FILE.json --out FILE
   session    show a saved session        SESSION.json
   bench      benchmark                  [--suite kernels|store|obsv|tx|tiered
-             |risk|scale|rel|dist]
-             | --all [--baseline FILE] [--gate-pct N]
-             [--rows N,N,...] [--k N] [--m N] [--items N] [--seed S]
-             [--threads N] [--reps N] [--json] [--out FILE]
-             (scale: [--memory-budget MB] [--chunk-rows N])
+             |risk|scale|rel|dist | --all] [--rows N,N,...] [--seed S]
+             [--threads N] [--reps N] [--out FILE]
+             [--baseline FILE [--gate-pct N]] (scale: [--memory-budget MB])
   help       this text
 
 evaluate/compare also accept --session FILE.json instead of a dataset
@@ -140,7 +138,7 @@ pub fn dispatch(args: &Args) -> Result<i32, String> {
         "worker" => crate::worker::cmd_worker(args),
         "edit" => cmd_edit(args).map(|()| EXIT_OK),
         "session" => cmd_session(args).map(|()| EXIT_OK),
-        "bench" => cmd_bench(args).map(|()| EXIT_OK),
+        "bench" => crate::bench::cmd_bench(args).map(|()| EXIT_OK),
         other => Err(format!("unknown command {other:?}; try `secreta help`")),
     }
 }
@@ -176,7 +174,7 @@ fn is_budget_error(e: &DataError) -> bool {
 }
 
 /// Parse `--memory-budget MB` (None when absent, error on 0).
-pub(crate) fn memory_budget_of(args: &Args) -> Result<Option<u64>, String> {
+fn memory_budget_of(args: &Args) -> Result<Option<u64>, String> {
     match args.opt("memory-budget") {
         Some(_) => {
             let mb = args.u64_or("memory-budget", 0)?;
@@ -991,941 +989,6 @@ fn cmd_edit(args: &Args) -> Result<(), String> {
         table.n_rows(),
         out
     );
-    Ok(())
-}
-
-/// `secreta bench`: four suites.
-///
-/// * `--suite kernels` (default) times the Cluster hot path before and
-///   after the kernel optimizations (parent-walk vs Euler-tour LCA,
-///   per-access table reads vs the leaf matrix, sequential vs parallel
-///   argmin) on the adult-like generator; `--json` writes the report
-///   to `BENCH_1.json` (override with `--out`).
-/// * `--suite store` times the orchestrated comparison path cold
-///   (empty store, every job executes) vs warm (second identical
-///   invocation, every job replays from the store); `--json` writes
-///   the report to `BENCH_2.json` (override with `--out`).
-/// * `--suite obsv` measures the observability layer's cost: the same
-///   Cluster run with the recorder absent vs installed-but-disabled vs
-///   enabled; `--json` writes the report to `BENCH_3.json` (override
-///   with `--out`).
-/// * `--suite tx` times every transaction algorithm (AA, LRA, VPA,
-///   COAT, PCTA, RHO, RHO-td) with the naive reference counters vs the
-///   interned/parallel support kernels on the basket generator;
-///   `--json` writes the report to `BENCH_4.json` (override with
-///   `--out`).
-/// * `--suite tiered` compares the pure-CSR support kernels against
-///   the tiered bitmap/CSR kernels on the same algorithms; `--json`
-///   writes the report to `BENCH_5.json` (override with `--out`).
-/// * `--suite risk` times the attack-side evaluation (m-item adversary
-///   on the tiered kernels vs the O(n²) oracle, capped to small row
-///   counts) against the anonymization it audits, on the adversarial
-///   generator; `--json` writes the report to `BENCH_6.json` (override
-///   with `--out`).
-/// * `--suite scale` measures the chunked ingest path as row counts
-///   grow: per point it streams a generated dataset through
-///   [`secreta_gen::DatasetSpec::generate_chunked`], materializes it,
-///   and builds the CSR inverted index chunk-by-chunk, recording
-///   wall times, deterministic accounted bytes and peak RSS. With
-///   `--memory-budget MB` a point that blows the budget is recorded
-///   as a typed outcome and the suite keeps going — the graceful
-///   degradation CI exercises. `--json` writes the report to
-///   `BENCH_7.json` (override with `--out`).
-/// * `--suite rel` compares the naive rescan-per-check counting of the
-///   relational search algorithms (Incognito, Top-down, Bottom-up)
-///   against the partition-rollup kernels on the census generator;
-///   `--json` writes the report to `BENCH_8.json` (override with
-///   `--out`).
-/// * `--all` runs the cross-layer gate suite and writes a
-///   schema-versioned report; `--baseline FILE` compares against a
-///   committed report and fails on any case regressing more than
-///   `--gate-pct` percent (default 25). See `crate::bench_all`.
-///
-/// All suites refuse to run while a `SECRETA_FAULTS` plan is active:
-/// injected faults would corrupt the measurements.
-fn cmd_bench(args: &Args) -> Result<(), String> {
-    use secreta_core::relational::{cluster, RelationalInput};
-    use std::fmt::Write as _;
-    use std::time::Instant;
-
-    // benchmarks measure the real code paths; an active fault plan
-    // would inject panics/latency into the timed regions and corrupt
-    // every number, so refuse outright rather than record garbage
-    if std::env::var(secreta_core::faults::ENV_VAR).is_ok_and(|v| !v.is_empty()) {
-        return Err(format!(
-            "refusing to benchmark with {} set: injected faults would corrupt \
-             the timings; unset it and re-run",
-            secreta_core::faults::ENV_VAR
-        ));
-    }
-
-    if args.flag("all") {
-        return crate::bench_all::bench_all(args);
-    }
-    match args.opt("suite").unwrap_or("kernels") {
-        "kernels" => {}
-        "store" => return bench_store(args),
-        "obsv" => return bench_obsv(args),
-        "tx" => return bench_tx(args),
-        "tiered" => return crate::bench_all::bench_tiered(args),
-        "risk" => return bench_risk(args),
-        "scale" => return bench_scale(args),
-        "rel" => return crate::bench_all::bench_rel(args),
-        "dist" => return crate::worker::bench_dist(args),
-        other => {
-            return Err(format!(
-                "unknown --suite {other:?} (kernels|store|obsv|tx|tiered|risk|scale|rel|dist)"
-            ))
-        }
-    }
-
-    let k = args.usize_or("k", 10)?;
-    let seed = args.u64_or("seed", 42)?;
-    if let Some(t) = args.opt("threads") {
-        let n: usize = t
-            .parse()
-            .map_err(|_| format!("--threads expects an integer, got {t:?}"))?;
-        secreta_core::parallel::set_threads(n);
-    }
-    let rows: Vec<usize> = args
-        .opt("rows")
-        .unwrap_or("1000,10000")
-        .split(',')
-        .map(|t| {
-            t.trim()
-                .parse()
-                .map_err(|_| format!("--rows expects integers, got {t:?}"))
-        })
-        .collect::<Result<_, _>>()?;
-
-    let phases_ms = |p: &secreta_core::metrics::PhaseTimes| -> Vec<(String, f64)> {
-        p.phases
-            .iter()
-            .map(|(n, d)| (n.clone(), d.as_secs_f64() * 1e3))
-            .collect()
-    };
-
-    struct Case {
-        rows: usize,
-        baseline_ms: f64,
-        optimized_ms: f64,
-        baseline_phases: Vec<(String, f64)>,
-        optimized_phases: Vec<(String, f64)>,
-        identical: bool,
-    }
-    let mut cases = Vec::new();
-
-    println!("Cluster kernel benchmark (adult-like, k={k}, seed={seed})");
-    for &n in &rows {
-        let table = DatasetSpec::adult_like(n, seed).generate();
-        let ctx = SessionContext::auto(table, 4).map_err(|e| e.to_string())?;
-        let input = RelationalInput {
-            table: &ctx.table,
-            qi_attrs: ctx.qi_attrs.clone(),
-            hierarchies: ctx.hierarchies.clone(),
-            k,
-        };
-        let t0 = Instant::now();
-        let base = cluster::anonymize_reference(&input, seed).map_err(|e| e.to_string())?;
-        let baseline_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let t1 = Instant::now();
-        let fast = cluster::anonymize(&input, seed).map_err(|e| e.to_string())?;
-        let optimized_ms = t1.elapsed().as_secs_f64() * 1e3;
-        let identical = base.anon == fast.anon;
-        println!(
-            "  n={n:>6}: baseline {baseline_ms:>10.1}ms  optimized {optimized_ms:>8.1}ms  \
-             speedup {:>5.1}x  outputs identical: {identical}",
-            baseline_ms / optimized_ms.max(1e-9),
-        );
-        for (name, ms) in phases_ms(&fast.phases) {
-            println!("      {name:<24} {ms:>10.2}ms");
-        }
-        cases.push(Case {
-            rows: n,
-            baseline_ms,
-            optimized_ms,
-            baseline_phases: phases_ms(&base.phases),
-            optimized_phases: phases_ms(&fast.phases),
-            identical,
-        });
-    }
-
-    if args.flag("json") || args.opt("out").is_some() {
-        let path = args.opt("out").unwrap_or("BENCH_1.json");
-        let phase_obj = |phases: &[(String, f64)]| -> String {
-            let mut s = String::new();
-            for (i, (name, ms)) in phases.iter().enumerate() {
-                let sep = if i + 1 < phases.len() { "," } else { "" };
-                let _ = write!(s, "\n          \"{name}\": {ms:.3}{sep}");
-            }
-            s
-        };
-        let mut body = String::new();
-        let _ = write!(
-            body,
-            "{{\n  \"suite\": \"cluster-kernels\",\n  \"dataset\": \"adult-like\",\n  \
-             \"k\": {k},\n  \"seed\": {seed},\n  \"threads\": {},\n  \"cases\": [",
-            secreta_core::parallel::max_threads()
-        );
-        for (i, c) in cases.iter().enumerate() {
-            let sep = if i + 1 < cases.len() { "," } else { "" };
-            let _ = write!(
-                body,
-                "\n    {{\n      \"rows\": {},\n      \"baseline_ms\": {:.3},\n      \
-                 \"optimized_ms\": {:.3},\n      \"speedup\": {:.3},\n      \
-                 \"outputs_identical\": {},\n      \"baseline_phases_ms\": {{{}\n      }},\n      \
-                 \"optimized_phases_ms\": {{{}\n      }}\n    }}{sep}",
-                c.rows,
-                c.baseline_ms,
-                c.optimized_ms,
-                c.baseline_ms / c.optimized_ms.max(1e-9),
-                c.identical,
-                phase_obj(&c.baseline_phases),
-                phase_obj(&c.optimized_phases),
-            );
-        }
-        body.push_str("\n  ]\n}\n");
-        // fail loudly rather than commit a report with a broken shape
-        serde_json::parse_value(&body)
-            .map_err(|e| format!("internal error: produced invalid JSON: {e}"))?;
-        std::fs::write(path, body).map_err(|e| format!("{path}: {e}"))?;
-        println!("wrote {path}");
-    }
-    Ok(())
-}
-
-/// Transaction support-kernel benchmark: every algorithm of the
-/// AA/COAT/PCTA/RHO family runs twice on the same basket table — once
-/// with the naive reference counters, once with the interned/parallel
-/// kernels — and the published outputs are compared byte-for-byte.
-fn bench_tx(args: &Args) -> Result<(), String> {
-    use secreta_core::data::ItemId;
-    use secreta_core::transaction::{self as tx, Counting, RhoParams, TransactionInput};
-    use std::fmt::Write as _;
-    use std::time::Instant;
-
-    let k = args.usize_or("k", 10)?;
-    let m = args.usize_or("m", 2)?;
-    let items = args.usize_or("items", 80)?;
-    let seed = args.u64_or("seed", 42)?;
-    if let Some(t) = args.opt("threads") {
-        let n: usize = t
-            .parse()
-            .map_err(|_| format!("--threads expects an integer, got {t:?}"))?;
-        secreta_core::parallel::set_threads(n);
-    }
-    let rows: Vec<usize> = args
-        .opt("rows")
-        .unwrap_or("1000,10000")
-        .split(',')
-        .map(|t| {
-            t.trim()
-                .parse()
-                .map_err(|_| format!("--rows expects integers, got {t:?}"))
-        })
-        .collect::<Result<_, _>>()?;
-
-    let phases_ms = |p: &secreta_core::metrics::PhaseTimes| -> Vec<(String, f64)> {
-        p.phases
-            .iter()
-            .map(|(n, d)| (n.clone(), d.as_secs_f64() * 1e3))
-            .collect()
-    };
-
-    struct Case {
-        algorithm: &'static str,
-        rows: usize,
-        baseline_ms: f64,
-        optimized_ms: f64,
-        baseline_phases: Vec<(String, f64)>,
-        optimized_phases: Vec<(String, f64)>,
-        identical: bool,
-    }
-    let mut cases: Vec<Case> = Vec::new();
-
-    println!("transaction kernel benchmark (basket, {items} items, k={k}, m={m}, seed={seed})");
-    for &n in &rows {
-        let table = DatasetSpec::basket(n, items, seed).generate();
-        let ctx = SessionContext::auto(table, 4).map_err(|e| e.to_string())?;
-        let h = ctx
-            .item_hierarchy
-            .as_ref()
-            .ok_or("basket dataset has no item universe")?;
-        // sensitive targets for the rho family: the three rarest items
-        let sup = secreta_core::data::stats::item_supports(&ctx.table);
-        let mut by_sup: Vec<u32> = (0..sup.len() as u32).collect();
-        by_sup.sort_by_key(|&i| (sup[i as usize], i));
-        let params = RhoParams {
-            rho: 0.5,
-            sensitive: by_sup.iter().take(3).map(|&i| ItemId(i)).collect(),
-            max_antecedent: 2,
-        };
-
-        let km = TransactionInput::km(&ctx.table, k, m, h);
-        let plain = TransactionInput {
-            table: &ctx.table,
-            k,
-            m: 1,
-            hierarchy: None,
-            privacy: None,
-            utility: None,
-        };
-        let one = TransactionInput {
-            table: &ctx.table,
-            k: 1,
-            m: 1,
-            hierarchy: None,
-            privacy: None,
-            utility: None,
-        };
-        let td = TransactionInput::km(&ctx.table, 1, 1, h);
-
-        type RunFn<'a> = Box<dyn Fn(Counting) -> Result<tx::TxOutput, tx::TxError> + 'a>;
-        let algos: Vec<(&'static str, RunFn)> = vec![
-            ("apriori", Box::new(|c| tx::apriori::anonymize_with(&km, c))),
-            ("lra", Box::new(|c| tx::lra::anonymize_with(&km, 2, c))),
-            ("vpa", Box::new(|c| tx::vpa::anonymize_with(&km, 4, c))),
-            ("coat", Box::new(|c| tx::coat::anonymize_with(&plain, c))),
-            ("pcta", Box::new(|c| tx::pcta::anonymize_with(&plain, c))),
-            (
-                "rho",
-                Box::new(|c| tx::rho::anonymize_with(&one, &params, c)),
-            ),
-            (
-                "rho-td",
-                Box::new(|c| tx::rho_td::anonymize_with(&td, &params, c)),
-            ),
-        ];
-        println!("  n={n}");
-        for (name, run) in &algos {
-            let t0 = Instant::now();
-            let base = run(Counting::Naive).map_err(|e| format!("{name}: {e}"))?;
-            let baseline_ms = t0.elapsed().as_secs_f64() * 1e3;
-            let t1 = Instant::now();
-            let fast = run(Counting::Kernel).map_err(|e| format!("{name}: {e}"))?;
-            let optimized_ms = t1.elapsed().as_secs_f64() * 1e3;
-            let identical = base.anon == fast.anon;
-            println!(
-                "    {name:<8} baseline {baseline_ms:>10.1}ms  kernel {optimized_ms:>8.1}ms  \
-                 speedup {:>5.1}x  outputs identical: {identical}",
-                baseline_ms / optimized_ms.max(1e-9),
-            );
-            cases.push(Case {
-                algorithm: name,
-                rows: n,
-                baseline_ms,
-                optimized_ms,
-                baseline_phases: phases_ms(&base.phases),
-                optimized_phases: phases_ms(&fast.phases),
-                identical,
-            });
-        }
-    }
-
-    if args.flag("json") || args.opt("out").is_some() {
-        let path = args.opt("out").unwrap_or("BENCH_4.json");
-        let phase_obj = |phases: &[(String, f64)]| -> String {
-            let mut s = String::new();
-            for (i, (name, ms)) in phases.iter().enumerate() {
-                let sep = if i + 1 < phases.len() { "," } else { "" };
-                let _ = write!(s, "\n          \"{name}\": {ms:.3}{sep}");
-            }
-            s
-        };
-        let mut body = String::new();
-        let _ = write!(
-            body,
-            "{{\n  \"suite\": \"tx-kernels\",\n  \"dataset\": \"basket\",\n  \
-             \"items\": {items},\n  \"k\": {k},\n  \"m\": {m},\n  \"seed\": {seed},\n  \
-             \"threads\": {},\n  \"cases\": [",
-            secreta_core::parallel::max_threads()
-        );
-        for (i, c) in cases.iter().enumerate() {
-            let sep = if i + 1 < cases.len() { "," } else { "" };
-            let _ = write!(
-                body,
-                "\n    {{\n      \"algorithm\": \"{}\",\n      \"rows\": {},\n      \
-                 \"baseline_ms\": {:.3},\n      \"optimized_ms\": {:.3},\n      \
-                 \"speedup\": {:.3},\n      \"outputs_identical\": {},\n      \
-                 \"baseline_phases_ms\": {{{}\n      }},\n      \
-                 \"optimized_phases_ms\": {{{}\n      }}\n    }}{sep}",
-                c.algorithm,
-                c.rows,
-                c.baseline_ms,
-                c.optimized_ms,
-                c.baseline_ms / c.optimized_ms.max(1e-9),
-                c.identical,
-                phase_obj(&c.baseline_phases),
-                phase_obj(&c.optimized_phases),
-            );
-        }
-        body.push_str("\n  ]\n}\n");
-        // fail loudly rather than commit a report with a broken shape
-        serde_json::parse_value(&body)
-            .map_err(|e| format!("internal error: produced invalid JSON: {e}"))?;
-        std::fs::write(path, body).map_err(|e| format!("{path}: {e}"))?;
-        println!("wrote {path}");
-    }
-    Ok(())
-}
-
-/// The risk suite: is attack-side evaluation cheap enough to run on
-/// every anonymization? For each row count the adversarial generator
-/// produces a table, apriori anonymizes it (k^m, tiered kernels), and
-/// the full risk block (relational + m-item adversary + audit) is
-/// timed with the tiered kernel path. Up to `--naive-cap` rows
-/// (default 2000) the O(n²) oracle also runs and its indicators are
-/// compared byte-for-byte — `"outputs_identical": false` in the report
-/// is a correctness failure, not a perf number.
-fn bench_risk(args: &Args) -> Result<(), String> {
-    use secreta_core::risk::{self, Guarantee, RiskParams};
-    use secreta_core::transaction::{self as tx, Counting, TransactionInput};
-    use std::fmt::Write as _;
-    use std::time::Instant;
-
-    let k = args.usize_or("k", 10)?;
-    let m = args.usize_or("m", 2)?;
-    let seed = args.u64_or("seed", 42)?;
-    let naive_cap = args.usize_or("naive-cap", 2000)?;
-    if let Some(t) = args.opt("threads") {
-        let n: usize = t
-            .parse()
-            .map_err(|_| format!("--threads expects an integer, got {t:?}"))?;
-        secreta_core::parallel::set_threads(n);
-    }
-    let rows: Vec<usize> = args
-        .opt("rows")
-        .unwrap_or("1000,10000")
-        .split(',')
-        .map(|t| {
-            t.trim()
-                .parse()
-                .map_err(|_| format!("--rows expects integers, got {t:?}"))
-        })
-        .collect::<Result<_, _>>()?;
-
-    struct Case {
-        rows: usize,
-        anonymize_ms: f64,
-        risk_kernel_ms: f64,
-        naive: Option<(f64, bool)>,
-    }
-    let mut cases: Vec<Case> = Vec::new();
-
-    println!("risk evaluation benchmark (adversarial, k={k}, m={m}, seed={seed})");
-    for &n in &rows {
-        let table = DatasetSpec::adversarial(n, seed).generate();
-        let ctx = SessionContext::auto(table, 4).map_err(|e| e.to_string())?;
-        let h = ctx
-            .item_hierarchy
-            .as_ref()
-            .ok_or("adversarial dataset has no item universe")?;
-        let km = TransactionInput::km(&ctx.table, k, m, h);
-
-        let t0 = Instant::now();
-        let out = tx::apriori::anonymize(&km).map_err(|e| e.to_string())?;
-        let anonymize_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-        let guarantee = Guarantee::KmAnonymity { k, m };
-        let params = RiskParams::default();
-        let t1 = Instant::now();
-        let kernel = risk::evaluate(
-            &ctx.table,
-            &out.anon,
-            Some(h),
-            None,
-            &guarantee,
-            &params,
-            Counting::Kernel,
-        );
-        let risk_kernel_ms = t1.elapsed().as_secs_f64() * 1e3;
-
-        let naive = if n <= naive_cap {
-            let t2 = Instant::now();
-            let slow = risk::evaluate(
-                &ctx.table,
-                &out.anon,
-                Some(h),
-                None,
-                &guarantee,
-                &params,
-                Counting::Naive,
-            );
-            Some((t2.elapsed().as_secs_f64() * 1e3, slow == kernel))
-        } else {
-            None
-        };
-
-        println!(
-            "  n={n:<7} anonymize {anonymize_ms:>9.1}ms  risk(kernel) {risk_kernel_ms:>8.1}ms \
-             ({:.1}% of anonymize){}",
-            100.0 * risk_kernel_ms / anonymize_ms.max(1e-9),
-            match naive {
-                Some((ms, same)) => format!("  risk(naive) {ms:>8.1}ms  outputs identical: {same}"),
-                None => format!("  (oracle skipped above --naive-cap {naive_cap})"),
-            }
-        );
-        cases.push(Case {
-            rows: n,
-            anonymize_ms,
-            risk_kernel_ms,
-            naive,
-        });
-    }
-
-    if args.flag("json") || args.opt("out").is_some() {
-        let path = args.opt("out").unwrap_or("BENCH_6.json");
-        let mut body = String::new();
-        let _ = write!(
-            body,
-            "{{\n  \"suite\": \"risk-eval\",\n  \"dataset\": \"adversarial\",\n  \
-             \"k\": {k},\n  \"m\": {m},\n  \"seed\": {seed},\n  \"naive_cap\": {naive_cap},\n  \
-             \"threads\": {},\n  \"cases\": [",
-            secreta_core::parallel::max_threads()
-        );
-        for (i, c) in cases.iter().enumerate() {
-            let sep = if i + 1 < cases.len() { "," } else { "" };
-            let naive_fields = match c.naive {
-                Some((ms, same)) => format!(
-                    ",\n      \"risk_naive_ms\": {ms:.3},\n      \"outputs_identical\": {same}"
-                ),
-                None => String::new(),
-            };
-            let _ = write!(
-                body,
-                "\n    {{\n      \"rows\": {},\n      \"anonymize_ms\": {:.3},\n      \
-                 \"risk_kernel_ms\": {:.3},\n      \
-                 \"risk_fraction_of_anonymize\": {:.4}{naive_fields}\n    }}{sep}",
-                c.rows,
-                c.anonymize_ms,
-                c.risk_kernel_ms,
-                c.risk_kernel_ms / c.anonymize_ms.max(1e-9),
-            );
-        }
-        body.push_str("\n  ]\n}\n");
-        serde_json::parse_value(&body)
-            .map_err(|e| format!("internal error: produced invalid JSON: {e}"))?;
-        std::fs::write(path, body).map_err(|e| format!("{path}: {e}"))?;
-        println!("wrote {path}");
-    }
-    Ok(())
-}
-
-/// Rows-vs-time-vs-RSS scaling curves for the chunked ingest path.
-///
-/// Each point streams an adult-like dataset of `n` rows through the
-/// chunked generator (the same per-chunk intern/seal/merge pipeline
-/// the CSV reader uses), materializes the table, and builds the CSR
-/// inverted index with the chunk-walking constructor. Points run in
-/// ascending row order because peak RSS is process-wide and monotonic:
-/// each point's `peak_rss_bytes` is the high-water mark *up to* that
-/// point, while `accounted_peak_bytes` is the deterministic data-layer
-/// figure for the point alone. A point that exhausts
-/// `--memory-budget` is recorded with `"budget_exceeded": true` and
-/// the suite continues — running out of a declared budget is an
-/// outcome, not a crash.
-fn bench_scale(args: &Args) -> Result<(), String> {
-    use secreta_core::transaction::support::InvertedIndex;
-    use std::fmt::Write as _;
-    use std::time::Instant;
-
-    let seed = args.u64_or("seed", 42)?;
-    let chunk_rows = args.usize_or("chunk-rows", chunk::chunk_rows())?;
-    let budget_mb = memory_budget_of(args)?;
-    if let Some(t) = args.opt("threads") {
-        let n: usize = t
-            .parse()
-            .map_err(|_| format!("--threads expects an integer, got {t:?}"))?;
-        secreta_core::parallel::set_threads(n);
-    }
-    let mut rows: Vec<usize> = args
-        .opt("rows")
-        .unwrap_or("10000,100000,1000000")
-        .split(',')
-        .map(|t| {
-            t.trim()
-                .parse()
-                .map_err(|_| format!("--rows expects integers, got {t:?}"))
-        })
-        .collect::<Result<_, _>>()?;
-    rows.sort_unstable();
-
-    struct Case {
-        rows: usize,
-        outcome: Result<ScalePoint, String>,
-        peak_rss_bytes: Option<u64>,
-    }
-    struct ScalePoint {
-        ingest_ms: f64,
-        materialize_ms: f64,
-        index_ms: f64,
-        accounted_peak_bytes: u64,
-        table_bytes: u64,
-    }
-    let mut cases: Vec<Case> = Vec::new();
-
-    let budget_label = budget_mb
-        .map(|mb| format!("{mb} MB"))
-        .unwrap_or_else(|| "unlimited".into());
-    println!(
-        "scale benchmark (adult-like, seed={seed}, chunk_rows={chunk_rows}, \
-         memory budget {budget_label})"
-    );
-    for &n in &rows {
-        let spec = DatasetSpec::adult_like(n, seed);
-        let budget = match budget_mb {
-            Some(mb) => MemoryBudget::megabytes(mb),
-            None => MemoryBudget::unlimited(),
-        };
-        let outcome = (|| -> Result<ScalePoint, String> {
-            let t0 = Instant::now();
-            let chunked = spec
-                .generate_chunked(chunk_rows, budget)
-                .map_err(|e| e.to_string())?;
-            let ingest_ms = t0.elapsed().as_secs_f64() * 1e3;
-            let stats = chunked.stats();
-            let t1 = Instant::now();
-            let table = chunked.into_table().map_err(|e| e.to_string())?;
-            let materialize_ms = t1.elapsed().as_secs_f64() * 1e3;
-            let t2 = Instant::now();
-            let all: Vec<usize> = (0..table.n_rows()).collect();
-            let idx = InvertedIndex::build(&table, &all, table.item_universe(), |_| true);
-            let index_ms = t2.elapsed().as_secs_f64() * 1e3;
-            assert_eq!(idx.n_rows(), table.n_rows());
-            Ok(ScalePoint {
-                ingest_ms,
-                materialize_ms,
-                index_ms,
-                accounted_peak_bytes: stats.peak_accounted_bytes,
-                table_bytes: table.estimated_bytes(),
-            })
-        })();
-        let peak_rss_bytes = secreta_core::obsv::mem::peak_rss_bytes();
-        match &outcome {
-            Ok(p) => println!(
-                "  n={n:<9} ingest {:>9.1}ms  materialize {:>8.1}ms  index {:>8.1}ms  \
-                 accounted peak {:>6.1} MB  table {:>6.1} MB  peak RSS {}",
-                p.ingest_ms,
-                p.materialize_ms,
-                p.index_ms,
-                p.accounted_peak_bytes as f64 / (1024.0 * 1024.0),
-                p.table_bytes as f64 / (1024.0 * 1024.0),
-                peak_rss_bytes
-                    .map(|b| format!("{:.1} MB", b as f64 / (1024.0 * 1024.0)))
-                    .unwrap_or_else(|| "n/a".into()),
-            ),
-            Err(e) => println!("  n={n:<9} budget exceeded: {e}"),
-        }
-        cases.push(Case {
-            rows: n,
-            outcome,
-            peak_rss_bytes,
-        });
-    }
-
-    if args.flag("json") || args.opt("out").is_some() {
-        let path = args.opt("out").unwrap_or("BENCH_7.json");
-        let mut body = String::new();
-        let _ = write!(
-            body,
-            "{{\n  \"suite\": \"scale\",\n  \"dataset\": \"adult-like\",\n  \
-             \"seed\": {seed},\n  \"chunk_rows\": {chunk_rows},\n  \
-             \"memory_budget_mb\": {},\n  \"threads\": {},\n  \"cases\": [",
-            budget_mb
-                .map(|mb| mb.to_string())
-                .unwrap_or_else(|| "null".into()),
-            secreta_core::parallel::max_threads()
-        );
-        for (i, c) in cases.iter().enumerate() {
-            let sep = if i + 1 < cases.len() { "," } else { "" };
-            let rss = c
-                .peak_rss_bytes
-                .map(|b| b.to_string())
-                .unwrap_or_else(|| "null".into());
-            match &c.outcome {
-                Ok(p) => {
-                    let total = p.ingest_ms + p.materialize_ms + p.index_ms;
-                    let _ = write!(
-                        body,
-                        "\n    {{\n      \"rows\": {},\n      \"budget_exceeded\": false,\n      \
-                         \"ingest_ms\": {:.3},\n      \"materialize_ms\": {:.3},\n      \
-                         \"index_ms\": {:.3},\n      \"total_ms\": {total:.3},\n      \
-                         \"accounted_peak_bytes\": {},\n      \"table_bytes\": {},\n      \
-                         \"peak_rss_bytes\": {rss}\n    }}{sep}",
-                        c.rows,
-                        p.ingest_ms,
-                        p.materialize_ms,
-                        p.index_ms,
-                        p.accounted_peak_bytes,
-                        p.table_bytes,
-                    );
-                }
-                Err(e) => {
-                    let _ = write!(
-                        body,
-                        "\n    {{\n      \"rows\": {},\n      \"budget_exceeded\": true,\n      \
-                         \"error\": {},\n      \"peak_rss_bytes\": {rss}\n    }}{sep}",
-                        c.rows,
-                        serde_json::to_string(e).map_err(|e| e.to_string())?,
-                    );
-                }
-            }
-        }
-        body.push_str("\n  ]\n}\n");
-        serde_json::parse_value(&body)
-            .map_err(|e| format!("internal error: produced invalid JSON: {e}"))?;
-        std::fs::write(path, body).map_err(|e| format!("{path}: {e}"))?;
-        println!("wrote {path}");
-    }
-    Ok(())
-}
-
-/// Cold vs warm-cache benchmark of the orchestrated comparison path:
-/// the same multi-algorithm k-sweep runs twice against a fresh store;
-/// the first pass executes every job, the second must be a pure
-/// replay. Reports wall times, the replay speedup, cache counters and
-/// whether the warm pass reproduced the cold indicators exactly.
-fn bench_store(args: &Args) -> Result<(), String> {
-    use std::fmt::Write as _;
-    use std::time::Instant;
-
-    let rows = args.usize_or("rows", 4000)?;
-    let seed = args.u64_or("seed", 42)?;
-    let threads = args.usize_or("threads", 4)?;
-    let table = DatasetSpec::adult_like(rows, seed).generate();
-    let ctx = SessionContext::auto(table, 4).map_err(|e| e.to_string())?;
-    let ctx = {
-        let w = WorkloadSpec {
-            n_queries: 50,
-            seed,
-            ..Default::default()
-        }
-        .generate(&ctx.table);
-        ctx.with_workload(w)
-    };
-    let sweep = Sweep {
-        param: VaryingParam::K,
-        start: 2,
-        end: 10,
-        step: 2,
-    };
-    let configs = vec![
-        Configuration::new(
-            MethodSpec::Relational {
-                algo: RelAlgo::Cluster,
-                k: 0,
-            },
-            sweep,
-            seed,
-        ),
-        Configuration::new(
-            MethodSpec::Relational {
-                algo: RelAlgo::TopDown,
-                k: 0,
-            },
-            sweep,
-            seed,
-        ),
-    ];
-    let jobs: usize = configs.len() * sweep.values().len();
-
-    let dir = std::env::temp_dir().join(format!("secreta-bench-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = RunStore::open(&dir).map_err(|e| e.to_string())?;
-    let orch = Orchestrator::new(threads).with_store(store.clone());
-
-    println!("orchestrated store benchmark (adult-like, {rows} rows, {jobs} jobs)");
-    let t0 = Instant::now();
-    let cold = orch
-        .compare(&ctx, &configs, Value::Null)
-        .map_err(|e| e.to_string())?;
-    let cold_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let t1 = Instant::now();
-    let warm = orch
-        .compare(&ctx, &configs, Value::Null)
-        .map_err(|e| e.to_string())?;
-    let warm_ms = t1.elapsed().as_secs_f64() * 1e3;
-
-    let identical = cold
-        .result
-        .points
-        .iter()
-        .zip(&warm.result.points)
-        .all(|(c, w)| {
-            c.iter().zip(w).all(|((_, cr), (_, wr))| match (cr, wr) {
-                (Ok(a), Ok(b)) => a.indicators == b.indicators,
-                (Err(_), Err(_)) => true,
-                _ => false,
-            })
-        });
-    println!(
-        "  cold: {cold_ms:>9.1}ms  ({} executed, {} failed)",
-        cold.stats.misses, cold.stats.failures
-    );
-    println!(
-        "  warm: {warm_ms:>9.1}ms  ({} replayed, {} executed)",
-        warm.stats.hits, warm.stats.misses
-    );
-    println!(
-        "  replay speedup {:>6.1}x  indicators identical: {identical}",
-        cold_ms / warm_ms.max(1e-9)
-    );
-    if warm.stats.misses != 0 || warm.stats.hits as usize != jobs {
-        let _ = std::fs::remove_dir_all(&dir);
-        return Err(format!(
-            "warm pass was not a full cache hit: {} hits, {} misses of {jobs} jobs",
-            warm.stats.hits, warm.stats.misses
-        ));
-    }
-
-    if args.flag("json") || args.opt("out").is_some() {
-        let path = args.opt("out").unwrap_or("BENCH_2.json");
-        let mut body = String::new();
-        let _ = write!(
-            body,
-            "{{\n  \"suite\": \"orchestrated-store\",\n  \"dataset\": \"adult-like\",\n  \
-             \"rows\": {rows},\n  \"seed\": {seed},\n  \"threads\": {threads},\n  \
-             \"configurations\": [\"Cluster\", \"TopDown\"],\n  \
-             \"sweep\": {{\"param\": \"k\", \"start\": {}, \"end\": {}, \"step\": {}}},\n  \
-             \"jobs\": {jobs},\n  \"cold_ms\": {cold_ms:.3},\n  \"warm_ms\": {warm_ms:.3},\n  \
-             \"replay_speedup\": {:.3},\n  \
-             \"cold\": {{\"hits\": {}, \"misses\": {}, \"failures\": {}}},\n  \
-             \"warm\": {{\"hits\": {}, \"misses\": {}, \"failures\": {}}},\n  \
-             \"indicators_identical\": {identical}\n}}\n",
-            sweep.start,
-            sweep.end,
-            sweep.step,
-            cold_ms / warm_ms.max(1e-9),
-            cold.stats.hits,
-            cold.stats.misses,
-            cold.stats.failures,
-            warm.stats.hits,
-            warm.stats.misses,
-            warm.stats.failures,
-        );
-        serde_json::parse_value(&body)
-            .map_err(|e| format!("internal error: produced invalid JSON: {e}"))?;
-        std::fs::write(path, body).map_err(|e| format!("{path}: {e}"))?;
-        println!("wrote {path}");
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    Ok(())
-}
-
-/// Observability overhead benchmark: the Cluster hot path runs with
-/// the recorder disabled (the production default), enabled, and
-/// enabled with an in-memory NDJSON sink; each mode keeps the best of
-/// `--reps` runs. The disabled column is what every un-profiled run
-/// pays for carrying the instrumentation; the enabled column is the
-/// cost of `secreta profile` / `--trace-out`.
-fn bench_obsv(args: &Args) -> Result<(), String> {
-    use secreta_core::obsv::{self, ObsvConfig, TraceSink};
-    use secreta_core::relational::{cluster, RelationalInput};
-    use std::fmt::Write as _;
-    use std::time::Instant;
-
-    let k = args.usize_or("k", 10)?;
-    let seed = args.u64_or("seed", 42)?;
-    let reps = args.usize_or("reps", 5)?.max(1);
-    let rows: Vec<usize> = args
-        .opt("rows")
-        .unwrap_or("1000,10000")
-        .split(',')
-        .map(|t| {
-            t.trim()
-                .parse()
-                .map_err(|_| format!("--rows expects integers, got {t:?}"))
-        })
-        .collect::<Result<_, _>>()?;
-
-    struct Case {
-        rows: usize,
-        disabled_ms: f64,
-        enabled_ms: f64,
-        traced_ms: f64,
-        counters: usize,
-    }
-    let mut cases = Vec::new();
-
-    println!("observability overhead benchmark (adult-like, k={k}, seed={seed}, best of {reps})");
-    for &n in &rows {
-        let table = DatasetSpec::adult_like(n, seed).generate();
-        let ctx = SessionContext::auto(table, 4).map_err(|e| e.to_string())?;
-        let input = RelationalInput {
-            table: &ctx.table,
-            qi_attrs: ctx.qi_attrs.clone(),
-            hierarchies: ctx.hierarchies.clone(),
-            k,
-        };
-        let time_with = |cfg: &ObsvConfig| -> Result<(f64, usize), String> {
-            let mut best = f64::INFINITY;
-            let mut counters = 0;
-            for _ in 0..reps {
-                let rec = cfg.recorder();
-                let guard = obsv::install(&rec);
-                let t0 = Instant::now();
-                cluster::anonymize(&input, seed).map_err(|e| e.to_string())?;
-                best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-                drop(guard);
-                if let Some(p) = rec.finish("bench") {
-                    counters = p.counters.len();
-                }
-            }
-            Ok((best, counters))
-        };
-        let (disabled_ms, _) = time_with(&ObsvConfig::disabled())?;
-        let (enabled_ms, counters) = time_with(&ObsvConfig::enabled())?;
-        let (sink, _buf) = TraceSink::buffer();
-        let (traced_ms, _) = time_with(&ObsvConfig::with_trace(sink))?;
-        let pct = |ms: f64| 100.0 * (ms - disabled_ms) / disabled_ms.max(1e-9);
-        println!(
-            "  n={n:>6}: disabled {disabled_ms:>8.1}ms  enabled {enabled_ms:>8.1}ms \
-             ({:>+5.1}%)  traced {traced_ms:>8.1}ms ({:>+5.1}%)  {counters} counters",
-            pct(enabled_ms),
-            pct(traced_ms),
-        );
-        cases.push(Case {
-            rows: n,
-            disabled_ms,
-            enabled_ms,
-            traced_ms,
-            counters,
-        });
-    }
-
-    if args.flag("json") || args.opt("out").is_some() {
-        let path = args.opt("out").unwrap_or("BENCH_3.json");
-        let mut body = String::new();
-        let _ = write!(
-            body,
-            "{{\n  \"suite\": \"obsv-overhead\",\n  \"dataset\": \"adult-like\",\n  \
-             \"k\": {k},\n  \"seed\": {seed},\n  \"reps\": {reps},\n  \"cases\": ["
-        );
-        for (i, c) in cases.iter().enumerate() {
-            let sep = if i + 1 < cases.len() { "," } else { "" };
-            let pct = |ms: f64| 100.0 * (ms - c.disabled_ms) / c.disabled_ms.max(1e-9);
-            let _ = write!(
-                body,
-                "\n    {{\n      \"rows\": {},\n      \"disabled_ms\": {:.3},\n      \
-                 \"enabled_ms\": {:.3},\n      \"traced_ms\": {:.3},\n      \
-                 \"enabled_overhead_pct\": {:.2},\n      \
-                 \"traced_overhead_pct\": {:.2},\n      \
-                 \"counters_recorded\": {}\n    }}{sep}",
-                c.rows,
-                c.disabled_ms,
-                c.enabled_ms,
-                c.traced_ms,
-                pct(c.enabled_ms),
-                pct(c.traced_ms),
-                c.counters,
-            );
-        }
-        body.push_str("\n  ]\n}\n");
-        serde_json::parse_value(&body)
-            .map_err(|e| format!("internal error: produced invalid JSON: {e}"))?;
-        std::fs::write(path, body).map_err(|e| format!("{path}: {e}"))?;
-        println!("wrote {path}");
-    }
     Ok(())
 }
 

@@ -9,7 +9,7 @@
 //! `3` degraded (a sweep or fsck completed with failures on record).
 
 mod args;
-mod bench_all;
+mod bench;
 mod commands;
 mod runs;
 mod worker;

@@ -729,22 +729,24 @@ fn exit_codes_follow_failure_severity() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The `secreta bench` suites, every entry of its suite table.
+const BENCH_SUITES: &[&str] = &[
+    "kernels", "store", "obsv", "tx", "tiered", "risk", "scale", "rel", "dist", "all",
+];
+
 /// Benchmarks measure the real code paths, so an active fault plan
 /// must make every suite refuse outright instead of timing corrupted
 /// runs.
 #[test]
 fn bench_refuses_active_fault_plan() {
-    for suite_args in [
-        &["bench", "--suite", "tx", "--rows", "50"][..],
-        &["bench", "--all", "--rows", "50"][..],
-    ] {
+    for suite in BENCH_SUITES {
         let out = secreta()
-            .args(suite_args)
+            .args(["bench", "--suite", suite, "--rows", "50"])
             .env("SECRETA_FAULTS", "seed=1")
             .current_dir(std::env::temp_dir())
             .output()
             .unwrap();
-        assert_eq!(out.status.code(), Some(1), "suite {suite_args:?}");
+        assert_eq!(out.status.code(), Some(1), "suite {suite}");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(
             err.contains("SECRETA_FAULTS") && err.contains("refusing"),
@@ -753,29 +755,68 @@ fn bench_refuses_active_fault_plan() {
     }
 }
 
-/// The tiered suite must report byte-identical outputs between the
-/// CSR and tiered kernels at a size where both tiers are exercised.
+/// Every suite at tiny sizes: each exits 0 and writes a report that
+/// parses as a `BenchReport` whose identity checks all hold, and
+/// `scale` under a tight budget records its over-budget point instead
+/// of failing.
 #[test]
-fn bench_tiered_outputs_identical() {
-    let dir = tmpdir("btier");
-    let out_path = dir.join("bench5.json");
-    let out = secreta()
-        .args([
-            "bench", "--suite", "tiered", "--rows", "150", "--json", "--out",
-        ])
-        .arg(&out_path)
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let report = std::fs::read_to_string(&out_path).unwrap();
-    assert!(report.contains("\"suite\": \"tx-tiered\""));
-    assert_eq!(report.matches("\"outputs_identical\": true").count(), 7);
-    assert!(!report.contains("\"outputs_identical\": false"));
+fn bench_every_suite_outputs_identical() {
+    let dir = tmpdir("bsuites");
+    for &suite in BENCH_SUITES {
+        let out_path = dir.join(format!("{suite}.json"));
+        let mut cmd = secreta();
+        cmd.args(["bench", "--suite", suite, "--reps", "1", "--out"])
+            .arg(&out_path);
+        match suite {
+            "scale" => cmd.args(["--rows", "1000,100000", "--memory-budget", "1"]),
+            _ => cmd.args(["--rows", "150"]),
+        };
+        let out = cmd.output().unwrap();
+        assert!(
+            out.status.success(),
+            "{suite}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let report: secreta_bench::report::BenchReport =
+            serde_json::from_str(&std::fs::read_to_string(&out_path).unwrap()).unwrap();
+        assert_eq!(report.suite, suite);
+        assert!(!report.cases.is_empty(), "{suite}");
+        // every suite but scale and the single-variant gate compares
+        // its variants' outputs
+        let checked = !matches!(suite, "scale" | "all");
+        for case in &report.cases {
+            assert_eq!(
+                case.outputs_identical,
+                checked.then_some(true),
+                "{suite}: {}",
+                case.id
+            );
+        }
+        if suite == "scale" {
+            let exceeded: Vec<f64> = report
+                .cases
+                .iter()
+                .map(|c| c.variants[0].extras["budget_exceeded"])
+                .collect();
+            assert_eq!(exceeded, [0.0, 1.0]);
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `bench` reads every flag it knows once and refuses the rest: a
+/// typo or a retired flag (`--k`, `--json`) must not run on defaults.
+#[test]
+fn bench_refuses_unknown_flags() {
+    for flag in ["--k", "--json"] {
+        let out = secreta()
+            .args(["bench", "--suite", "tx", "--rows", "50", flag, "5"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{flag}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown bench flag {flag}")), "{err}");
+    }
 }
 
 /// `bench --all` end to end: the report is schema-versioned JSON, a

@@ -464,7 +464,7 @@ pub fn compute_risk(
         privacy,
         &guarantee,
         &secreta_risk::RiskParams::default(),
-        secreta_transaction::Counting::Kernel,
+        secreta_data::Counting::Kernel,
     )
 }
 

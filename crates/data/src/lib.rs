@@ -18,7 +18,9 @@
 //! * attribute statistics and histograms ([`stats`]) backing the
 //!   visualizations of the paper's Figure 2,
 //! * a fast integer-keyed hash map ([`hash`]) used throughout the
-//!   workspace for support counting and equivalence-class grouping.
+//!   workspace for support counting and equivalence-class grouping,
+//! * the [`Counting`] switch between the counting kernels and their
+//!   naive reference oracles.
 //!
 //! Strings appear only at the I/O boundary; all algorithm-facing APIs
 //! speak interned [`ValueId`]/[`ItemId`] integers.
@@ -40,6 +42,26 @@ pub use schema::{Attribute, AttributeKind, Schema};
 pub use stats::{AttributeSummary, Histogram};
 pub use table::{RowRef, RtTable, TxChunk};
 pub use value::{ItemId, ValueId, ValuePool};
+
+/// Which counting implementation an algorithm run uses — one switch
+/// shared by the relational and transaction algorithms and the risk
+/// evaluation.
+///
+/// `Kernel` is the production default; `Naive` preserves the original
+/// rescan-everything implementations as a reference oracle for
+/// benchmarks and equivalence tests.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Counting {
+    /// Rescan the whole table for every count: per lattice node or
+    /// split candidate (relational), per round with per-subset `Vec`
+    /// keys (transaction).
+    Naive,
+    /// The counting kernels: recode tables, partition rollups and
+    /// split-local row touching (relational); interned keys, inverted
+    /// indexes, incremental rounds and sharded initial counts
+    /// (transaction).
+    Kernel,
+}
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, DataError>;

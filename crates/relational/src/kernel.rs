@@ -33,19 +33,7 @@ use crate::common::ValueMatrix;
 use secreta_data::hash::FxHashMap;
 use secreta_hierarchy::{Hierarchy, NodeId};
 
-/// Which counting implementation a relational algorithm run uses.
-///
-/// `Kernel` is the production default; `Naive` preserves the original
-/// rescan-everything implementations as a reference oracle for
-/// benchmarks and equivalence tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Counting {
-    /// Rescan the full row matrix per lattice node / candidate.
-    Naive,
-    /// Precomputed recode tables, partition rollups, split-local row
-    /// touching, deterministic parallel lattice levels.
-    Kernel,
-}
+pub use secreta_data::Counting;
 
 /// One attribute's dense recode table at one full-domain level: value
 /// id → dense group id, where two values share a group exactly when

@@ -48,19 +48,7 @@ use secreta_data::hash::{FxHashMap, FxHasher};
 use secreta_data::{ChunkedTable, ItemId, RowChunk, RtTable, TxChunk};
 use std::hash::Hasher;
 
-/// Which support-counting implementation an algorithm run uses.
-///
-/// `Kernel` is the production default; `Naive` preserves the original
-/// recount-everything implementations as a reference oracle for
-/// benchmarks and equivalence tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Counting {
-    /// Recount the whole table every round with per-subset `Vec` keys.
-    Naive,
-    /// Interned keys, inverted indexes, incremental rounds, sharded
-    /// initial counts.
-    Kernel,
-}
+pub use secreta_data::Counting;
 
 /// Rows per shard below which sharded counting stays sequential;
 /// subset enumeration is cheap enough that tiny shards would be pure
