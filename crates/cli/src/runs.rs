@@ -120,10 +120,15 @@ fn cmd_show(args: &Args) -> Result<(), String> {
         .resolve(prefix)
         .map_err(|e| e.to_string())?
         .ok_or_else(|| format!("no run matches key prefix {prefix:?}"))?;
-    let run = store
-        .get(&key)
-        .map_err(|e| e.to_string())?
-        .ok_or_else(|| format!("run {key} vanished from the store"))?;
+    // `resolve` just listed the run complete, so a miss here means it
+    // failed verification and `get` moved it aside
+    let run = store.get(&key).map_err(|e| e.to_string())?.ok_or_else(|| {
+        format!(
+            "run {key} failed verification and was moved to {}; \
+             `secreta runs fsck` checks the rest of the store",
+            store.root().join("quarantine").display()
+        )
+    })?;
     let m = &run.manifest;
     println!("key:      {}", m.key);
     println!("method:   {}", m.label);
@@ -147,11 +152,17 @@ fn cmd_show(args: &Args) -> Result<(), String> {
         println!("profile:");
         print!("{}", profile.render_table());
     }
+    let anon = run.anon().map_err(|e| {
+        format!(
+            "run {key} passed its checksum but its table does not decode: {e}; \
+             `secreta runs fsck --repair` quarantines it"
+        )
+    })?;
     println!(
         "anonymized table: {} rows, {} relational columns, transactions: {}",
-        run.anon.n_rows,
-        run.anon.rel.len(),
-        run.anon.tx.is_some()
+        anon.n_rows,
+        anon.rel.len(),
+        anon.tx.is_some()
     );
     Ok(())
 }

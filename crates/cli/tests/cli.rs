@@ -2,6 +2,22 @@
 
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+/// `bench_all_gate_passes_self_and_fails_handicap` times the binary
+/// against its own earlier run, so sibling tests' processes must not
+/// load the machine while it measures: it holds this lock exclusively,
+/// and every other test holds it shared.
+static MACHINE: RwLock<()> = RwLock::new(());
+
+fn shared_machine() -> RwLockReadGuard<'static, ()> {
+    // a failed test poisons the lock; the others still run
+    MACHINE.read().unwrap_or_else(|e| e.into_inner())
+}
+
+fn quiet_machine() -> RwLockWriteGuard<'static, ()> {
+    MACHINE.write().unwrap_or_else(|e| e.into_inner())
+}
 
 fn secreta() -> Command {
     Command::new(env!("CARGO_BIN_EXE_secreta"))
@@ -32,6 +48,7 @@ fn generate_dataset(dir: &std::path::Path) -> PathBuf {
 
 #[test]
 fn help_lists_commands() {
+    let _machine = shared_machine();
     let out = secreta().arg("help").output().unwrap();
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
@@ -42,12 +59,14 @@ fn help_lists_commands() {
 
 #[test]
 fn unknown_command_fails_with_code() {
+    let _machine = shared_machine();
     let out = secreta().arg("frobnicate").output().unwrap();
     assert!(!out.status.success());
 }
 
 #[test]
 fn generate_info_histogram() {
+    let _machine = shared_machine();
     let dir = tmpdir("gih");
     let data = generate_dataset(&dir);
 
@@ -76,6 +95,7 @@ fn generate_info_histogram() {
 
 #[test]
 fn hierarchy_workload_policy_files() {
+    let _machine = shared_machine();
     let dir = tmpdir("hwp");
     let data = generate_dataset(&dir);
 
@@ -120,6 +140,7 @@ fn hierarchy_workload_policy_files() {
 
 #[test]
 fn evaluate_single_and_sweep() {
+    let _machine = shared_machine();
     let dir = tmpdir("eval");
     let data = generate_dataset(&dir);
 
@@ -189,6 +210,7 @@ fn evaluate_single_and_sweep() {
 
 #[test]
 fn compare_from_config_file() {
+    let _machine = shared_machine();
     let dir = tmpdir("cmp");
     let data = generate_dataset(&dir);
     let config = dir.join("configs.json");
@@ -222,6 +244,7 @@ fn compare_from_config_file() {
 
 #[test]
 fn export_anonymized_dataset() {
+    let _machine = shared_machine();
     let dir = tmpdir("exp");
     let data = generate_dataset(&dir);
     let anon = dir.join("anon.csv");
@@ -262,6 +285,7 @@ fn export_anonymized_dataset() {
 
 #[test]
 fn rho_uncertainty_mode() {
+    let _machine = shared_machine();
     let dir = tmpdir("rho");
     let data = generate_dataset(&dir);
     // find a real item label to protect
@@ -305,6 +329,7 @@ fn rho_uncertainty_mode() {
 
 #[test]
 fn edit_script_applies_and_exports() {
+    let _machine = shared_machine();
     let dir = tmpdir("edit");
     let data = generate_dataset(&dir);
     let script = dir.join("edits.json");
@@ -341,6 +366,7 @@ fn edit_script_applies_and_exports() {
 
 #[test]
 fn profile_table_and_trace_agree() {
+    let _machine = shared_machine();
     let dir = tmpdir("prof");
     let data = generate_dataset(&dir);
     let trace = dir.join("trace.ndjson");
@@ -420,6 +446,7 @@ fn profile_table_and_trace_agree() {
 
 #[test]
 fn stored_profile_survives_runs_show_and_phase_chart() {
+    let _machine = shared_machine();
     let dir = tmpdir("sprof");
     let data = generate_dataset(&dir);
     let store = dir.join("store");
@@ -501,6 +528,82 @@ fn stored_profile_survives_runs_show_and_phase_chart() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `runs show` on a damaged entry says what happened: a payload that
+/// fails its checksum is quarantined and the error says so and points
+/// to `runs fsck`; a payload that passes its checksum but does not
+/// decode is named as corrupt.
+#[test]
+fn runs_show_reports_damaged_entries() {
+    use secreta_core::store::{sha256_hex, RunManifest};
+    let _machine = shared_machine();
+    let dir = tmpdir("showdamaged");
+    let data = generate_dataset(&dir);
+    let store = dir.join("store");
+    let store_one_run = || {
+        let eval = secreta()
+            .arg("evaluate")
+            .arg(&data)
+            .args(["--mode", "rel", "--rel-algo", "cluster", "--k", "4"])
+            .arg("--store-dir")
+            .arg(&store)
+            .output()
+            .unwrap();
+        assert!(
+            eval.status.success(),
+            "{}",
+            String::from_utf8_lossy(&eval.stderr)
+        );
+        let manifest = manifests_in(&store).pop().expect("one stored run");
+        let run_dir = manifest.parent().unwrap().to_path_buf();
+        let key = run_dir.file_name().unwrap().to_str().unwrap().to_owned();
+        (run_dir, key)
+    };
+    let show = |key: &str| {
+        secreta()
+            .args(["runs", "show", key, "--store-dir"])
+            .arg(&store)
+            .output()
+            .unwrap()
+    };
+
+    // one flipped payload byte fails the checksum
+    let (run_dir, key) = store_one_run();
+    let anon = run_dir.join("anon.json");
+    let mut bytes = std::fs::read(&anon).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x20;
+    std::fs::write(&anon, bytes).unwrap();
+    let out = show(&key);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("failed verification"), "{err}");
+    assert!(err.contains("quarantine"), "{err}");
+    assert!(err.contains("secreta runs fsck"), "{err}");
+    let quarantined = std::fs::read_dir(store.join("quarantine")).unwrap().count();
+    assert_eq!(quarantined, 1);
+
+    // a payload that is not JSON, with the manifest's checksum made to
+    // match: the checksum passes, the table decode names the damage
+    let (run_dir, key) = store_one_run();
+    let garbage = b"not json at all";
+    let manifest_path = run_dir.join("manifest.json");
+    let text = std::fs::read_to_string(&manifest_path).unwrap();
+    let mut manifest: RunManifest = serde_json::from_str(&text).unwrap();
+    manifest.anon_sha256 = Some(sha256_hex(garbage));
+    let text = serde_json::to_string_pretty(&manifest).unwrap();
+    std::fs::write(&manifest_path, text).unwrap();
+    std::fs::write(run_dir.join("anon.json"), garbage).unwrap();
+    let out = show(&key);
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains(&key), "the manifest still prints: {stdout}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("does not decode"), "{err}");
+    assert!(err.contains("corrupt store entry"), "{err}");
+    assert!(err.contains("anon.json"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Every manifest file under the store's `runs/` tree.
 fn manifests_in(store: &std::path::Path) -> Vec<PathBuf> {
     let mut found = Vec::new();
@@ -529,6 +632,7 @@ fn manifests_in(store: &std::path::Path) -> Vec<PathBuf> {
 /// and converges to a clean store (exit 0).
 #[test]
 fn chaos_degraded_sweep_fsck_and_resume() {
+    let _machine = shared_machine();
     let dir = tmpdir("chaos");
     let data = generate_dataset(&dir);
     let store = dir.join("store");
@@ -660,6 +764,7 @@ fn chaos_degraded_sweep_fsck_and_resume() {
 
 #[test]
 fn exit_codes_follow_failure_severity() {
+    let _machine = shared_machine();
     let dir = tmpdir("codes");
     let data = generate_dataset(&dir);
 
@@ -739,6 +844,7 @@ const BENCH_SUITES: &[&str] = &[
 /// runs.
 #[test]
 fn bench_refuses_active_fault_plan() {
+    let _machine = shared_machine();
     for suite in BENCH_SUITES {
         let out = secreta()
             .args(["bench", "--suite", suite, "--rows", "50"])
@@ -761,6 +867,7 @@ fn bench_refuses_active_fault_plan() {
 /// of failing.
 #[test]
 fn bench_every_suite_outputs_identical() {
+    let _machine = shared_machine();
     let dir = tmpdir("bsuites");
     for &suite in BENCH_SUITES {
         let out_path = dir.join(format!("{suite}.json"));
@@ -808,6 +915,7 @@ fn bench_every_suite_outputs_identical() {
 /// typo or a retired flag (`--k`, `--json`) must not run on defaults.
 #[test]
 fn bench_refuses_unknown_flags() {
+    let _machine = shared_machine();
     for flag in ["--k", "--json"] {
         let out = secreta()
             .args(["bench", "--suite", "tx", "--rows", "50", flag, "5"])
@@ -827,6 +935,7 @@ fn bench_refuses_unknown_flags() {
 /// room to spare.
 #[test]
 fn bench_all_gate_passes_self_and_fails_handicap() {
+    let _quiet = quiet_machine();
     let dir = tmpdir("ballgate");
     let base = dir.join("base.json");
     let run = |extra_env: Option<(&str, &str)>, baseline: bool, out_name: &str| {
@@ -901,6 +1010,7 @@ fn bench_all_gate_passes_self_and_fails_handicap() {
 
 #[test]
 fn session_file_drives_evaluate() {
+    let _machine = shared_machine();
     let dir = tmpdir("sess");
     generate_dataset(&dir);
     let session = dir.join("session.json");

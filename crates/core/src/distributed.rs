@@ -41,7 +41,7 @@
 //! [`RunError::Lost`], and the sweep reports failures — `secreta runs
 //! resume` then re-executes exactly the lost tail.
 
-use crate::anonymizer::{run_isolated, RunError, RunResult};
+use crate::anonymizer::{run_isolated, RunError};
 use crate::comparison::Configuration;
 use crate::config::MethodSpec;
 use crate::context::SessionContext;
@@ -49,6 +49,7 @@ use crate::orchestrator::{
     context_digest, journal_outcome, lookup, manifest_of, Exec, Misses, Orchestrated, Orchestrator,
 };
 use crate::sweep::VaryingParam;
+use secreta_metrics::Indicators;
 use secreta_store::{
     find_sweep, read_events_checked, ClaimOutcome, JobRecord, Journal, JournalEvent, LeaseSet,
     RunKey, RunStore, StoreError, SweepRecord,
@@ -545,14 +546,15 @@ impl Drop for ChildSet {
 /// spawn `opts.workers` local workers via `spawner` (none in attach
 /// mode), wait until every miss is stored or journaled as failed —
 /// journaling the lost ones itself when no worker is left to finish
-/// them — then merge the outcomes from the store, in expansion order.
+/// them — then merge each miss's indicators from the stored manifests,
+/// in expansion order.
 pub(crate) fn run_on_workers(
     store: &RunStore,
     journal: &mut Journal,
     misses: &Misses<'_>,
     opts: &DistOptions,
     spawner: Option<&WorkerSpawner>,
-) -> Result<Vec<Result<RunResult, RunError>>, StoreError> {
+) -> Result<Vec<Result<Indicators, RunError>>, StoreError> {
     if misses.jobs.is_empty() {
         return Ok(Vec::new());
     }
@@ -640,12 +642,14 @@ pub(crate) fn run_on_workers(
             Some(error) => Ok(Err(RunError::Lost(error))),
             None => {
                 let key = &misses.jobs[m].1.key;
-                lookup(store, key)?.map(Ok).ok_or_else(|| {
-                    StoreError::Corrupt(
-                        store.root().to_path_buf(),
-                        format!("run {} vanished after its worker committed it", key.0),
-                    )
-                })
+                lookup(store, key)?
+                    .map(|s| Ok(s.manifest.indicators))
+                    .ok_or_else(|| {
+                        StoreError::Corrupt(
+                            store.root().to_path_buf(),
+                            format!("run {} vanished after its worker committed it", key.0),
+                        )
+                    })
             }
         })
         .collect::<Result<Vec<_>, StoreError>>()?;

@@ -14,10 +14,11 @@
 //! 2. **Journal the intent** — a [`SweepRecord`] carrying the full
 //!    invocation is appended to the store's write-ahead journal
 //!    *before* any job starts.
-//! 3. **Serve hits** — a job the store already holds replays its
-//!    stored table, indicators and phase timings without touching the
-//!    algorithms, byte-identically (every stored field round-trips
-//!    JSON exactly).
+//! 3. **Serve hits** — a job the store already holds is served its
+//!    stored indicators without touching the algorithms,
+//!    byte-identically (every stored field round-trips JSON exactly).
+//!    The store checks the stored table against its checksum but
+//!    does not decode it: no sweep point needs it.
 //! 4. **Execute the misses** — the only step that varies.
 //! 5. **Close** — count hits, misses and failures, journal
 //!    `SweepFinished`, mirror it into the NDJSON trace, and reassemble
@@ -47,9 +48,10 @@ use crate::distributed::{DistOptions, WorkerSpawner};
 use crate::evaluator::{run_many_with, Job};
 use crate::sweep::{SweepPoint, VaryingParam};
 use secreta_data::CsvOptions;
+use secreta_metrics::Indicators;
 use secreta_store::{
     run_key, DigestWriter, Journal, JournalEvent, RunKey, RunManifest, RunStore, Sha256,
-    StoreError, SweepRecord, STORE_SCHEMA_VERSION,
+    StoreError, StoredRun, SweepRecord, STORE_SCHEMA_VERSION,
 };
 use serde::{Serialize, Value};
 use std::sync::Mutex;
@@ -234,7 +236,8 @@ impl Orchestrator {
 
     /// Execute one spec at its configured parameters (no sweep),
     /// through the cache when a store is attached. Returns the run
-    /// outcome plus whether it was a cache hit.
+    /// outcome plus whether it was a cache hit. A hit decodes the
+    /// stored table, so the result is the whole run as it was stored.
     pub fn run_one(
         &self,
         ctx: &SessionContext,
@@ -244,7 +247,13 @@ impl Orchestrator {
         let digest = context_digest(ctx);
         let key = job_key(&digest, spec, seed, None);
         if let (Some(store), false) = (&self.store, self.bypass_cache) {
-            if let Some(rr) = lookup(store, &key)? {
+            if let Some(stored) = lookup(store, &key)? {
+                let rr = RunResult {
+                    anon: stored.anon()?,
+                    phases: stored.manifest.phases,
+                    indicators: stored.manifest.indicators,
+                    profile: stored.manifest.profile,
+                };
                 return Ok((Ok(rr), true));
             }
         }
@@ -311,7 +320,7 @@ impl Orchestrator {
 
         // serve hits from the store (replays complete at lookup time,
         // so they are journaled right away), collect misses
-        let mut slots: Vec<Option<Result<RunResult, RunError>>> = Vec::new();
+        let mut slots: Vec<Option<Result<Indicators, RunError>>> = Vec::new();
         let mut misses = Misses {
             sweep_id: &sweep_id,
             digest: &digest,
@@ -320,7 +329,7 @@ impl Orchestrator {
         };
         for (i, e) in expanded.iter().enumerate() {
             let hit = match (&self.store, self.bypass_cache) {
-                (Some(store), false) => lookup(store, &e.key)?,
+                (Some(store), false) => lookup(store, &e.key)?.map(|s| s.manifest.indicators),
                 _ => None,
             };
             if let (Some(j), Some(_)) = (&mut journal, &hit) {
@@ -389,13 +398,13 @@ impl Orchestrator {
 
         // reassemble per-configuration point lists, in sweep order
         let mut results = slots.into_iter().zip(&expanded);
-        let point = |(slot, e): (Option<Result<RunResult, RunError>>, &ExpandedJob)| {
+        let point = |(slot, e): (Option<Result<Indicators, RunError>>, &ExpandedJob)| {
             let outcome = slot.expect("every job has an outcome");
-            let indicators = |rr: RunResult| SweepPoint {
+            let point = |indicators| SweepPoint {
                 value: e.value,
-                indicators: rr.indicators,
+                indicators,
             };
-            (e.value, outcome.map(indicators))
+            (e.value, outcome.map(point))
         };
         let points = shape
             .iter()
@@ -416,13 +425,14 @@ impl Orchestrator {
     /// pool, persisting and journaling each result on its thread the
     /// moment it lands — that is what makes a killed sweep resumable:
     /// everything that finished before the kill is already durable.
+    /// Returns each miss's indicators, in `misses` order.
     fn run_on_threads(
         &self,
         ctx: &SessionContext,
         misses: &Misses<'_>,
         mut journal: Option<&mut Journal>,
         threads: usize,
-    ) -> Result<Vec<Result<RunResult, RunError>>, StoreError> {
+    ) -> Result<Vec<Result<Indicators, RunError>>, StoreError> {
         if let Some(j) = journal.as_deref_mut() {
             for &(_, e) in &misses.jobs {
                 append(
@@ -478,7 +488,10 @@ impl Orchestrator {
         });
         match deferred.into_inner().unwrap_or_else(|e| e.into_inner()) {
             Some(err) => Err(err),
-            None => Ok(outcomes),
+            None => Ok(outcomes
+                .into_iter()
+                .map(|outcome| outcome.map(|rr| rr.indicators))
+                .collect()),
         }
     }
 }
@@ -530,20 +543,14 @@ pub(crate) fn journal_outcome(
     )
 }
 
-/// Serve `key` from the store: the stored run rebuilt exactly (the
-/// stored JSON preserves every float bit-for-bit), or `None` when it
-/// is absent, was quarantined as corrupt, or predates the current
-/// schema.
-pub(crate) fn lookup(store: &RunStore, key: &RunKey) -> Result<Option<RunResult>, StoreError> {
+/// Serve `key` from the store: the stored run with its table verified
+/// but not decoded (the stored JSON preserves every float
+/// bit-for-bit), or `None` when it is absent, was quarantined as
+/// corrupt, or predates the current schema.
+pub(crate) fn lookup(store: &RunStore, key: &RunKey) -> Result<Option<StoredRun>, StoreError> {
     Ok(store
         .get(key)?
-        .filter(|s| s.manifest.schema_version == STORE_SCHEMA_VERSION)
-        .map(|stored| RunResult {
-            anon: stored.anon,
-            phases: stored.manifest.phases,
-            indicators: stored.manifest.indicators,
-            profile: stored.manifest.profile,
-        }))
+        .filter(|s| s.manifest.schema_version == STORE_SCHEMA_VERSION))
 }
 
 pub(crate) fn manifest_of(

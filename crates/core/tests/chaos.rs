@@ -10,18 +10,33 @@
 //! **byte-identical** to a reference store produced with no faults at
 //! all.
 //!
+//! A second scenario damages stored payloads directly — one flipped
+//! byte, one truncation — and checks that the next sweep heals them on
+//! its own hit path, with no `fsck` in between.
+//!
 //! This file owns its test process: the fault plan is process-global,
 //! so the chaos scenario lives here rather than in any crate's unit
-//! tests, and the single `#[test]` keeps plan installs serialized.
+//! tests, and every `#[test]` holds [`SERIAL`] so no sweep runs while
+//! another test's plan is installed.
 
 use secreta_core::store::{resumable_sweeps, RunStore};
 use secreta_core::{
-    Configuration, MethodSpec, Orchestrator, RelAlgo, SessionContext, Sweep, VaryingParam,
+    CacheStats, Configuration, MethodSpec, Orchestrator, RelAlgo, SessionContext, Sweep,
+    VaryingParam,
 };
 use secreta_gen::{DatasetSpec, WorkloadSpec};
 use serde::Value;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes the tests of this file (see the module docs).
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // a failed test poisons the lock; the others still run
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn ctx() -> SessionContext {
     let t = DatasetSpec::adult_like(120, 7).generate();
@@ -79,12 +94,8 @@ fn anon_payloads(store: &RunStore) -> BTreeMap<String, Vec<u8>> {
     out
 }
 
-/// One stored run's `anon.json`, for tampering.
-fn any_anon_path(store: &RunStore) -> PathBuf {
-    let (key, _) = anon_payloads(store)
-        .into_iter()
-        .next()
-        .expect("store holds at least one run");
+/// The stored `anon.json` of `key`, for tampering.
+fn anon_path(store: &RunStore, key: &str) -> PathBuf {
     store
         .root()
         .join("runs")
@@ -93,8 +104,35 @@ fn any_anon_path(store: &RunStore) -> PathBuf {
         .join("anon.json")
 }
 
+/// One stored run's `anon.json`, for tampering.
+fn any_anon_path(store: &RunStore) -> PathBuf {
+    let (key, _) = anon_payloads(store)
+        .into_iter()
+        .next()
+        .expect("store holds at least one run");
+    anon_path(store, &key)
+}
+
+/// Assert `store` holds exactly `want`'s payloads, key for key.
+fn assert_same_payloads(store: &RunStore, want: &BTreeMap<String, Vec<u8>>) {
+    let got = anon_payloads(store);
+    assert_eq!(
+        got.keys().collect::<Vec<_>>(),
+        want.keys().collect::<Vec<_>>(),
+        "same content addresses"
+    );
+    for (key, bytes) in want {
+        assert_eq!(
+            Some(bytes),
+            got.get(key),
+            "payload of {key} differs from the fault-free reference"
+        );
+    }
+}
+
 #[test]
 fn degraded_sweep_recovers_byte_identical_to_a_fault_free_run() {
+    let _serial = serial();
     let ctx = ctx();
     let configs = configs();
     let n_jobs = 15u64; // 3 configurations × 5 sweep points
@@ -170,19 +208,62 @@ fn degraded_sweep_recovers_byte_identical_to_a_fault_free_run() {
 
     // convergence: the recovered store's anonymized outputs are
     // byte-identical to the fault-free reference, key for key
-    let got = anon_payloads(&store);
+    assert_same_payloads(&store, &want);
+
+    let _ = std::fs::remove_dir_all(reference.root());
+    let _ = std::fs::remove_dir_all(store.root());
+}
+
+#[test]
+fn sweep_heals_damaged_payloads_without_fsck() {
+    let _serial = serial();
+    let ctx = ctx();
+    let configs = configs();
+    let n_jobs = 15u64;
+
+    let reference = tmp_store("heal-reference");
+    Orchestrator::new(2)
+        .with_store(reference.clone())
+        .compare(&ctx, &configs, Value::Null)
+        .unwrap();
+    let want = anon_payloads(&reference);
+    assert_eq!(want.len(), n_jobs as usize);
+
+    let store = tmp_store("heal");
+    let orch = Orchestrator::new(2).with_store(store.clone());
+    let cold = orch.compare(&ctx, &configs, Value::Null).unwrap();
+    assert_eq!(cold.stats.misses, n_jobs);
+
+    // flip one byte of one payload, truncate another
+    let mut keys = want.keys();
+    let flipped = anon_path(&store, keys.next().unwrap());
+    let truncated = anon_path(&store, keys.next().unwrap());
+    let mut bytes = std::fs::read(&flipped).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x01;
+    std::fs::write(&flipped, bytes).unwrap();
+    let len = std::fs::metadata(&truncated).unwrap().len();
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&truncated)
+        .unwrap()
+        .set_len(len / 2)
+        .unwrap();
+
+    // the same sweep verifies every hit: the two damaged entries fail
+    // their checksums, are set aside and recomputed, nothing fails
+    let healed = orch.compare(&ctx, &configs, Value::Null).unwrap();
     assert_eq!(
-        got.keys().collect::<Vec<_>>(),
-        want.keys().collect::<Vec<_>>(),
-        "same content addresses"
+        healed.stats,
+        CacheStats {
+            hits: n_jobs - 2,
+            misses: 2,
+            failures: 0,
+        }
     );
-    for (key, bytes) in &want {
-        assert_eq!(
-            Some(bytes),
-            got.get(key),
-            "payload of {key} differs from the fault-free reference"
-        );
-    }
+    let quarantined = std::fs::read_dir(store.root().join("quarantine")).unwrap();
+    assert_eq!(quarantined.count(), 2, "both damaged entries set aside");
+    assert_same_payloads(&store, &want);
 
     let _ = std::fs::remove_dir_all(reference.root());
     let _ = std::fs::remove_dir_all(store.root());

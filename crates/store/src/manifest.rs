@@ -7,11 +7,12 @@ use serde::{Deserialize, Serialize, Value};
 
 /// Metadata and measurements of one completed run.
 ///
-/// Stored as `manifest.json` next to the anonymized output. Replaying
-/// a cache hit reconstructs the framework's `RunResult` from this plus
-/// the stored table, byte-identically: every field round-trips exactly
-/// through JSON (floats use shortest-roundtrip formatting, durations
-/// are integer seconds/nanos, tables are integers).
+/// Stored as `manifest.json` next to the anonymized output. A sweep
+/// hit is served from this alone; a single-run hit reconstructs the
+/// framework's `RunResult` from this plus the decoded table. Both are
+/// byte-identical to the run that was stored: every field round-trips
+/// exactly through JSON (floats use shortest-roundtrip formatting,
+/// durations are integer seconds/nanos, tables are integers).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunManifest {
     /// Content address of this run (64 hex chars); also its directory

@@ -21,11 +21,18 @@
 //! `gc` removes.
 //!
 //! Reads are self-healing: manifests carry a checksum of the stored
-//! `anon.json` bytes, and an entry that fails to parse or verify is
-//! moved to `quarantine/` and reported as a cache miss — the
-//! orchestrator recomputes it instead of failing the sweep or, worse,
-//! replaying a silently corrupted result. [`RunStore::fsck`] runs the
-//! same verification store-wide on demand.
+//! `anon.json` bytes, and an entry whose manifest fails to parse or
+//! whose payload fails the checksum is moved to `quarantine/` and
+//! reported as a cache miss — the orchestrator recomputes it instead
+//! of failing the sweep or, worse, replaying a silently corrupted
+//! result. A read verifies the payload but does not decode it — a
+//! sweep hit needs only the manifest's indicators, and
+//! [`StoredRun::anon`] decodes on demand. Bytes that verify are
+//! exactly what `put` serialized (the checksum covers the bytes
+//! written, and both files land in one rename), so a parse on every
+//! read would catch nothing the checksum misses. [`RunStore::fsck`]
+//! runs the same verification store-wide on demand, and also decodes
+//! every table.
 
 use crate::journal::{Journal, JournalEvent};
 use crate::key::RunKey;
@@ -104,13 +111,26 @@ impl fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
-/// A run read back from the store.
+/// A run read back from the store: its parsed manifest and the
+/// `anon.json` bytes, checked against the manifest's checksum but not
+/// yet decoded. [`StoredRun::anon`] decodes them on demand.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoredRun {
     /// Metadata and measurements.
     pub manifest: RunManifest,
-    /// The anonymized table the run produced.
-    pub anon: AnonTable,
+    /// The verified `anon.json` bytes.
+    anon_json: Vec<u8>,
+    /// Where they were read from, for error reports.
+    anon_path: PathBuf,
+}
+
+impl StoredRun {
+    /// Decode the anonymized table the run produced. Fails with
+    /// [`StoreError::Corrupt`] when the bytes do not parse as one —
+    /// possible only if both stored files were rewritten to agree.
+    pub fn anon(&self) -> Result<AnonTable, StoreError> {
+        parse_json(&self.anon_json).map_err(|msg| StoreError::Corrupt(self.anon_path.clone(), msg))
+    }
 }
 
 /// What reading one run directory found.
@@ -118,7 +138,7 @@ pub struct StoredRun {
 enum ReadOutcome {
     /// No complete entry at this key.
     Missing,
-    /// A parsed, checksum-verified run.
+    /// A run whose manifest parsed and whose payload verified.
     Complete(Box<StoredRun>),
     /// An entry exists but is unusable: the offending path and why.
     Corrupt(PathBuf, String),
@@ -219,15 +239,20 @@ impl RunStore {
         dir.join("manifest.json").is_file() && dir.join("anon.json").is_file()
     }
 
-    /// Load the run stored under `key`, if complete.
+    /// Load the run stored under `key`, if complete: its manifest,
+    /// plus `anon.json` verified against the manifest's checksum but
+    /// left undecoded until [`StoredRun::anon`] asks.
     ///
-    /// Self-healing: an entry whose files fail to parse or whose
+    /// Self-healing: an entry whose manifest fails to parse or whose
     /// `anon.json` does not match the checksum in its manifest is
     /// moved to `quarantine/` and reported as a miss (`Ok(None)`), so
-    /// the caller recomputes it. Only real I/O failures are errors.
+    /// the caller recomputes it. A manifest without a checksum
+    /// (written before schema 3) cannot vouch for its payload, so that
+    /// payload is decoded here and quarantined if it fails to parse.
+    /// Only real I/O failures are errors.
     pub fn get(&self, key: &RunKey) -> Result<Option<StoredRun>, StoreError> {
         let dir = self.run_dir(key.as_str());
-        match self.read_run(&dir)? {
+        match self.read_run(&dir, false)? {
             ReadOutcome::Missing => Ok(None),
             ReadOutcome::Complete(run) => Ok(Some(*run)),
             ReadOutcome::Corrupt(_, _) => {
@@ -238,22 +263,23 @@ impl RunStore {
     }
 
     /// Read the run in `dir`, distinguishing corruption from real I/O
-    /// failure. Never quarantines — callers decide.
-    fn read_run(&self, dir: &Path) -> Result<ReadOutcome, StoreError> {
+    /// failure. The payload is decoded only when `decode` is set or
+    /// no checksum vouches for it. Never quarantines — callers decide.
+    fn read_run(&self, dir: &Path, decode: bool) -> Result<ReadOutcome, StoreError> {
         let manifest_path = dir.join("manifest.json");
         let anon_path = dir.join("anon.json");
         if !manifest_path.is_file() || !anon_path.is_file() {
             return Ok(ReadOutcome::Missing);
         }
         let corrupt = |path: &Path, msg: String| Ok(ReadOutcome::Corrupt(path.to_path_buf(), msg));
-        let manifest_text = fs::read_to_string(&manifest_path).map_err(io_err(&manifest_path))?;
-        let manifest: RunManifest = match serde_json::from_str(&manifest_text) {
+        let manifest_bytes = fs::read(&manifest_path).map_err(io_err(&manifest_path))?;
+        let manifest: RunManifest = match parse_json(&manifest_bytes) {
             Ok(m) => m,
-            Err(e) => return corrupt(&manifest_path, e.to_string()),
+            Err(msg) => return corrupt(&manifest_path, msg),
         };
-        let anon_text = fs::read_to_string(&anon_path).map_err(io_err(&anon_path))?;
+        let anon_json = fs::read(&anon_path).map_err(io_err(&anon_path))?;
         if let Some(expected) = &manifest.anon_sha256 {
-            let actual = sha256_hex(anon_text.as_bytes());
+            let actual = sha256_hex(&anon_json);
             if &actual != expected {
                 return corrupt(
                     &anon_path,
@@ -261,13 +287,15 @@ impl RunStore {
                 );
             }
         }
-        let anon: AnonTable = match serde_json::from_str(&anon_text) {
-            Ok(a) => a,
-            Err(e) => return corrupt(&anon_path, e.to_string()),
-        };
+        if decode || manifest.anon_sha256.is_none() {
+            if let Err(msg) = parse_json::<AnonTable>(&anon_json) {
+                return corrupt(&anon_path, msg);
+            }
+        }
         Ok(ReadOutcome::Complete(Box::new(StoredRun {
             manifest,
-            anon,
+            anon_json,
+            anon_path,
         })))
     }
 
@@ -482,8 +510,8 @@ impl RunStore {
                 if !manifest_path.is_file() || !dir.join("anon.json").is_file() {
                     continue;
                 }
-                let text = fs::read_to_string(&manifest_path).map_err(io_err(&manifest_path))?;
-                if let Ok(manifest) = serde_json::from_str::<RunManifest>(&text) {
+                let bytes = fs::read(&manifest_path).map_err(io_err(&manifest_path))?;
+                if let Ok(manifest) = parse_json::<RunManifest>(&bytes) {
                     out.push(manifest);
                 }
             }
@@ -580,8 +608,9 @@ impl RunStore {
         Ok(count)
     }
 
-    /// Verify every stored run (parseability and `anon.json`
-    /// checksums) plus the staging area and journal. With
+    /// Verify every stored run (parseability of both files and
+    /// `anon.json` checksums — unlike a cache hit, fsck decodes every
+    /// table) plus the staging area and journal. With
     /// `repair = true`, corrupt entries are moved to `quarantine/` —
     /// freeing their keys for recomputation — and incomplete/staging
     /// leftovers are removed; without it, nothing is touched.
@@ -602,7 +631,7 @@ impl RunStore {
                     .unwrap_or("?")
                     .to_string();
                 report.scanned += 1;
-                match self.read_run(&dir)? {
+                match self.read_run(&dir, true)? {
                     ReadOutcome::Complete(_) => report.ok += 1,
                     ReadOutcome::Missing => {
                         report.incomplete += 1;
@@ -669,6 +698,13 @@ impl FsckReport {
             && self.staging == 0
             && self.journal_error.is_none()
     }
+}
+
+/// Parse stored JSON bytes, folding invalid UTF-8 into the parse
+/// error: damaged bytes are corruption, not an I/O failure.
+fn parse_json<T: Deserialize>(bytes: &[u8]) -> Result<T, String> {
+    let text = std::str::from_utf8(bytes).map_err(|e| e.to_string())?;
+    serde_json::from_str(text).map_err(|e| e.to_string())
 }
 
 /// Directory entries sorted by name; a missing directory reads as
@@ -755,6 +791,7 @@ mod tests {
         store.put(&m, &anon).unwrap();
         assert!(store.contains(&RunKey(key.clone())));
         let back = store.get(&RunKey(key)).unwrap().unwrap();
+        assert_eq!(back.anon().unwrap(), anon);
         // put fills in the checksum; every other field round-trips
         assert!(back.manifest.anon_sha256.is_some());
         assert_eq!(
@@ -764,7 +801,6 @@ mod tests {
             },
             m
         );
-        assert_eq!(back.anon, anon);
         // tmp staging is clean after a successful put
         assert!(read_dir_sorted(&store.root().join("tmp"))
             .unwrap()
@@ -867,7 +903,18 @@ mod tests {
             1
         );
         store.put(&manifest(&key, 2), &empty_anon()).unwrap();
-        assert!(store.get(&RunKey(key)).unwrap().is_some());
+        assert!(store.get(&RunKey(key.clone())).unwrap().is_some());
+        // bytes that are not even UTF-8 are corruption too, not an
+        // I/O error: listing skips the entry and a read sets it aside
+        fs::write(&path, b"{\"key\": \"\xff\"}").unwrap();
+        assert!(store.list().unwrap().is_empty());
+        assert!(store.get(&RunKey(key)).unwrap().is_none());
+        assert_eq!(
+            read_dir_sorted(&store.root().join("quarantine"))
+                .unwrap()
+                .len(),
+            2
+        );
     }
 
     #[test]
@@ -886,6 +933,70 @@ mod tests {
         fs::write(&anon_path, r#"{"rel":[],"tx":null,"n_rows":7}"#).unwrap();
         assert!(store.get(&RunKey(key.clone())).unwrap().is_none());
         assert!(!store.contains(&RunKey(key)));
+    }
+
+    /// The run directory of `key`.
+    fn dir_of(store: &RunStore, key: &str) -> PathBuf {
+        store.root().join("runs").join(&key[..2]).join(key)
+    }
+
+    #[test]
+    fn unchecksummed_garbage_payload_is_still_quarantined() {
+        // a pre-schema-3 manifest carries no checksum, so get must
+        // decode the payload itself to catch the garbage
+        let store = tmp_store("nosum");
+        let key = key64(0x9);
+        store.put(&manifest(&key, 1), &empty_anon()).unwrap();
+        let dir = dir_of(&store, &key);
+        let legacy = RunManifest {
+            anon_sha256: None,
+            ..manifest(&key, 1)
+        };
+        fs::write(
+            dir.join("manifest.json"),
+            serde_json::to_string_pretty(&legacy).unwrap(),
+        )
+        .unwrap();
+        fs::write(dir.join("anon.json"), "{\"rel\":[[").unwrap();
+        assert!(store.get(&RunKey(key.clone())).unwrap().is_none());
+        assert!(!store.contains(&RunKey(key)));
+        assert_eq!(
+            read_dir_sorted(&store.root().join("quarantine"))
+                .unwrap()
+                .len(),
+            1
+        );
+    }
+
+    #[test]
+    fn verified_payload_decodes_only_on_demand() {
+        // both files rewritten to agree on a payload that is not JSON:
+        // the checksum passes, so get serves the manifest; the table
+        // decode and fsck both name the corruption
+        let store = tmp_store("lazy");
+        let key = key64(0x8);
+        store.put(&manifest(&key, 1), &empty_anon()).unwrap();
+        let dir = dir_of(&store, &key);
+        let garbage = b"\xffnot json".as_slice();
+        let mut m = store.get(&RunKey(key.clone())).unwrap().unwrap().manifest;
+        m.anon_sha256 = Some(sha256_hex(garbage));
+        fs::write(
+            dir.join("manifest.json"),
+            serde_json::to_string_pretty(&m).unwrap(),
+        )
+        .unwrap();
+        fs::write(dir.join("anon.json"), garbage).unwrap();
+
+        let run = store.get(&RunKey(key.clone())).unwrap().expect("verified");
+        assert_eq!(run.manifest, m);
+        match run.anon() {
+            Err(StoreError::Corrupt(path, _)) => assert_eq!(path, dir.join("anon.json")),
+            other => panic!("expected a corrupt table, got {other:?}"),
+        }
+        let report = store.fsck(false).unwrap();
+        assert_eq!(report.ok, 0);
+        assert_eq!(report.corrupt.len(), 1, "{report:?}");
+        assert_eq!(report.corrupt[0].0, key);
     }
 
     #[test]

@@ -171,7 +171,12 @@ fn stored_result_is_byte_identical_regardless_of_winner() {
             .join(&key)
             .join("anon.json");
         let bytes = std::fs::read(&anon_path).unwrap();
-        assert_eq!(bytes, serde_json::to_string(&run.anon).unwrap().as_bytes());
+        assert_eq!(
+            bytes,
+            serde_json::to_string(&run.anon().unwrap())
+                .unwrap()
+                .as_bytes()
+        );
         // staging is clean: no half-committed leftovers either way
         assert_eq!(
             std::fs::read_dir(root.join("tmp")).unwrap().count(),
