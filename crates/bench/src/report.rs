@@ -114,7 +114,7 @@ pub struct BenchReport {
     pub rows: usize,
     /// Dataset seed.
     pub seed: u64,
-    /// Thread cap the suite ran with (0 = unpinned).
+    /// `--threads` the suite ran with (0 = not given: one per core).
     pub threads: usize,
     /// Where the report was measured.
     pub machine: Machine,
@@ -269,7 +269,8 @@ pub struct Setup<'a> {
     pub rows: usize,
     /// `--seed` (default 42).
     pub seed: u64,
-    /// `--threads`, when given; the kernels are already pinned to it.
+    /// `--threads`, when given; the suite runs within a thread budget
+    /// of that many threads (default: one per core).
     pub threads: Option<usize>,
     /// `--memory-budget` in megabytes, when given.
     pub memory_budget_mb: Option<u64>,
@@ -546,7 +547,10 @@ pub fn run(suites: &[Suite], options: &BTreeMap<String, String>) -> Result<(), S
     };
     let rows = flags.remove("rows");
     let seed = number(&mut flags, "seed")?.unwrap_or(42);
-    let threads = number(&mut flags, "threads")?;
+    let threads = match number(&mut flags, "threads")? {
+        Some(0) => return Err("--threads expects a positive integer".into()),
+        n => n,
+    };
     let reps: Option<usize> = number(&mut flags, "reps")?;
     let gate_pct = number(&mut flags, "gate-pct")?.unwrap_or(25.0);
     let memory_budget_mb = match number(&mut flags, "memory-budget")? {
@@ -575,9 +579,6 @@ pub fn run(suites: &[Suite], options: &BTreeMap<String, String>) -> Result<(), S
     rows.sort_unstable();
     let reps = reps.unwrap_or(suite.reps).max(1);
     let handicap = handicap()?;
-    if let Some(n) = threads {
-        secreta_core::parallel::set_threads(n);
-    }
     let scratch = Scratch::create(&name)?;
 
     println!("bench --suite {name} (seed={seed}, best of {reps})");
@@ -590,17 +591,22 @@ pub fn run(suites: &[Suite], options: &BTreeMap<String, String>) -> Result<(), S
         params: BTreeMap::new(),
         cases: Vec::new(),
     };
-    for &n in &rows {
-        bench.rows = n;
-        let setup = Setup {
-            rows: n,
-            seed,
-            threads,
-            memory_budget_mb,
-            scratch: &scratch.0,
-        };
-        (suite.cases)(&setup, &mut bench)?;
-    }
+    // the kernels run at `--threads`, else at one thread per core
+    let budget = threads.unwrap_or_else(|| machine_fingerprint().cpus);
+    secreta_core::parallel::with_threads(budget, || {
+        for &n in &rows {
+            bench.rows = n;
+            let setup = Setup {
+                rows: n,
+                seed,
+                threads,
+                memory_budget_mb,
+                scratch: &scratch.0,
+            };
+            (suite.cases)(&setup, &mut bench)?;
+        }
+        Ok::<(), String>(())
+    })?;
 
     let report = BenchReport {
         schema_version: SCHEMA_VERSION,

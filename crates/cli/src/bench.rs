@@ -18,6 +18,7 @@ use secreta_core::data::{chunk, csv, Counting, CsvOptions, DataError, ItemId, Me
 use secreta_core::distributed::{run_distributed, DistOptions};
 use secreta_core::metrics::{gcp, PhaseTimer};
 use secreta_core::obsv::{self, ObsvConfig, TraceSink};
+use secreta_core::parallel::with_threads;
 use secreta_core::policy::{generate_privacy, PrivacyPolicy, PrivacyStrategy};
 use secreta_core::relational::{
     bottomup, cluster, incognito, topdown, RelError, RelOutput, RelationalInput,
@@ -191,7 +192,7 @@ fn tx_params(bench: &mut Bench) {
 }
 
 /// Cluster's hot path: the retained pre-optimization implementation vs
-/// the kernels (Euler-tour LCA, leaf matrix, parallel argmin).
+/// the kernels (Euler-tour LCA, leaf matrix, per-leaf cost tables).
 fn kernels(s: &Setup, bench: &mut Bench) -> Result<(), String> {
     bench.param("k", K as f64);
     let ctx = session(DatasetSpec::adult_like(s.rows, s.seed), 4)?;
@@ -206,15 +207,20 @@ fn kernels(s: &Setup, bench: &mut Bench) -> Result<(), String> {
 }
 
 /// Every transaction algorithm, naive reference counters vs the
-/// interned/parallel support kernels.
+/// interned/sharded support kernels, the kernels also pinned to thread
+/// budgets of 1 and 2 (the sharded support counts are the parallel
+/// site these cases time).
 fn tx_kernels(s: &Setup, bench: &mut Bench) -> Result<(), String> {
     tx_params(bench);
     let fx = TxFixture::build(s.rows, s.seed, false)?;
     for &name in TX_ALGOS {
+        let kernel = || fx.run(name, Counting::Kernel);
         bench.case(
             Case::new(format!("tx/{name}"))
                 .variant("naive", || fx.run(name, Counting::Naive))
-                .variant("kernel", || fx.run(name, Counting::Kernel)),
+                .variant("threads=1", move || with_threads(1, kernel))
+                .variant("threads=2", move || with_threads(2, kernel))
+                .variant("kernel", kernel),
         )?;
     }
     Ok(())
@@ -261,7 +267,8 @@ fn rel(s: &Setup, bench: &mut Bench) -> Result<(), String> {
 
 /// Attack-side evaluation against the anonymization it audits: Apriori
 /// at k^m, then the full risk block on its output, through the O(n²)
-/// oracle (small tables only) and through the kernels.
+/// oracle (small tables only) and through the kernels, also pinned to
+/// thread budgets of 1 and 2 (the m-item attack's sharded row walk).
 fn risk_eval(s: &Setup, bench: &mut Bench) -> Result<(), String> {
     bench.param("k", K as f64);
     bench.param("m", M as f64);
@@ -297,7 +304,12 @@ fn risk_eval(s: &Setup, bench: &mut Bench) -> Result<(), String> {
     if s.rows <= NAIVE_CAP {
         case = case.variant("naive", move || evaluate(Counting::Naive));
     }
-    bench.case(case.variant("kernel", move || evaluate(Counting::Kernel)))
+    let kernel = move || evaluate(Counting::Kernel);
+    bench.case(
+        case.variant("threads=1", move || with_threads(1, kernel))
+            .variant("threads=2", move || with_threads(2, kernel))
+            .variant("kernel", kernel),
+    )
 }
 
 /// Observability cost: the Cluster hot path with the recorder

@@ -79,6 +79,9 @@ With --store-dir, results are content-addressed into a persistent run
 store: re-running an identical experiment replays stored results
 (--no-cache forces re-execution while still recording), and a sweep
 killed mid-run can be finished with `secreta runs resume`.
+--threads N is the whole thread budget of the process (default: one
+per core): a sweep splits it across the jobs it runs at once, a single
+run gives all of it to its kernels, and 0 is refused.
 With --trace-out, every executed run streams its spans and counters to
 FILE as NDJSON (one JSON object per line); `secreta profile` prints the
 same data as a per-phase/per-counter table instead.
@@ -673,10 +676,24 @@ pub(crate) fn with_limits(args: &Args, mut ctx: SessionContext) -> Result<Sessio
     Ok(ctx)
 }
 
-/// Build the orchestrator for evaluate/compare from `--store-dir` /
-/// `--no-cache` / `--threads`.
-fn orchestrator_of(args: &Args, threads: usize) -> Result<Orchestrator, String> {
-    let mut orch = Orchestrator::new(threads);
+/// `--threads`: the whole thread budget of the process, one thread per
+/// core by default. A sweep splits it across the jobs it runs at once;
+/// a single run gives all of it to its kernels.
+pub(crate) fn threads_of(args: &Args) -> Result<usize, String> {
+    match args.opt("threads") {
+        None => Ok(std::thread::available_parallelism().map_or(1, |n| n.get())),
+        Some(v) => v
+            .parse()
+            .ok()
+            .filter(|&n: &usize| n > 0)
+            .ok_or_else(|| format!("--threads expects a positive integer, got {v:?}")),
+    }
+}
+
+/// Build the orchestrator for evaluate/compare/profile from
+/// `--threads` / `--store-dir` / `--no-cache`, before any work starts.
+fn orchestrator_of(args: &Args) -> Result<Orchestrator, String> {
+    let mut orch = Orchestrator::new(threads_of(args)?);
     if let Some(dir) = args.opt("store-dir") {
         orch = orch.with_store(RunStore::open(dir).map_err(|e| e.to_string())?);
     }
@@ -758,6 +775,7 @@ fn budget_degraded(what: &str, msg: &str) -> Result<i32, String> {
 }
 
 fn cmd_evaluate(args: &Args) -> Result<i32, String> {
+    let orch = orchestrator_of(args)?;
     let ctx = match load_context(args) {
         Ok(ctx) => ctx,
         Err(LoadError::Budget(msg)) => return budget_degraded("evaluate", &msg),
@@ -766,8 +784,6 @@ fn cmd_evaluate(args: &Args) -> Result<i32, String> {
     let ctx = with_limits(args, ctx.with_obsv(obsv_of(args, false)?))?;
     let spec = build_spec(args)?;
     let seed = args.u64_or("seed", 42)?;
-    let threads = args.usize_or("threads", 4)?;
-    let orch = orchestrator_of(args, threads)?;
 
     let mut failures = 0u64;
     match parse_sweep(args)? {
@@ -879,6 +895,7 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
     if args.opt("vary").is_some() {
         return Err("profile runs a single configuration; use `evaluate --vary` for sweeps".into());
     }
+    let orch = orchestrator_of(args)?;
     let ctx = with_limits(
         args,
         load_context(args)
@@ -887,8 +904,6 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
     )?;
     let spec = build_spec(args)?;
     let seed = args.u64_or("seed", 42)?;
-    let threads = args.usize_or("threads", 4)?;
-    let orch = orchestrator_of(args, threads)?;
     let (result, cache_hit) = orch.run_one(&ctx, &spec, seed).map_err(|e| e.to_string())?;
     let out = result.map_err(|e| e.to_string())?;
     println!("method: {}", spec.label());
@@ -910,6 +925,7 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_compare(args: &Args) -> Result<i32, String> {
+    let orch = orchestrator_of(args)?;
     let ctx = match load_context(args) {
         Ok(ctx) => ctx,
         Err(LoadError::Budget(msg)) => return budget_degraded("compare", &msg),
@@ -923,8 +939,6 @@ fn cmd_compare(args: &Args) -> Result<i32, String> {
     if configs.is_empty() {
         return Err("configuration file contains no configurations".into());
     }
-    let threads = args.usize_or("threads", 4)?;
-    let orch = orchestrator_of(args, threads)?;
     let invocation = invocation_of("compare", args, &configs);
     let out = crate::worker::run_sweep(args, &ctx, &orch, &configs, invocation)?;
     print_cache_stats(&orch, &out);

@@ -13,7 +13,7 @@
 //!   ones and removes leftovers
 
 use crate::args::Args;
-use crate::commands::{load_context, print_indicators, with_limits, DEFAULT_STORE_DIR};
+use crate::commands::{load_context, print_indicators, threads_of, with_limits, DEFAULT_STORE_DIR};
 use crate::commands::{EXIT_DEGRADED, EXIT_OK};
 use secreta_core::store::{resumable_sweeps, JournalEvent, RunStore, SweepRecord};
 use secreta_core::{export, Configuration, Orchestrator};
@@ -238,6 +238,7 @@ fn cmd_gc(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_resume(args: &Args) -> Result<i32, String> {
+    let threads = threads_of(args)?;
     let store = store_of(args)?;
     let events = store.read_journal().map_err(|e| e.to_string())?;
     let open = resumable_sweeps(&events);
@@ -262,15 +263,19 @@ fn cmd_resume(args: &Args) -> Result<i32, String> {
             }
         },
     };
-    resume_sweep(args, &store, &record)
+    resume_sweep(args, &store, &record, threads)
 }
 
 /// Re-run a journaled sweep with the cache on: completed jobs replay
 /// from the store, only the failed or missing ones execute.
-fn resume_sweep(args: &Args, store: &RunStore, record: &SweepRecord) -> Result<i32, String> {
+fn resume_sweep(
+    args: &Args,
+    store: &RunStore,
+    record: &SweepRecord,
+    threads: usize,
+) -> Result<i32, String> {
     let (rebuilt, configs) = decode_invocation(&record.invocation)?;
     let ctx = with_limits(args, load_context(&rebuilt).map_err(String::from)?)?;
-    let threads = args.usize_or("threads", 4)?;
     let orch = Orchestrator::new(threads).with_store(store.clone());
     println!(
         "resuming sweep {} ({}) from {}",

@@ -834,6 +834,52 @@ fn exit_codes_follow_failure_severity() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `--threads` is the thread budget of the whole process: every verb
+/// that takes it refuses 0 before any work starts, instead of quietly
+/// running on one thread.
+#[test]
+fn zero_threads_is_refused() {
+    let _machine = shared_machine();
+    let dir = tmpdir("threads0");
+    let data = generate_dataset(&dir);
+    let config = dir.join("configs.json");
+    std::fs::write(
+        &config,
+        r#"[{"label":"cluster","spec":{"Relational":{"algo":"Cluster","k":0}},
+            "sweep":{"param":"K","start":2,"end":4,"step":2},"seed":1}]"#,
+    )
+    .unwrap();
+    let single = ["--tx", "Items", "--mode", "rel", "--rel-algo", "incognito"];
+    let mut evaluate = secreta();
+    evaluate.arg("evaluate").arg(&data).args(single);
+    let mut profile = secreta();
+    profile.arg("profile").arg(&data).args(single);
+    let mut compare = secreta();
+    compare
+        .arg("compare")
+        .arg(&data)
+        .args(["--tx", "Items", "--config"])
+        .arg(&config);
+    let mut resume = secreta();
+    resume
+        .args(["runs", "resume", "--store-dir"])
+        .arg(dir.join("store"));
+    let mut bench = secreta();
+    bench.args(["bench", "--suite", "tx", "--rows", "50"]);
+    for mut cmd in [evaluate, profile, compare, resume, bench] {
+        let out = cmd.args(["--threads", "0"]).output().unwrap();
+        let verb = format!("{:?}", cmd.get_args().next().unwrap());
+        assert_eq!(out.status.code(), Some(1), "{verb}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("--threads expects a positive integer"),
+            "{verb}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{verb} started work");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The `secreta bench` suites, every entry of its suite table.
 const BENCH_SUITES: &[&str] = &[
     "kernels", "store", "obsv", "tx", "tiered", "risk", "scale", "rel", "dist", "all",

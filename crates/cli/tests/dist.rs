@@ -1,7 +1,8 @@
-//! Process-level chaos tests of distributed sweep execution: real
-//! coordinator and worker processes, real `kill -9`-equivalent crashes
-//! injected through `SECRETA_FAULTS`, byte-identical convergence
-//! asserted against a plain single-process run of the same experiment.
+//! Process-level chaos tests of sweep execution: real coordinator,
+//! worker and in-process sweep processes, real `kill -9`-equivalent
+//! crashes injected through `SECRETA_FAULTS`, byte-identical
+//! convergence asserted against a fault-free single-process run of the
+//! same experiment.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -229,6 +230,78 @@ fn all_workers_killed_degrades_then_resume_recovers() {
         anon_bytes(&solo_store),
         anon_bytes(&store),
         "after resume the store must match the solo run byte-for-byte"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The thread executor's twin of the test above: an in-process
+/// `compare --threads 2` is kill -9'd at its fourth store commit
+/// (`crash@store.put`; fault seed 7 skips the first three), so at least
+/// one job has landed and at least one has not. A fault-free `runs
+/// resume` executes only the missing jobs, and the store must then
+/// match a fault-free store byte for byte.
+#[test]
+fn crashed_thread_executor_resumes_byte_identical() {
+    let dir = tmpdir("threads");
+    let data = generate_dataset(&dir);
+    let config = dir.join("configs.json");
+    std::fs::write(
+        &config,
+        r#"[{"label":"cluster","spec":{"Relational":{"algo":"Cluster","k":0}},
+            "sweep":{"param":"K","start":2,"end":12,"step":2},"seed":1}]"#,
+    )
+    .unwrap();
+    let compare = |store: &Path| {
+        let mut cmd = secreta();
+        cmd.arg("compare")
+            .arg(&data)
+            .args(SESSION)
+            .arg("--config")
+            .arg(&config)
+            .args(["--threads", "2", "--store-dir"])
+            .arg(store);
+        cmd
+    };
+    let solo_store = dir.join("solo");
+    let solo = compare(&solo_store).output().unwrap();
+    assert!(
+        solo.status.success(),
+        "{}",
+        String::from_utf8_lossy(&solo.stderr)
+    );
+
+    let store = dir.join("crashed");
+    let crashed = compare(&store)
+        .env("SECRETA_FAULTS", "seed=7;crash@store.put=0.5x1")
+        .output()
+        .unwrap();
+    assert!(!crashed.status.success(), "the plan must kill the sweep");
+    let landed = anon_bytes(&store).len();
+    assert!(
+        (1..6).contains(&landed),
+        "{landed} of 6 jobs landed before the crash"
+    );
+
+    let resume = secreta()
+        .args(["runs", "resume", "--threads", "2", "--store-dir"])
+        .arg(&store)
+        .output()
+        .unwrap();
+    assert_eq!(
+        resume.status.code(),
+        Some(0),
+        "resume executes the missing jobs: {}",
+        String::from_utf8_lossy(&resume.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&resume.stdout);
+    assert!(
+        stdout.contains(&format!("{landed} replayed, {} executed", 6 - landed)),
+        "{stdout}"
+    );
+    assert_eq!(
+        anon_bytes(&solo_store),
+        anon_bytes(&store),
+        "after resume the store must match the fault-free store byte for byte"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -428,7 +428,9 @@ pub fn worker_loop(
                 })
                 .map_err(io_err(&journal_path))?;
             let outcome = {
-                // keep the lease fresh for however long the run takes
+                // keep the lease fresh for however long the run takes;
+                // the run's kernels stay at this thread's budget of 1:
+                // the sweep's parallelism is its worker processes
                 let _beat = Heartbeat::start(guard.path(), guard.token(), opts.lease_ttl_ms);
                 run_isolated(ctx, &spec, job.seed)
             };

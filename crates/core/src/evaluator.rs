@@ -11,10 +11,18 @@
 //! Workers claim job indices from a shared atomic counter and buffer
 //! `(index, result)` pairs locally; the buffers are merged after the
 //! scope joins, so no lock is held while jobs execute.
+//!
+//! `threads` is the whole thread budget of the batch (see
+//! [`secreta_parallel`]): `workers = min(threads, jobs)` jobs run at
+//! once, and each runs its kernels with a budget of
+//! `max(1, threads / workers)`. A batch of at least `threads` jobs
+//! therefore runs every kernel inline, and a lone job gets the whole
+//! budget.
 
 use crate::anonymizer::{run_isolated, RunError, RunResult};
 use crate::config::MethodSpec;
 use crate::context::SessionContext;
+use secreta_parallel::with_threads;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One unit of work for the evaluator.
@@ -26,7 +34,7 @@ pub struct Job {
     pub seed: u64,
 }
 
-/// Execute `jobs` against `ctx` on up to `threads` worker threads,
+/// Execute `jobs` against `ctx` within a budget of `threads` threads,
 /// returning per-job results in the order submitted.
 pub fn run_many(
     ctx: &SessionContext,
@@ -51,27 +59,24 @@ pub fn run_many_with(
     threads: usize,
     on_complete: impl Fn(usize, &Result<RunResult, RunError>) + Sync,
 ) -> Vec<Result<RunResult, RunError>> {
-    let threads = threads.clamp(1, jobs.len().max(1));
-    if threads == 1 || jobs.len() <= 1 {
-        return jobs
-            .iter()
-            .enumerate()
-            .map(|(i, j)| {
-                let r = run_isolated(ctx, &j.spec, j.seed);
-                on_complete(i, &r);
-                r
-            })
-            .collect();
+    let workers = threads.clamp(1, jobs.len().max(1));
+    let budget = (threads / workers).max(1);
+    let run = |i: usize| {
+        let r = with_threads(budget, || run_isolated(ctx, &jobs[i].spec, jobs[i].seed));
+        on_complete(i, &r);
+        r
+    };
+    if workers == 1 {
+        return (0..jobs.len()).map(run).collect();
     }
 
     let next = AtomicUsize::new(0);
-    let mut buffers: Vec<Vec<(usize, Result<RunResult, RunError>)>> = Vec::with_capacity(threads);
+    let mut buffers: Vec<Vec<(usize, Result<RunResult, RunError>)>> = Vec::with_capacity(workers);
 
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
+        let handles: Vec<_> = (0..workers)
             .map(|_| {
-                let next = &next;
-                let on_complete = &on_complete;
+                let (next, run) = (&next, &run);
                 scope.spawn(move || {
                     let mut local = Vec::new();
                     loop {
@@ -79,9 +84,7 @@ pub fn run_many_with(
                         if i >= jobs.len() {
                             break;
                         }
-                        let r = run_isolated(ctx, &jobs[i].spec, jobs[i].seed);
-                        on_complete(i, &r);
-                        local.push((i, r));
+                        local.push((i, run(i)));
                     }
                     local
                 })
@@ -108,7 +111,7 @@ pub fn run_many_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::RelAlgo;
+    use crate::config::{RelAlgo, TxAlgo};
     use secreta_gen::DatasetSpec;
 
     fn ctx() -> SessionContext {
@@ -165,6 +168,40 @@ mod tests {
         let out = run_many(&ctx, &js, 2);
         assert!(out[0].is_ok());
         assert!(out[1].is_err());
+    }
+
+    /// The budget reaches the kernels: at `threads = 2` a 3-job sweep
+    /// runs every job's kernels inline, while the same job alone gets
+    /// both threads and publishes the same table.
+    #[test]
+    fn sweeps_run_kernels_inline_and_a_lone_job_gets_the_budget() {
+        // 300 rows: enough for the support counts to shard in two
+        let ctx = SessionContext::auto(DatasetSpec::basket(300, 20, 3).generate(), 3)
+            .unwrap()
+            .with_obsv(secreta_obsv::ObsvConfig::enabled());
+        let job = |k| Job {
+            spec: MethodSpec::Transaction {
+                algo: TxAlgo::Apriori,
+                k,
+                m: 2,
+            },
+            seed: 1,
+        };
+        let spawned = |r: &Result<RunResult, RunError>| {
+            let profile = r.as_ref().unwrap().profile.as_ref();
+            let profile = profile.expect("an enabled session records profiles");
+            profile.counter("parallel/threads_spawned").unwrap_or(0)
+        };
+        let sweep = run_many(&ctx, &[job(2), job(3), job(4)], 2);
+        for r in &sweep {
+            assert_eq!(spawned(r), 0, "a sweep job runs its kernels inline");
+        }
+        let alone = run_many(&ctx, &[job(2)], 2);
+        assert!(spawned(&alone[0]) > 0, "a lone job gets the whole budget");
+        assert_eq!(
+            alone[0].as_ref().unwrap().anon,
+            sweep[0].as_ref().unwrap().anon
+        );
     }
 
     #[test]

@@ -207,6 +207,8 @@ fn expand_jobs(
 
 impl Orchestrator {
     /// An orchestrator without a store: plain fan-out, no caching.
+    /// `threads` is the thread budget of every sweep and single run it
+    /// executes (see [`crate::evaluator`]).
     pub fn new(threads: usize) -> Orchestrator {
         Orchestrator {
             store: None,
@@ -257,7 +259,8 @@ impl Orchestrator {
                 return Ok((Ok(rr), true));
             }
         }
-        let result = run_isolated(ctx, spec, seed);
+        // a lone job: its kernels get the whole budget
+        let result = secreta_parallel::with_threads(self.threads, || run_isolated(ctx, spec, seed));
         if let (Some(store), Ok(rr)) = (&self.store, &result) {
             store.put(
                 &manifest_of(&key, &digest, &spec.label(), spec, seed, None, rr),

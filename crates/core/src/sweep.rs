@@ -86,8 +86,8 @@ pub struct SweepPoint {
     pub indicators: Indicators,
 }
 
-/// Run `spec` across `sweep`, fanning points out over `threads`
-/// worker threads. Per-point failures (e.g. an infeasible `k`) are
+/// Run `spec` across `sweep`, fanning points out within a budget of
+/// `threads` threads. Per-point failures (e.g. an infeasible `k`) are
 /// reported in place.
 pub fn evaluate_sweep(
     ctx: &SessionContext,

@@ -246,13 +246,14 @@ impl Workload {
 /// `|exact - estimate| / max(exact, 1)` averaged over queries; 0.0 for
 /// an empty workload.
 ///
-/// Queries are evaluated in parallel, one [`Query::count`] and one
-/// [`Query::estimate`] each, so `rel_hierarchy` is called once per
-/// relational atom on an anonymized column, never per row (the
+/// Queries are evaluated in contiguous chunks across the caller's
+/// thread budget (`secreta_parallel::par_chunks`), one [`Query::count`]
+/// and one [`Query::estimate`] each, so `rel_hierarchy` is called once
+/// per relational atom on an anonymized column, never per row (the
 /// estimate tabulates one match factor per generalized value; see
 /// there). The per-query errors are then summed sequentially in query
 /// order, which keeps the result bit-identical to the sequential loop
-/// regardless of thread count.
+/// at every budget.
 pub fn average_relative_error(
     table: &RtTable,
     anon: &AnonTable,
@@ -263,13 +264,18 @@ pub fn average_relative_error(
     if workload.is_empty() {
         return 0.0;
     }
-    let errors = secreta_parallel::par_map_heavy(workload.len(), |i| {
-        let q = &workload.queries[i];
-        let exact = q.count(table) as f64;
-        let est = q.estimate(table, anon, &rel_hierarchy, tx_hierarchy);
-        (exact - est).abs() / exact.max(1.0)
+    // one query is a full table scan: worth a thread of its own
+    let errors = secreta_parallel::par_chunks(workload.len(), 1, |lo, hi| {
+        workload.queries[lo..hi]
+            .iter()
+            .map(|q| {
+                let exact = q.count(table) as f64;
+                let est = q.estimate(table, anon, &rel_hierarchy, tx_hierarchy);
+                (exact - est).abs() / exact.max(1.0)
+            })
+            .collect::<Vec<f64>>()
     });
-    errors.iter().sum::<f64>() / workload.len() as f64
+    errors.iter().flatten().sum::<f64>() / workload.len() as f64
 }
 
 /// Parse a workload in the Queries Editor file format: one query per

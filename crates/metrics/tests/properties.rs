@@ -490,9 +490,9 @@ proptest! {
         }
         let want = reference_are(&t, &anon, &workload, &hierarchy_of, None).to_bits();
         for threads in [1usize, 2, 8] {
-            secreta_parallel::set_threads(threads);
-            let got = average_relative_error(&t, &anon, &workload, hierarchy_of, None);
-            secreta_parallel::set_threads(0);
+            let got = secreta_parallel::with_threads(threads, || {
+                average_relative_error(&t, &anon, &workload, hierarchy_of, None)
+            });
             prop_assert_eq!(got.to_bits(), want, "ARE at {} threads", threads);
         }
     }

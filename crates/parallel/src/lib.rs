@@ -1,63 +1,47 @@
-//! Deterministic data-parallel primitives for the anonymization hot
-//! paths.
+//! The thread budget and the one data-parallel primitive of the
+//! anonymization hot paths.
 //!
-//! Every helper here carries a hard determinism contract: **the result
-//! is byte-identical to the sequential left-to-right computation, for
-//! every thread count.** That is achieved by splitting the index space
-//! into contiguous chunks, computing per-chunk partial results with
-//! the same operators the sequential code uses, and reducing the
-//! partials in chunk order. [`par_argmin`] keeps the *first* index
-//! attaining the minimum (matching `Iterator::min_by` semantics), and
-//! [`par_map`] reassembles outputs in index order so any downstream
-//! fold sees the sequential ordering.
+//! **The budget.** Every thread carries a thread budget: how many
+//! threads the kernels it calls may occupy, itself included. A caller
+//! grants one for the extent of a closure with [`with_threads`]; a
+//! thread that never entered a budget has a budget of 1, and so does
+//! every thread [`par_chunks`] spawns, so a kernel called from inside
+//! another kernel's worker runs inline. The CLI's `--threads` is the
+//! budget of the whole process: the evaluator splits it across the
+//! jobs it runs at once, so a sweep with at least as many jobs as
+//! threads runs every kernel inline, and a lone job gets all of it.
 //!
-//! Thread count resolution: [`set_threads`] override (tests, CLI
-//! `--threads`), else the `SECRETA_THREADS` environment variable, else
-//! `std::thread::available_parallelism()`. Small inputs fall back to
-//! the sequential path to avoid spawn overhead.
+//! **Determinism.** [`par_chunks`] splits `0..n` into contiguous chunks
+//! whose bounds depend only on `n`, the chunk floor and the budget,
+//! and returns the per-chunk results in chunk order. A caller that
+//! reduces them with an operator associative over row order (per-key
+//! `+=`, concatenation) gets the sequential result at every budget.
 
 #![deny(missing_docs)]
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
-/// Inputs smaller than this run sequentially: thread spawn overhead
-/// dwarfs the work.
-const MIN_PARALLEL: usize = 512;
-
-/// 0 = no override (resolve from env / hardware).
-static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Force the thread count used by all helpers in this module.
-///
-/// `0` clears the override. Intended for tests (pinning both sides of
-/// a determinism comparison) and the CLI's `--threads` flag.
-pub fn set_threads(n: usize) {
-    THREAD_OVERRIDE.store(n, Ordering::SeqCst);
+thread_local! {
+    static BUDGET: Cell<usize> = const { Cell::new(1) };
 }
 
-/// The thread count the helpers will use for large inputs.
-pub fn max_threads() -> usize {
-    let forced = THREAD_OVERRIDE.load(Ordering::SeqCst);
-    if forced > 0 {
-        return forced;
-    }
-    if let Ok(v) = std::env::var("SECRETA_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
+/// The calling thread's budget: 1 unless a caller entered a larger
+/// one with [`with_threads`].
+fn budget() -> usize {
+    BUDGET.with(Cell::get)
+}
+
+/// Run `f` with a thread budget of `n` (0 counts as 1). The previous
+/// budget comes back when `f` returns or unwinds.
+pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
+    struct Restore(usize);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            BUDGET.with(|b| b.set(self.0));
         }
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-fn effective_threads(n_items: usize) -> usize {
-    if n_items < MIN_PARALLEL {
-        return 1;
-    }
-    max_threads().min(n_items).max(1)
+    let _restore = Restore(BUDGET.with(|b| b.replace(n.max(1))));
+    f()
 }
 
 /// Contiguous chunk bounds for worker `t` of `threads` over `0..n`.
@@ -68,107 +52,15 @@ fn chunk_bounds(n: usize, threads: usize, t: usize) -> (usize, usize) {
     (lo, hi)
 }
 
-/// Index (in `0..n`) of the minimal cost, plus that cost.
-///
-/// Ties resolve to the smallest index, exactly like a sequential
-/// `min_by` scan keeping the first minimum. `NaN` costs lose every
-/// comparison (they are never selected unless all costs are `NaN`, in
-/// which case index 0 wins).
-pub fn par_argmin<F>(n: usize, cost: F) -> Option<(usize, f64)>
-where
-    F: Fn(usize) -> f64 + Sync,
-{
-    if n == 0 {
-        return None;
-    }
-    let threads = effective_threads(n);
-    if threads <= 1 {
-        return Some(seq_argmin(0, n, &cost));
-    }
-    let mut partials: Vec<(usize, f64)> = Vec::with_capacity(threads);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let cost = &cost;
-                let (lo, hi) = chunk_bounds(n, threads, t);
-                s.spawn(move || seq_argmin(lo, hi, cost))
-            })
-            .collect();
-        for h in handles {
-            partials.push(h.join().expect("argmin worker panicked"));
-        }
-    });
-    // reduce in chunk order with strict `<`: the earliest chunk
-    // holding the global minimum wins, and within a chunk the scan
-    // already kept the earliest index
-    let mut best = partials[0];
-    for &(idx, c) in &partials[1..] {
-        if c < best.1 || (best.1.is_nan() && !c.is_nan()) {
-            best = (idx, c);
-        }
-    }
-    Some(best)
-}
-
-fn seq_argmin<F: Fn(usize) -> f64>(lo: usize, hi: usize, cost: &F) -> (usize, f64) {
-    debug_assert!(lo < hi);
-    let mut best_idx = lo;
-    let mut best_cost = cost(lo);
-    for i in lo + 1..hi {
-        let c = cost(i);
-        // NaN loses every comparison: a finite cost also displaces a
-        // NaN incumbent (plain `<` would let a leading NaN stick)
-        if c < best_cost || (best_cost.is_nan() && !c.is_nan()) {
-            best_cost = c;
-            best_idx = i;
-        }
-    }
-    (best_idx, best_cost)
-}
-
-/// `(0..n).map(f).collect()`, computed on multiple threads with the
-/// output in index order.
-pub fn par_map<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let threads = effective_threads(n);
-    if threads <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let mut parts: Vec<Vec<T>> = Vec::with_capacity(threads);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let f = &f;
-                let (lo, hi) = chunk_bounds(n, threads, t);
-                s.spawn(move || (lo..hi).map(f).collect::<Vec<T>>())
-            })
-            .collect();
-        for h in handles {
-            parts.push(h.join().expect("map worker panicked"));
-        }
-    });
-    let mut out = Vec::with_capacity(n);
-    for part in parts {
-        out.extend(part);
-    }
-    out
-}
-
 /// Split `0..n` into contiguous chunks of at least `min_chunk` items,
-/// run `f(lo, hi)` on each chunk concurrently, and return the partial
-/// results **in chunk order**.
+/// one per budgeted thread, run `f(lo, hi)` on each chunk concurrently,
+/// and return the partial results **in chunk order**.
 ///
-/// This is the primitive behind deterministic sharded counting: each
-/// worker builds a partial accumulator over its contiguous row range
-/// with the same operators the sequential code would use, and the
-/// caller reduces the partials left-to-right. Because chunk boundaries
-/// depend only on `n`, `min_chunk` and the resolved thread count — and
-/// the reduce order is fixed — a caller whose reduce operator is
-/// associative over row order (e.g. per-key `+=`) gets results
-/// identical to the sequential pass for every thread count.
+/// With a budget of 1, or fewer than two chunks' worth of items, this
+/// is the single call `f(0, n)` on the calling thread. Otherwise it
+/// spawns one scoped thread per chunk, each with a budget of 1, and
+/// adds their number to the `parallel/threads_spawned` counter of the
+/// caller's recorder.
 pub fn par_chunks<T, F>(n: usize, min_chunk: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -177,16 +69,11 @@ where
     if n == 0 {
         return Vec::new();
     }
-    let by_size = if min_chunk == 0 {
-        n
-    } else {
-        n / min_chunk.max(1)
-    };
-    let threads = max_threads().min(by_size.max(1)).max(1);
-    if threads <= 1 {
+    let threads = budget().min(n / min_chunk.max(1)).max(1);
+    if threads == 1 {
         return vec![f(0, n)];
     }
-    let mut parts: Vec<T> = Vec::with_capacity(threads);
+    secreta_obsv::current().count("parallel/threads_spawned", threads as u64);
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|t| {
@@ -195,184 +82,28 @@ where
                 s.spawn(move || f(lo, hi))
             })
             .collect();
-        for h in handles {
-            parts.push(h.join().expect("chunk worker panicked"));
-        }
-    });
-    parts
-}
-
-/// Bucketed count of `0..n`: `out[b]` is the number of items `i` with
-/// `bucket_of(i) == b`, for `b < buckets` (out-of-range buckets are
-/// ignored).
-///
-/// Built on [`par_chunks`]: each worker fills a private histogram over
-/// its contiguous item range, and the partials are summed in chunk
-/// order. Histogram addition is associative over row order, so the
-/// result is identical to the sequential scan at every thread count —
-/// the integer backbone the metrics layer uses to vectorize float
-/// accumulations (count per code first, one deterministic weighted sum
-/// after).
-pub fn par_hist<F>(n: usize, buckets: usize, bucket_of: F) -> Vec<u64>
-where
-    F: Fn(usize) -> usize + Sync,
-{
-    let parts = par_chunks(n, MIN_PARALLEL, |lo, hi| {
-        let mut hist = vec![0u64; buckets];
-        for i in lo..hi {
-            let b = bucket_of(i);
-            if b < buckets {
-                hist[b] += 1;
-            }
-        }
-        hist
-    });
-    let mut out = vec![0u64; buckets];
-    for part in parts {
-        for (o, p) in out.iter_mut().zip(part) {
-            *o += p;
-        }
-    }
-    out
-}
-
-/// [`par_map`] without the `MIN_PARALLEL` small-input fallback, for
-/// *coarse-grained* items (e.g. workload queries, each a full table
-/// scan) where even a handful of items outweigh thread-spawn cost.
-pub fn par_map_heavy<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let threads = max_threads().min(n).max(1);
-    if threads <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let mut parts: Vec<Vec<T>> = Vec::with_capacity(threads);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let f = &f;
-                let (lo, hi) = chunk_bounds(n, threads, t);
-                s.spawn(move || (lo..hi).map(f).collect::<Vec<T>>())
-            })
-            .collect();
-        for h in handles {
-            parts.push(h.join().expect("map worker panicked"));
-        }
-    });
-    let mut out = Vec::with_capacity(n);
-    for part in parts {
-        out.extend(part);
-    }
-    out
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("chunk workers do not panic"))
+            .collect()
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn seq_reference_argmin(costs: &[f64]) -> Option<(usize, f64)> {
-        let mut best: Option<(usize, f64)> = None;
-        for (i, &c) in costs.iter().enumerate() {
-            match best {
-                None => best = Some((i, c)),
-                Some((_, bc)) if c < bc => best = Some((i, c)),
-                _ => {}
-            }
-        }
-        best
-    }
-
-    fn pseudo_costs(n: usize, buckets: u64) -> Vec<f64> {
-        // deliberately tie-heavy: costs land in a few buckets
-        (0..n)
-            .map(|i| {
-                let mut z = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                z ^= z >> 29;
-                (z % buckets) as f64
-            })
-            .collect()
-    }
-
-    #[test]
-    fn argmin_matches_sequential_with_ties_across_thread_counts() {
-        for n in [1usize, 7, 511, 512, 513, 5000] {
-            let costs = pseudo_costs(n, 4);
-            let expected = seq_reference_argmin(&costs);
-            for threads in [1usize, 2, 3, 8] {
-                set_threads(threads);
-                let got = par_argmin(n, |i| costs[i]);
-                assert_eq!(got, expected, "n={n} threads={threads}");
-            }
-        }
-        set_threads(0);
-    }
-
-    #[test]
-    fn argmin_empty_is_none() {
-        assert_eq!(par_argmin(0, |_| 0.0), None);
-    }
-
-    #[test]
-    fn argmin_ignores_nan_unless_all_nan() {
-        set_threads(4);
-        let costs = [f64::NAN, 3.0, f64::NAN, 1.0, 1.0];
-        assert_eq!(par_argmin(costs.len(), |i| costs[i]), Some((3, 1.0)));
-        let all_nan = [f64::NAN, f64::NAN];
-        let (idx, c) = par_argmin(all_nan.len(), |i| all_nan[i]).unwrap();
-        assert_eq!(idx, 0);
-        assert!(c.is_nan());
-        set_threads(0);
-    }
-
-    #[test]
-    fn map_preserves_index_order() {
-        for n in [0usize, 1, 511, 512, 2000] {
-            for threads in [1usize, 2, 5] {
-                set_threads(threads);
-                let out = par_map(n, |i| i * 3);
-                assert_eq!(out, (0..n).map(|i| i * 3).collect::<Vec<_>>());
-            }
-        }
-        set_threads(0);
-    }
-
-    #[test]
-    fn float_fold_over_par_map_matches_sequential() {
-        // the ARE pattern: parallel per-item errors, sequential sum
-        let n = 4000;
-        set_threads(3);
-        let errs = par_map(n, |i| ((i as f64) * 0.1).sin());
-        set_threads(0);
-        let seq: f64 = (0..n).map(|i| ((i as f64) * 0.1).sin()).sum();
-        let par: f64 = errs.iter().sum();
-        assert_eq!(seq.to_bits(), par.to_bits(), "bit-identical fold");
-    }
-
-    #[test]
-    fn heavy_map_parallelizes_small_inputs_in_order() {
-        for n in [0usize, 1, 2, 25, 600] {
-            for threads in [1usize, 2, 5] {
-                set_threads(threads);
-                let out = par_map_heavy(n, |i| i as f64 * 0.5);
-                assert_eq!(out, (0..n).map(|i| i as f64 * 0.5).collect::<Vec<_>>());
-            }
-        }
-        set_threads(0);
-    }
-
     #[test]
     fn chunks_cover_range_in_order() {
         for n in [0usize, 1, 4, 5, 63, 64, 1000] {
             for threads in [1usize, 2, 3, 8] {
-                set_threads(threads);
-                let parts = par_chunks(n, 16, |lo, hi| (lo..hi).collect::<Vec<_>>());
+                let parts = with_threads(threads, || {
+                    par_chunks(n, 16, |lo, hi| (lo..hi).collect::<Vec<_>>())
+                });
                 let flat: Vec<usize> = parts.into_iter().flatten().collect();
                 assert_eq!(flat, (0..n).collect::<Vec<_>>(), "n={n} threads={threads}");
             }
         }
-        set_threads(0);
     }
 
     #[test]
@@ -388,13 +119,14 @@ mod tests {
             m
         };
         for threads in [1usize, 2, 5] {
-            set_threads(threads);
-            let parts = par_chunks(items.len(), 8, |lo, hi| {
-                let mut m = vec![0u32; 23];
-                for &it in &items[lo..hi] {
-                    m[it as usize] += 1;
-                }
-                m
+            let parts = with_threads(threads, || {
+                par_chunks(items.len(), 8, |lo, hi| {
+                    let mut m = vec![0u32; 23];
+                    for &it in &items[lo..hi] {
+                        m[it as usize] += 1;
+                    }
+                    m
+                })
             });
             let mut merged = vec![0u32; 23];
             for p in parts {
@@ -404,32 +136,32 @@ mod tests {
             }
             assert_eq!(merged, seq, "threads={threads}");
         }
-        set_threads(0);
     }
 
     #[test]
-    fn hist_matches_sequential_at_any_thread_count() {
-        let codes: Vec<usize> = (0..4000).map(|i| i * 31 % 17).collect();
-        let mut seq = vec![0u64; 17];
-        for &c in &codes {
-            seq[c] += 1;
-        }
-        for threads in [1usize, 2, 8] {
-            set_threads(threads);
-            let got = par_hist(codes.len(), 17, |i| codes[i]);
-            assert_eq!(got, seq, "threads={threads}");
-        }
-        set_threads(0);
-        // out-of-range buckets are dropped, empty input yields zeros
-        assert_eq!(par_hist(5, 2, |_| 9), vec![0, 0]);
-        assert_eq!(par_hist(0, 3, |i| i), vec![0, 0, 0]);
+    fn budget_is_scoped_and_never_inherited() {
+        assert_eq!(budget(), 1, "a thread starts with a budget of 1");
+        let seen = with_threads(4, || {
+            let inner = with_threads(2, budget);
+            let workers = par_chunks(4, 1, |_, _| budget());
+            (budget(), inner, workers)
+        });
+        assert_eq!(seen, (4, 2, vec![1; 4]));
+        assert_eq!(budget(), 1, "the budget is restored on return");
+        let unwound = std::panic::catch_unwind(|| with_threads(3, || panic!("boom")));
+        assert!(unwound.is_err());
+        assert_eq!(budget(), 1, "the budget is restored on unwind");
+        assert_eq!(with_threads(0, budget), 1, "a zero budget counts as 1");
     }
 
     #[test]
-    fn thread_override_wins() {
-        set_threads(7);
-        assert_eq!(max_threads(), 7);
-        set_threads(0);
-        assert!(max_threads() >= 1);
+    fn spawns_are_counted_on_the_callers_recorder() {
+        let rec = secreta_obsv::Recorder::enabled();
+        let guard = secreta_obsv::install(&rec);
+        par_chunks(64, 16, |lo, hi| hi - lo);
+        with_threads(3, || par_chunks(64, 16, |lo, hi| hi - lo));
+        drop(guard);
+        let profile = rec.finish("test").expect("enabled recorder");
+        assert_eq!(profile.counter("parallel/threads_spawned"), Some(3));
     }
 }

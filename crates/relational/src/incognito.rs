@@ -236,9 +236,7 @@ fn naive_lattice_search(
 /// The kernel levelwise search. Same pruning and enumeration order as
 /// [`naive_lattice_search`], but each checked node's partition is
 /// *rolled up* from a failed predecessor's cached partition —
-/// O(#classes) instead of an O(n·q) row rescan — and the independent
-/// checks within one lattice level run in parallel, merged in fixed
-/// node order so the result is byte-identical at any thread count.
+/// O(#classes) instead of an O(n·q) row rescan.
 ///
 /// On top of the size-1 stage the kernel path runs Incognito's size-2
 /// subset stage: for every attribute pair it sweeps the pair's small
@@ -317,12 +315,9 @@ fn kernel_lattice_search(
             to_check.push(node);
         }
 
-        // the nodes of one level are independent (all pruning reads
-        // level s−1 state), so their partitions can be computed
-        // concurrently; flattening the chunk results restores
-        // enumeration order, and the rollup source (the cached
-        // predecessor with the fewest classes, first index on ties)
-        // depends only on `prev_parts`
+        // roll each node up from the cached predecessor with the
+        // fewest classes (first index on ties), else build it from
+        // the rows
         let evaluate = |node: &Vec<u32>| -> (Partition, bool, u64) {
             let mut src: Option<(usize, &Partition)> = None;
             for i in 0..q {
@@ -344,18 +339,11 @@ fn kernel_lattice_search(
             let tabs: Vec<&LevelTable> = (0..q).map(|i| rt.table(i, node[i])).collect();
             (Partition::build(matrix, &tabs), false, 0)
         };
-        let results: Vec<(Partition, bool, u64)> =
-            secreta_parallel::par_chunks(to_check.len(), 1, |lo, hi| {
-                to_check[lo..hi].iter().map(evaluate).collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-
-        // sequential merge in node order: anonymity bookkeeping,
-        // counters and the next level's rollup cache
+        // in node order: anonymity bookkeeping, counters and the next
+        // level's rollup cache
         let mut next_parts: FxHashMap<Vec<u32>, Partition> = FxHashMap::default();
-        for (node, (part, rolled, nc)) in to_check.into_iter().zip(results) {
+        for node in to_check {
+            let (part, rolled, nc) = evaluate(&node);
             checks += 1;
             if rolled {
                 rollups += 1;

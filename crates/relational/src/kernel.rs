@@ -27,7 +27,7 @@
 //!
 //! Every kernel result is byte-identical to the corresponding naive
 //! computation; the `kernels` integration tests prove it on randomized
-//! inputs at 1/2/8 threads.
+//! inputs.
 
 use crate::common::ValueMatrix;
 use secreta_data::hash::FxHashMap;

@@ -153,24 +153,6 @@ proptest! {
     }
 
     #[test]
-    fn cluster_output_invariant_under_thread_count(
-        rows in rows_strategy(),
-        k in 2usize..5,
-        seed in 0u64..50,
-        threads in 2usize..6,
-    ) {
-        prop_assume!(rows.len() >= k);
-        let t = build_table(&rows, 10, 6);
-        let i = input(&t, k, 3);
-        secreta_parallel::set_threads(1);
-        let sequential = secreta_relational::cluster::anonymize(&i, seed).expect("feasible");
-        secreta_parallel::set_threads(threads);
-        let parallel = secreta_relational::cluster::anonymize(&i, seed).expect("feasible");
-        secreta_parallel::set_threads(0);
-        prop_assert_eq!(sequential.anon, parallel.anon);
-    }
-
-    #[test]
     fn cluster_classes_at_least_k_and_at_most_n(
         rows in rows_strategy(),
         k in 2usize..6,

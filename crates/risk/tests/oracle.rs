@@ -13,8 +13,7 @@ use secreta_transaction::Counting::{Kernel, Naive};
 use secreta_transaction::{apriori, coat, set_density_threshold, TransactionInput};
 use std::sync::Mutex;
 
-/// Serializes tests that touch process-global knobs (thread cap,
-/// density threshold).
+/// Serializes tests that touch the process-global density threshold.
 static GLOBALS: Mutex<()> = Mutex::new(());
 
 fn build_table(rows: &[Vec<usize>], universe: usize) -> RtTable {
@@ -132,17 +131,16 @@ fn risk_invariant_under_thread_count() {
     let anon = AnonTable::identity(&t, &[]);
     let params = RiskParams::default();
 
-    secreta_parallel::set_threads(1);
     let (sequential, _) = transaction_risk(&t, &anon, None, &params, Kernel);
     for threads in [2, 8] {
-        secreta_parallel::set_threads(threads);
-        let (parallel, _) = transaction_risk(&t, &anon, None, &params, Kernel);
+        let (parallel, _) = secreta_parallel::with_threads(threads, || {
+            transaction_risk(&t, &anon, None, &params, Kernel)
+        });
         assert_eq!(
             parallel, sequential,
             "risk indicators differ at {threads} threads"
         );
     }
-    secreta_parallel::set_threads(0);
     // and the sharded walk agrees with the oracle on this table too
     let (slow, _) = transaction_risk(&t, &anon, None, &params, Naive);
     assert_eq!(sequential, slow);

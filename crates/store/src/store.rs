@@ -445,11 +445,13 @@ impl RunStore {
         anon_text: &str,
         fence: Option<(u64, &dyn Fn() -> bool)>,
     ) -> Result<bool, StoreError> {
-        // fault-injection point: before any bytes touch disk, so a
-        // retried attempt starts from a clean slate
+        // fault-injection points: before any bytes touch disk, so a
+        // retried attempt starts from a clean slate and a crashed
+        // writer leaves only the commits that finished before it
         if let Some(e) = secreta_faults::fault::io("store.put") {
             return Err(StoreError::Io(self.root.join("tmp"), e));
         }
+        secreta_faults::fault::crash_point("store.put");
         let epoch = fence.map(|(epoch, _)| format!("-e{epoch}"));
         let stage = self.root.join("tmp").join(format!(
             "{}-{}-{}{}",

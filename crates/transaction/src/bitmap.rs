@@ -12,10 +12,7 @@
 //!
 //! * [`Bitset`] — one bit per row position, 64 rows per machine word.
 //!   Union is word-wise `OR`, intersection word-wise `AND`,
-//!   cardinality a `count_ones` popcount loop. The popcount loop is
-//!   chunked through [`secreta_parallel::par_chunks`]; partial sums
-//!   are integers merged in fixed chunk order, so the count is
-//!   byte-identical at any thread count.
+//!   cardinality a `count_ones` popcount loop.
 //! * [`RowSet`] — the tiered set: `Sparse` (sorted positions, the CSR
 //!   representation) below the density threshold, `Dense` (a
 //!   [`Bitset`]) above it. Mixed `Dense`×`Sparse` intersections probe
@@ -33,9 +30,9 @@
 //! kernel as its baseline.
 //!
 //! Determinism: every operation here computes a set cardinality or a
-//! sorted position list — values independent of the representation
-//! *and* of the thread count. The tier a set lands in depends only on
-//! the table and the threshold, never on scheduling.
+//! sorted position list — values independent of the representation.
+//! The tier a set lands in depends only on the table and the
+//! threshold.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -87,11 +84,6 @@ pub fn density_threshold() -> f64 {
     }
     DEFAULT_DENSITY_THRESHOLD
 }
-
-/// Words per [`secreta_parallel::par_chunks`] shard of a popcount
-/// loop: 1 Mi rows per shard — popcounting is so cheap that smaller
-/// shards would be pure spawn overhead.
-const POPCOUNT_WORDS_PER_CHUNK: usize = 1 << 14;
 
 /// A fixed-universe bit set over row positions `0..n_bits`.
 ///
@@ -169,60 +161,22 @@ impl Bitset {
         }
     }
 
-    /// Cardinality, as a chunked popcount loop: per-chunk partial
-    /// sums are integers merged in fixed chunk order through
-    /// [`secreta_parallel::par_chunks`], so the result is identical
-    /// at any thread count (integer addition is associative — there
-    /// is nothing scheduling could reorder observably).
+    /// Cardinality, as a popcount loop.
     pub fn count_ones(&self) -> usize {
-        // a single-shard input would reach par_chunks' sequential
-        // fallback anyway, but that path still allocates the partials
-        // vector — and support checks popcount small bitsets millions
-        // of times, so skip straight to the loop (integer addition is
-        // order-independent, the result cannot differ)
-        if self.words.len() <= POPCOUNT_WORDS_PER_CHUNK {
-            return self
-                .words
-                .iter()
-                .map(|w| w.count_ones() as u64)
-                .sum::<u64>() as usize;
-        }
-        let parts = secreta_parallel::par_chunks(self.words.len(), POPCOUNT_WORDS_PER_CHUNK, {
-            let words = &self.words;
-            move |lo, hi| {
-                words[lo..hi]
-                    .iter()
-                    .map(|w| w.count_ones() as u64)
-                    .sum::<u64>()
-            }
-        });
-        parts.into_iter().sum::<u64>() as usize
+        self.words
+            .iter()
+            .map(|w| w.count_ones() as u64)
+            .sum::<u64>() as usize
     }
 
-    /// `|self ∩ other|` without materializing the intersection (same
-    /// chunked popcount contract as [`Bitset::count_ones`]).
+    /// `|self ∩ other|` without materializing the intersection.
     pub fn intersect_count(&self, other: &Bitset) -> usize {
         debug_assert_eq!(self.n_bits, other.n_bits);
-        // same single-shard shortcut as [`Bitset::count_ones`]
-        if self.words.len() <= POPCOUNT_WORDS_PER_CHUNK {
-            return self
-                .words
-                .iter()
-                .zip(&other.words)
-                .map(|(x, y)| (x & y).count_ones() as u64)
-                .sum::<u64>() as usize;
-        }
-        let parts = secreta_parallel::par_chunks(self.words.len(), POPCOUNT_WORDS_PER_CHUNK, {
-            let (a, b) = (&self.words, &other.words);
-            move |lo, hi| {
-                a[lo..hi]
-                    .iter()
-                    .zip(&b[lo..hi])
-                    .map(|(x, y)| (x & y).count_ones() as u64)
-                    .sum::<u64>()
-            }
-        });
-        parts.into_iter().sum::<u64>() as usize
+        self.words
+            .iter()
+            .zip(&other.words)
+            .map(|(x, y)| (x & y).count_ones() as u64)
+            .sum::<u64>() as usize
     }
 
     /// `|self ∩ o₁ ∩ o₂ ∩ …|` for a chain of same-universe bitsets,
@@ -456,27 +410,6 @@ mod tests {
         assert_eq!(out, vec![0, 64, 129]);
         // probing an empty sparse list is a no-op
         assert_eq!(dense.probe_count(&[]), 0);
-    }
-
-    #[test]
-    fn chunked_popcount_is_thread_invariant() {
-        // large enough to span several popcount chunks
-        let n = (POPCOUNT_WORDS_PER_CHUNK * 3 + 7) * 64;
-        let mut b = Bitset::new(n);
-        let mut z = 0x9e37_79b9_7f4a_7c15u64;
-        for _ in 0..50_000 {
-            z ^= z << 13;
-            z ^= z >> 7;
-            z ^= z << 17;
-            b.insert((z % n as u64) as u32);
-        }
-        secreta_parallel::set_threads(1);
-        let seq = b.count_ones();
-        for threads in [2, 8] {
-            secreta_parallel::set_threads(threads);
-            assert_eq!(b.count_ones(), seq, "threads={threads}");
-        }
-        secreta_parallel::set_threads(0);
     }
 
     #[test]

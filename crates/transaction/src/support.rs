@@ -27,8 +27,9 @@
 //!   probing sparse positions against bitmap words.
 //! * [`RowSupport`] / [`RuleCounts`] — **incremental, sharded
 //!   counters** on top of the two: the initial count shards rows
-//!   across `secreta-parallel` workers (per-shard maps merged in fixed
-//!   shard order, so counts are identical at any thread count), and
+//!   across the caller's `secreta-parallel` thread budget (per-shard
+//!   maps merged in fixed shard order, so counts are identical at any
+//!   budget), and
 //!   later rounds re-enumerate only the rows a recoding step dirtied.
 //!
 //! Determinism contract: kernel counts equal the sequential naive
@@ -1437,11 +1438,10 @@ mod tests {
                 v.dedup();
                 v
             };
-            secreta_parallel::set_threads(1);
             let seq = RowSupport::build(n, 2, |pos, buf| buf.extend_from_slice(&list_of(pos)));
-            secreta_parallel::set_threads(4);
-            let par = RowSupport::build(n, 2, |pos, buf| buf.extend_from_slice(&list_of(pos)));
-            secreta_parallel::set_threads(0);
+            let par = secreta_parallel::with_threads(4, || {
+                RowSupport::build(n, 2, |pos, buf| buf.extend_from_slice(&list_of(pos)))
+            });
             prop_assert_eq!(seq.map.len(), par.map.len());
             for (key, count) in seq.map.iter() {
                 prop_assert_eq!(par.map.get(key), Some(count));

@@ -1,7 +1,7 @@
-//! Cross-checks of the interned/parallel support kernels: every
+//! Cross-checks of the interned/sharded support kernels: every
 //! ported algorithm must produce byte-identical output to its naive
 //! reference counter on random RT-tables (random universes, duplicate
-//! items, empty transactions) and at any thread count.
+//! items, empty transactions) and at any thread budget.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -13,8 +13,8 @@ use secreta_transaction::{
 };
 use std::sync::Mutex;
 
-/// Tests here mutate process-global knobs (thread cap, bitmap density
-/// threshold); they take this lock so the mutations never interleave.
+/// Tests here mutate or depend on the process-global bitmap density
+/// threshold; they take this lock so the mutations never interleave.
 static GLOBALS: Mutex<()> = Mutex::new(());
 
 fn build_table(rows: &[Vec<usize>], universe: usize) -> RtTable {
@@ -243,9 +243,9 @@ fn demo_table(n_rows: usize, universe: usize, max_items: u64) -> RtTable {
     t
 }
 
-/// Sharded counting must be byte-identical at any thread count, for
-/// every ported algorithm. One test, sequential: the thread cap is
-/// process-global, so the sweep must not interleave with itself.
+/// Sharded counting must be byte-identical at any thread budget, for
+/// every ported algorithm. The lock keeps a concurrent test's density
+/// threshold from changing the tiers between the runs compared.
 #[test]
 fn outputs_invariant_under_thread_count() {
     let _serial = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
@@ -295,22 +295,18 @@ fn outputs_invariant_under_thread_count() {
         ),
     ];
     for (name, run) in &algos {
-        secreta_parallel::set_threads(1);
         let sequential = run();
         for threads in [2, 8] {
-            secreta_parallel::set_threads(threads);
-            let parallel = run();
+            let parallel = secreta_parallel::with_threads(threads, run);
             assert_eq!(parallel, sequential, "{name} differs at {threads} threads");
         }
     }
-    secreta_parallel::set_threads(0); // restore the default cap
 }
 
 /// The tiered path specifically — density threshold forced low enough
 /// that the skewed table's frequent items (and the merged groups
 /// COAT/PCTA build) go dense — must stay byte-identical at 1/2/8
-/// threads: the chunked popcount merges are the only place threading
-/// touches the dense tier.
+/// threads.
 #[test]
 fn tiered_outputs_invariant_under_thread_count() {
     let _serial = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
@@ -336,18 +332,15 @@ fn tiered_outputs_invariant_under_thread_count() {
         ("pcta", Box::new(|| pcta::anonymize(&plain).unwrap().anon)),
     ];
     for (name, run) in &algos {
-        secreta_parallel::set_threads(1);
         let sequential = run();
         for threads in [2, 8] {
-            secreta_parallel::set_threads(threads);
-            let parallel = run();
+            let parallel = secreta_parallel::with_threads(threads, run);
             assert_eq!(
                 parallel, sequential,
                 "{name} (tiered) differs at {threads} threads"
             );
         }
     }
-    secreta_parallel::set_threads(0);
     set_density_threshold(None);
 }
 

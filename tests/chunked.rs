@@ -179,20 +179,19 @@ proptest! {
         let ctx_mem = SessionContext::auto(in_memory, 3).expect("hierarchies");
         let (_, chunked) = tables.swap_remove(0);
         let ctx_chunked = SessionContext::auto(chunked, 3).expect("hierarchies");
-        let before = secreta::core::parallel::max_threads();
         for spec in every_method() {
             let baseline = anonymized_bytes(&ctx_mem, &spec, seed);
             for threads in [1usize, 2, 8] {
-                secreta::core::parallel::set_threads(threads);
                 prop_assert_eq!(
-                    anonymized_bytes(&ctx_chunked, &spec, seed),
+                    secreta::core::parallel::with_threads(threads, || {
+                        anonymized_bytes(&ctx_chunked, &spec, seed)
+                    }),
                     baseline.clone(),
                     "{} at {} threads",
                     spec.label(),
                     threads
                 );
             }
-            secreta::core::parallel::set_threads(before);
         }
     }
 }
