@@ -18,12 +18,12 @@
 //! letting the process grow until the OOM killer takes it; callers
 //! (the CLI's degraded path) turn that into exit code 3.
 
-use crate::csv::{names_for, schema_for, split_items, CsvOptions, RecordReader};
+use crate::csv::{read_records, CsvOptions, RecordSink};
 use crate::error::DataError;
 use crate::schema::Schema;
-use crate::table::{RtTable, TxChunk};
+use crate::table::{check_row_shape, sort_dedup_tail, RtTable, TxChunk};
 use crate::value::{ItemId, ValueId, ValuePool};
-use std::io::{BufRead, BufReader, Read};
+use std::io::{BufReader, Read};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -370,66 +370,25 @@ impl ChunkedTable {
     /// interned into the open chunk's local pools; global merge
     /// happens when the chunk seals.
     pub fn push_row(&mut self, rel_values: &[&str], items: &[&str]) -> Result<(), DataError> {
-        self.set_mode(PushMode::Strs)?;
-        let rel_idx = self.schema.relational_indices();
-        if rel_values.len() != rel_idx.len() {
-            return Err(DataError::Invalid(format!(
-                "expected {} relational values, got {}",
-                rel_idx.len(),
-                rel_values.len()
-            )));
-        }
-        let tx = self.schema.transaction_index();
-        if tx.is_none() && !items.is_empty() {
-            return Err(DataError::Invalid(
-                "schema has no transaction attribute but items were supplied".into(),
-            ));
-        }
+        self.push_fields(rel_values.iter().copied(), items.iter().copied())
+    }
 
-        // Intern into the open chunk's local pools to learn the cost
-        // (charging each *new* local symbol plus the id storage), and
-        // only commit the row once the budget admits it.
-        let mut b = self.open.take().unwrap_or_else(|| {
-            ChunkBuilder::new(self.n_rows, self.schema.len(), rel_idx.len(), tx.is_some())
-        });
+    /// The open chunk, started if there is none.
+    fn open_chunk(&mut self) -> ChunkBuilder {
+        self.open.take().unwrap_or_else(|| {
+            ChunkBuilder::new(
+                self.n_rows,
+                self.schema.len(),
+                self.schema.relational().count(),
+                self.schema.transaction_index().is_some(),
+            )
+        })
+    }
 
-        let mut new_symbol_bytes = 0u64;
-        let mut rel_ids = Vec::with_capacity(rel_idx.len());
-        for (pos, &attr) in rel_idx.iter().enumerate() {
-            let pool = &mut b.local_pools[attr];
-            let before = pool.len();
-            let id = pool.intern(rel_values[pos]);
-            if pool.len() > before {
-                new_symbol_bytes += 2 * rel_values[pos].len() as u64 + 64;
-            }
-            rel_ids.push(ValueId(id));
-        }
-        let mut tx_ids: Vec<ItemId> = Vec::new();
-        if let Some(txi) = tx {
-            let pool = &mut b.local_pools[txi];
-            for s in items {
-                let before = pool.len();
-                let id = pool.intern(s);
-                if pool.len() > before {
-                    new_symbol_bytes += 2 * s.len() as u64 + 64;
-                }
-                tx_ids.push(ItemId(id));
-            }
-            tx_ids.sort_unstable();
-            tx_ids.dedup();
-        }
-        let id_bytes =
-            4 * rel_ids.len() as u64 + 4 * (tx_ids.len() as u64 + u64::from(tx.is_some()));
-        if let Err(e) = self.budget.charge(new_symbol_bytes + id_bytes) {
-            self.open = Some(b);
-            return Err(e);
-        }
-
-        for (pos, id) in rel_ids.into_iter().enumerate() {
-            b.columns[pos].push(id);
-        }
-        if tx.is_some() {
-            b.tx_items.extend_from_slice(&tx_ids);
+    /// Commit the row staged at the end of `b`'s buffers, sealing the
+    /// chunk when it is full.
+    fn commit_row(&mut self, mut b: ChunkBuilder) -> Result<(), DataError> {
+        if self.schema.transaction_index().is_some() {
             b.tx_offsets.push(b.tx_items.len() as u32);
         }
         b.n_rows += 1;
@@ -484,64 +443,43 @@ impl ChunkedTable {
         items: &[ItemId],
     ) -> Result<(), DataError> {
         self.set_mode(PushMode::Ids)?;
-        let rel_idx = self.schema.relational_indices();
-        if rel_values.len() != rel_idx.len() {
-            return Err(DataError::Invalid(format!(
-                "expected {} relational values, got {}",
-                rel_idx.len(),
-                rel_values.len()
-            )));
-        }
-        for (pos, &attr) in rel_idx.iter().enumerate() {
-            if rel_values[pos].index() >= self.pools[attr].len() {
+        let tx = self.schema.transaction_index();
+        check_row_shape(
+            &self.schema,
+            rel_values.len(),
+            tx.is_none() && !items.is_empty(),
+        )?;
+        for (attr, v) in self.schema.relational().zip(rel_values) {
+            if v.index() >= self.pools[attr].len() {
                 return Err(DataError::Invalid(format!(
-                    "value id {} not interned in attribute {}",
-                    rel_values[pos],
+                    "value id {v} not interned in attribute {}",
                     self.schema.attribute(attr).expect("attr in range").name
                 )));
             }
         }
-        let tx = self.schema.transaction_index();
-        let mut ids = items.to_vec();
-        match tx {
-            Some(txi) => {
-                let universe = self.pools[txi].len();
-                ids.sort_unstable();
-                ids.dedup();
-                if ids.iter().any(|it| it.index() >= universe) {
-                    return Err(DataError::Invalid("item id not interned".into()));
-                }
+        if let Some(txi) = tx {
+            let universe = self.pools[txi].len();
+            if items.iter().any(|it| it.index() >= universe) {
+                return Err(DataError::Invalid("item id not interned".into()));
             }
-            None if !items.is_empty() => {
-                return Err(DataError::Invalid(
-                    "schema has no transaction attribute but items were supplied".into(),
-                ));
-            }
-            None => {}
         }
-        let id_bytes =
-            4 * rel_values.len() as u64 + 4 * (ids.len() as u64 + u64::from(tx.is_some()));
-        self.budget.charge(id_bytes)?;
-
-        let mut b = self.open.take().unwrap_or_else(|| {
-            ChunkBuilder::new(self.n_rows, self.schema.len(), rel_idx.len(), tx.is_some())
-        });
-        for (pos, &id) in rel_values.iter().enumerate() {
-            b.columns[pos].push(id);
-        }
+        let mut b = self.open_chunk();
+        let tx_start = b.tx_items.len();
         if tx.is_some() {
-            b.tx_items.extend_from_slice(&ids);
-            b.tx_offsets.push(b.tx_items.len() as u32);
+            b.tx_items.extend_from_slice(items);
+            sort_dedup_tail(&mut b.tx_items, tx_start);
         }
-        b.n_rows += 1;
-        let full = b.n_rows >= self.chunk_rows;
-        self.open = Some(b);
-        self.n_rows += 1;
-        self.stats.rows += 1;
-        if full {
-            self.seal()?;
+        let n_items = (b.tx_items.len() - tx_start) as u64;
+        let id_bytes = 4 * rel_values.len() as u64 + 4 * (n_items + u64::from(tx.is_some()));
+        if let Err(e) = self.budget.charge(id_bytes) {
+            b.tx_items.truncate(tx_start);
+            self.open = Some(b);
+            return Err(e);
         }
-        Ok(())
+        for (col, &id) in b.columns.iter_mut().zip(rel_values) {
+            col.push(id);
+        }
+        self.commit_row(b)
     }
 
     /// Seal the open chunk: merge its local pools into the global
@@ -676,6 +614,62 @@ impl ChunkedTable {
     }
 }
 
+impl RecordSink for ChunkedTable {
+    fn push_fields<'v>(
+        &mut self,
+        rel_values: impl ExactSizeIterator<Item = &'v str>,
+        mut items: impl Iterator<Item = &'v str>,
+    ) -> Result<(), DataError> {
+        self.set_mode(PushMode::Strs)?;
+        let tx = self.schema.transaction_index();
+        check_row_shape(
+            &self.schema,
+            rel_values.len(),
+            tx.is_none() && items.next().is_some(),
+        )?;
+
+        // Stage the row at the end of the open chunk's buffers,
+        // interning into its local pools to learn the cost (each *new*
+        // local symbol plus the id storage), and only commit it once
+        // the budget admits it.
+        let mut b = self.open_chunk();
+        let mut new_symbol_bytes = 0u64;
+        for ((pos, attr), value) in self.schema.relational().enumerate().zip(rel_values) {
+            let pool = &mut b.local_pools[attr];
+            let before = pool.len();
+            let id = pool.intern(value);
+            if pool.len() > before {
+                new_symbol_bytes += 2 * value.len() as u64 + 64;
+            }
+            b.columns[pos].push(ValueId(id));
+        }
+        let tx_start = b.tx_items.len();
+        if let Some(txi) = tx {
+            let pool = &mut b.local_pools[txi];
+            for s in items {
+                let before = pool.len();
+                let id = pool.intern(s);
+                if pool.len() > before {
+                    new_symbol_bytes += 2 * s.len() as u64 + 64;
+                }
+                b.tx_items.push(ItemId(id));
+            }
+            sort_dedup_tail(&mut b.tx_items, tx_start);
+        }
+        let n_items = (b.tx_items.len() - tx_start) as u64;
+        let id_bytes = 4 * b.columns.len() as u64 + 4 * (n_items + u64::from(tx.is_some()));
+        if let Err(e) = self.budget.charge(new_symbol_bytes + id_bytes) {
+            for col in &mut b.columns {
+                col.truncate(b.n_rows);
+            }
+            b.tx_items.truncate(tx_start);
+            self.open = Some(b);
+            return Err(e);
+        }
+        self.commit_row(b)
+    }
+}
+
 /// Stream a dataset from any reader into a [`ChunkedTable`], sealing
 /// a chunk every `chunk_rows` rows and charging every retained byte
 /// against `budget`. Parsing goes through the same record reader as
@@ -688,76 +682,9 @@ pub fn read_chunked<R: Read>(
     chunk_rows: usize,
     budget: MemoryBudget,
 ) -> Result<ChunkedTable, DataError> {
-    let mut records = RecordReader::new(BufReader::new(reader), opts.delimiter);
-    read_chunked_records(&mut records, opts, chunk_rows, budget)
-}
-
-fn read_chunked_records<R: BufRead>(
-    records: &mut RecordReader<R>,
-    opts: &CsvOptions,
-    chunk_rows: usize,
-    budget: MemoryBudget,
-) -> Result<ChunkedTable, DataError> {
-    let header: Option<Vec<String>> = if opts.has_header {
-        match records.next_record()? {
-            Some(rec) => Some(rec.fields),
-            None => return Err(DataError::EmptyInput),
-        }
-    } else {
-        None
-    };
-
-    let mut width = header.as_ref().map_or(0, Vec::len);
-    let mut table: Option<ChunkedTable> = None;
-    let mut budget = Some(budget);
-    let mut rel_idx: Vec<usize> = Vec::new();
-    let mut tx_idx: Option<usize> = None;
-
-    if width > 0 {
-        let names = names_for(header.clone(), width);
-        let schema = schema_for(&names, opts)?;
-        rel_idx = schema.relational_indices();
-        tx_idx = schema.transaction_index();
-        table = Some(ChunkedTable::new(
-            schema,
-            chunk_rows,
-            budget.take().expect("budget unused"),
-        ));
-    }
-
-    while let Some(rec) = records.next_record()? {
-        if rec.blank && width != 1 {
-            continue;
-        }
-        if width == 0 {
-            width = rec.fields.len();
-            let names = names_for(None, width);
-            let schema = schema_for(&names, opts)?;
-            rel_idx = schema.relational_indices();
-            tx_idx = schema.transaction_index();
-            table = Some(ChunkedTable::new(
-                schema,
-                chunk_rows,
-                budget.take().expect("budget unused"),
-            ));
-        }
-        if rec.fields.len() != width {
-            return Err(DataError::RaggedRow {
-                line: rec.line,
-                found: rec.fields.len(),
-                expected: width,
-            });
-        }
-        let t = table.as_mut().expect("table built with width");
-        let rel: Vec<&str> = rel_idx.iter().map(|&i| rec.fields[i].trim()).collect();
-        let items: Vec<&str> = match tx_idx {
-            Some(i) => split_items(&rec.fields[i], opts.item_delimiter),
-            None => Vec::new(),
-        };
-        t.push_row(&rel, &items)?;
-    }
-
-    let mut t = table.ok_or(DataError::EmptyInput)?;
+    let mut t = read_records(BufReader::new(reader), opts, |schema| {
+        ChunkedTable::new(schema, chunk_rows, budget)
+    })?;
     t.finish()?;
     Ok(t)
 }

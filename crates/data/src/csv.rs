@@ -55,17 +55,21 @@ impl CsvOptions {
     }
 }
 
-/// Incremental field parser: the quote state machine behind both the
-/// line-at-a-time [`split_line`] and the multi-line [`RecordReader`].
+/// Incremental field parser: the quote state machine behind
+/// [`RecordReader`].
 ///
-/// A quote opens a field only at the field's start; inside a quoted
-/// field `""` is a literal quote. The parser is fed whole physical
-/// lines; when a line ends with a quote still open the record
-/// continues on the next line (the newline is part of the field).
+/// A quote opens a field only while the field's text so far is empty;
+/// inside a quoted field `""` is a literal quote. The parser is fed
+/// whole physical lines; when a line ends with a quote still open the
+/// record continues on the next line (the newline is part of the
+/// field). One record's fields live back to back in one buffer, which
+/// is cleared, not freed, between records.
 struct FieldParser {
     delim: char,
-    fields: Vec<String>,
-    cur: String,
+    /// Unescaped text of every field so far, back to back.
+    text: String,
+    /// End offset in `text` of every closed field.
+    ends: Vec<usize>,
     quoted: bool,
 }
 
@@ -73,60 +77,98 @@ impl FieldParser {
     fn new(delim: char) -> Self {
         Self {
             delim,
-            fields: Vec::new(),
-            cur: String::new(),
+            text: String::new(),
+            ends: Vec::new(),
             quoted: false,
         }
     }
 
-    /// Feed a chunk of text. `""` never spans feed boundaries because
-    /// callers feed whole physical lines and join them with `feed_newline`.
-    fn feed(&mut self, text: &str) {
-        let mut chars = text.chars().peekable();
-        while let Some(c) = chars.next() {
+    /// Start a new record.
+    fn clear(&mut self) {
+        self.text.clear();
+        self.ends.clear();
+        self.quoted = false;
+    }
+
+    /// Feed a chunk of text, copying the runs between delimiters and
+    /// quotes. `""` never spans feed boundaries because callers feed
+    /// whole physical lines and join them with `feed_newline`.
+    fn feed(&mut self, mut s: &str) {
+        while !s.is_empty() {
             if self.quoted {
-                if c == '"' {
-                    if chars.peek() == Some(&'"') {
-                        chars.next();
-                        self.cur.push('"');
-                    } else {
-                        self.quoted = false;
+                let Some(q) = s.find('"') else {
+                    self.text.push_str(s);
+                    return;
+                };
+                self.text.push_str(&s[..q]);
+                s = &s[q + 1..];
+                match s.strip_prefix('"') {
+                    Some(rest) => {
+                        self.text.push('"');
+                        s = rest;
                     }
-                } else {
-                    self.cur.push(c);
+                    None => self.quoted = false,
                 }
-            } else if c == '"' && self.cur.is_empty() {
+            } else if let Some(rest) = s.strip_prefix('"') {
+                // unquoted, `s` starts a field or follows a closing
+                // quote, and a quote cannot follow that (the pair would
+                // be `""`): the field's text is empty, so this opens it
                 self.quoted = true;
-            } else if c == self.delim {
-                self.fields.push(std::mem::take(&mut self.cur));
+                s = rest;
             } else {
-                self.cur.push(c);
+                // `s` does not start with a quote, so every quote before
+                // the next delimiter follows field text and is literal
+                let Some(d) = s.find(self.delim) else {
+                    self.text.push_str(s);
+                    return;
+                };
+                self.text.push_str(&s[..d]);
+                self.ends.push(self.text.len());
+                s = &s[d + self.delim.len_utf8()..];
             }
         }
     }
 
     /// A record-internal newline (only reachable while quoted).
     fn feed_newline(&mut self) {
-        self.cur.push('\n');
+        self.text.push('\n');
     }
 
-    /// Close the record and take its fields.
-    fn finish(&mut self) -> Vec<String> {
-        self.fields.push(std::mem::take(&mut self.cur));
-        std::mem::take(&mut self.fields)
+    /// Close the record's last field.
+    fn finish(&mut self) {
+        self.ends.push(self.text.len());
     }
 }
 
-/// One logical CSV record: its parsed fields plus enough physical-file
-/// context for the caller to reproduce the line-based reader's
-/// behaviour (blank-line skipping, ragged-row line numbers).
-pub(crate) struct Record {
-    /// Parsed fields.
-    pub fields: Vec<String>,
+/// One logical CSV record, borrowed from its [`RecordReader`] until the
+/// next call: its parsed fields plus enough physical-file context for
+/// the caller to reproduce the line-based reader's behaviour
+/// (blank-line skipping, ragged-row line numbers).
+struct Record<'a> {
+    text: &'a str,
+    ends: &'a [usize],
     /// True when the record is a single physical line of whitespace.
-    pub blank: bool,
+    blank: bool,
     /// 1-based physical line number where the record starts.
-    pub line: usize,
+    line: usize,
+}
+
+impl<'a> Record<'a> {
+    /// Number of fields (at least 1).
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Field `i`, unescaped.
+    fn field(&self, i: usize) -> &'a str {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.text[start..self.ends[i]]
+    }
+
+    /// Every field, in order.
+    fn fields(&self) -> impl Iterator<Item = &'a str> + '_ {
+        (0..self.len()).map(|i| self.field(i))
+    }
 }
 
 /// Streaming reader yielding one logical record at a time.
@@ -137,92 +179,174 @@ pub(crate) struct Record {
 /// terminate a line) and a final record without a trailing newline is
 /// yielded like any other. Both [`read_table`] and the chunked
 /// ingest ([`crate::chunk::read_chunked`]) parse through this reader,
-/// so the two paths cannot diverge.
-pub(crate) struct RecordReader<R: BufRead> {
+/// in [`read_records`], so the two paths cannot diverge.
+struct RecordReader<R: BufRead> {
     reader: R,
-    delim: char,
     /// 1-based number of the next physical line to read.
     next_line: usize,
-    buf: String,
+    /// The physical line last read, without its terminator.
+    line: String,
+    parser: FieldParser,
 }
 
 impl<R: BufRead> RecordReader<R> {
-    pub(crate) fn new(reader: R, delim: char) -> Self {
+    fn new(reader: R, delim: char) -> Self {
         Self {
             reader,
-            delim,
             next_line: 1,
-            buf: String::new(),
+            line: String::new(),
+            parser: FieldParser::new(delim),
         }
     }
 
-    /// Read one physical line (without its terminator); `None` at EOF.
-    fn next_line(&mut self) -> Result<Option<&str>, DataError> {
-        self.buf.clear();
-        let n = self.reader.read_line(&mut self.buf)?;
-        if n == 0 {
-            return Ok(None);
+    /// Read one physical line into `line`; false at EOF.
+    fn read_line(&mut self) -> Result<bool, DataError> {
+        self.line.clear();
+        if self.reader.read_line(&mut self.line)? == 0 {
+            return Ok(false);
         }
         self.next_line += 1;
-        if self.buf.ends_with('\n') {
-            self.buf.pop();
-            if self.buf.ends_with('\r') {
-                self.buf.pop();
+        if self.line.ends_with('\n') {
+            self.line.pop();
+            if self.line.ends_with('\r') {
+                self.line.pop();
             }
         }
-        Ok(Some(&self.buf))
+        Ok(true)
     }
 
     /// Next logical record, or `None` at end of input.
-    pub(crate) fn next_record(&mut self) -> Result<Option<Record>, DataError> {
+    fn next_record(&mut self) -> Result<Option<Record<'_>>, DataError> {
         let start = self.next_line;
-        let delim = self.delim;
-        let first = match self.next_line()? {
-            Some(line) => line,
-            None => return Ok(None),
-        };
-        let blank = first.trim().is_empty();
-        let mut parser = FieldParser::new(delim);
-        parser.feed(first);
+        if !self.read_line()? {
+            return Ok(None);
+        }
+        let blank = self.line.trim().is_empty();
+        self.parser.clear();
+        self.parser.feed(&self.line);
         // An open quote at end of line means the newline is literal
         // field content and the record continues on the next line.
-        while parser.quoted {
-            match self.next_line()? {
-                Some(line) => {
-                    parser.feed_newline();
-                    parser.feed(line);
-                }
-                // EOF inside an open quote: close the record as-is,
-                // matching the line-based reader's lenient stance.
-                None => break,
-            }
+        // EOF inside an open quote closes the record as-is, matching
+        // the line-based reader's lenient stance.
+        while self.parser.quoted && self.read_line()? {
+            self.parser.feed_newline();
+            self.parser.feed(&self.line);
         }
+        self.parser.finish();
         Ok(Some(Record {
-            fields: parser.finish(),
+            text: &self.parser.text,
+            ends: &self.parser.ends,
             blank,
             line: start,
         }))
     }
 }
 
-/// Quote a field when it contains the delimiter, a quote, a newline,
-/// or leading whitespace that would be ambiguous.
-fn quote_field(field: &str, delim: char) -> String {
-    if field.contains(delim)
-        || field.contains('"')
-        || field.contains('\n')
-        || field.contains('\r')
-        || field.starts_with(' ')
-    {
-        let escaped = field.replace('"', "\"\"");
-        format!("\"{escaped}\"")
+/// A table the CSV readers fill one record at a time: [`RtTable`] in
+/// memory, [`crate::chunk::ChunkedTable`] chunk by chunk under a
+/// memory budget.
+pub(crate) trait RecordSink {
+    /// Append a record given its textual relational values (in
+    /// relational attribute order) and its textual transaction items.
+    fn push_fields<'v>(
+        &mut self,
+        rel_values: impl ExactSizeIterator<Item = &'v str>,
+        items: impl Iterator<Item = &'v str>,
+    ) -> Result<(), DataError>;
+}
+
+/// Parse `reader` into the table `new_table` builds once the header,
+/// or else the first record, fixes the schema. Only the header is
+/// copied out of the reader; every other field goes from the reader's
+/// buffer straight into the table.
+pub(crate) fn read_records<R: BufRead, T: RecordSink>(
+    reader: R,
+    opts: &CsvOptions,
+    new_table: impl FnOnce(Schema) -> T,
+) -> Result<T, DataError> {
+    let mut records = RecordReader::new(reader, opts.delimiter);
+    let mut new_table = Some(new_table);
+    let mut build = |names: Vec<String>| -> Result<_, DataError> {
+        let schema = schema_for(&names, opts)?;
+        let rel_idx = schema.relational_indices();
+        let tx_idx = schema.transaction_index();
+        let build = new_table.take().expect("the schema is fixed once");
+        Ok((build(schema), rel_idx, tx_idx))
+    };
+
+    let mut table = None;
+    let mut width = 0;
+    if opts.has_header {
+        let Some(rec) = records.next_record()? else {
+            return Err(DataError::EmptyInput);
+        };
+        let names: Vec<String> = rec.fields().map(str::to_owned).collect();
+        width = names.len();
+        table = Some(build(names)?);
+    }
+    while let Some(rec) = records.next_record()? {
+        // A blank line is noise in a multi-column file, but in a
+        // single-column file it is a record with one empty field
+        // (e.g. an empty transaction).
+        if rec.blank && width != 1 {
+            continue;
+        }
+        if width == 0 {
+            width = rec.len();
+            table = Some(build((0..width).map(|i| i.to_string()).collect())?);
+        }
+        if rec.len() != width {
+            return Err(DataError::RaggedRow {
+                line: rec.line,
+                found: rec.len(),
+                expected: width,
+            });
+        }
+        let (t, rel_idx, tx_idx) = table.as_mut().expect("built once the width is known");
+        let items = tx_idx.map(|i| split_items(rec.field(i), opts.item_delimiter));
+        t.push_fields(
+            rel_idx.iter().map(|&i| rec.field(i).trim()),
+            items.into_iter().flatten(),
+        )?;
+    }
+    table.map(|(t, ..)| t).ok_or(DataError::EmptyInput)
+}
+
+/// Whether `field` must be quoted: it contains the delimiter, a quote,
+/// a newline or a carriage return, or has ambiguous leading whitespace.
+fn needs_quotes(field: &str, delim: char) -> bool {
+    let special = |b: u8| matches!(b, b'"' | b'\n' | b'\r');
+    field.starts_with(' ')
+        || match u8::try_from(delim) {
+            // an ASCII byte never occurs inside a multi-byte character
+            Ok(d) if d.is_ascii() => field.bytes().any(|b| b == d || special(b)),
+            _ => field.contains(delim) || field.bytes().any(special),
+        }
+}
+
+/// Append `field` to `out`, quoted when [`needs_quotes`] says so.
+fn push_field(out: &mut Vec<u8>, field: &str, delim: char) {
+    if needs_quotes(field, delim) {
+        push_quoted(out, field);
     } else {
-        field.to_owned()
+        out.extend_from_slice(field.as_bytes());
     }
 }
 
+/// Append `field` to `out` in quotes, doubling each quote inside.
+fn push_quoted(out: &mut Vec<u8>, field: &str) {
+    out.push(b'"');
+    for (i, part) in field.split('"').enumerate() {
+        if i > 0 {
+            out.extend_from_slice(b"\"\"");
+        }
+        out.extend_from_slice(part.as_bytes());
+    }
+    out.push(b'"');
+}
+
 /// Build the schema for `names` from the options' type annotations.
-pub(crate) fn schema_for(names: &[String], opts: &CsvOptions) -> Result<Schema, DataError> {
+fn schema_for(names: &[String], opts: &CsvOptions) -> Result<Schema, DataError> {
     if let Some(tx) = &opts.transaction_column {
         if !names.iter().any(|n| n == tx) {
             return Err(DataError::UnknownAttribute(tx.clone()));
@@ -244,77 +368,17 @@ pub(crate) fn schema_for(names: &[String], opts: &CsvOptions) -> Result<Schema, 
     Schema::new(attributes)
 }
 
-/// Header names: the header record when present, 0-based indices as
-/// decimal strings otherwise.
-pub(crate) fn names_for(header: Option<Vec<String>>, width: usize) -> Vec<String> {
-    match header {
-        Some(names) => names,
-        None => (0..width).map(|i| i.to_string()).collect(),
-    }
-}
-
 /// Split a raw transaction field into trimmed, non-empty item strings.
-pub(crate) fn split_items(field: &str, item_delimiter: char) -> Vec<&str> {
+fn split_items(field: &str, item_delimiter: char) -> impl Iterator<Item = &str> {
     field
         .split(item_delimiter)
         .map(str::trim)
         .filter(|s| !s.is_empty())
-        .collect()
 }
 
 /// Read a dataset from any reader.
 pub fn read_table<R: Read>(reader: R, opts: &CsvOptions) -> Result<RtTable, DataError> {
-    let mut records = RecordReader::new(BufReader::new(reader), opts.delimiter);
-
-    let header: Option<Vec<String>> = if opts.has_header {
-        match records.next_record()? {
-            Some(rec) => Some(rec.fields),
-            None => return Err(DataError::EmptyInput),
-        }
-    } else {
-        None
-    };
-
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut width = header.as_ref().map_or(0, Vec::len);
-    while let Some(rec) = records.next_record()? {
-        // A blank line is noise in a multi-column file, but in a
-        // single-column file it is a record with one empty field
-        // (e.g. an empty transaction).
-        if rec.blank && width != 1 {
-            continue;
-        }
-        if width == 0 {
-            width = rec.fields.len();
-        }
-        if rec.fields.len() != width {
-            return Err(DataError::RaggedRow {
-                line: rec.line,
-                found: rec.fields.len(),
-                expected: width,
-            });
-        }
-        rows.push(rec.fields);
-    }
-    if width == 0 {
-        return Err(DataError::EmptyInput);
-    }
-
-    let names = names_for(header, width);
-    let schema = schema_for(&names, opts)?;
-    let tx_idx = schema.transaction_index();
-    let rel_idx = schema.relational_indices();
-
-    let mut table = RtTable::new(schema);
-    for fields in rows {
-        let rel: Vec<&str> = rel_idx.iter().map(|&i| fields[i].trim()).collect();
-        let items: Vec<&str> = match tx_idx {
-            Some(i) => split_items(&fields[i], opts.item_delimiter),
-            None => Vec::new(),
-        };
-        table.push_row(&rel, &items)?;
-    }
-    Ok(table)
+    read_records(BufReader::new(reader), opts, RtTable::new)
 }
 
 /// Read a dataset from a file path. Failures — I/O and parse alike —
@@ -329,7 +393,15 @@ pub fn read_table_path(path: impl AsRef<Path>, opts: &CsvOptions) -> Result<RtTa
     read_table(file, opts).map_err(in_file)
 }
 
+/// Bytes [`write_table`] gathers before handing them to its writer: a
+/// digest sink then hashes whole blocks, and a file sees few writes.
+const WRITE_BLOCK: usize = 64 * 1024;
+
 /// Write a dataset to any writer (Data Export Module).
+///
+/// Fields are rendered into one reused buffer, handed on in blocks of
+/// at least 64 KiB. The bytes feed the session digest behind every
+/// run store key, so the format must never drift.
 pub fn write_table<W: Write>(
     table: &RtTable,
     writer: &mut W,
@@ -337,30 +409,65 @@ pub fn write_table<W: Write>(
 ) -> Result<(), DataError> {
     let schema = table.schema();
     let delim = opts.delimiter;
+    let mut delim_buf = [0u8; 4];
+    let sep = delim.encode_utf8(&mut delim_buf).as_bytes();
+    let mut out = Vec::with_capacity(2 * WRITE_BLOCK);
     if opts.has_header {
-        let header: Vec<String> = schema
-            .attributes()
-            .iter()
-            .map(|a| quote_field(&a.name, delim))
-            .collect();
-        writeln!(writer, "{}", header.join(&delim.to_string()))?;
+        for (attr, a) in schema.attributes().iter().enumerate() {
+            if attr > 0 {
+                out.extend_from_slice(sep);
+            }
+            push_field(&mut out, &a.name, delim);
+        }
+        out.push(b'\n');
     }
     let tx_idx = schema.transaction_index();
+    // whether each relational value needs quoting, decided once per
+    // distinct value instead of once per cell
+    let quoted: Vec<Vec<bool>> = (0..schema.len())
+        .map(|attr| match tx_idx {
+            Some(tx) if tx == attr => Vec::new(),
+            _ => table
+                .pool(attr)
+                .iter()
+                .map(|(_, v)| needs_quotes(v, delim))
+                .collect(),
+        })
+        .collect();
+    // the joined items of one transaction, quoted as a single field
+    let mut items = String::new();
     for row in 0..table.n_rows() {
-        let mut fields: Vec<String> = Vec::with_capacity(schema.len());
-        for (attr, a) in schema.attributes().iter().enumerate() {
+        for (attr, quoted) in quoted.iter().enumerate() {
+            if attr > 0 {
+                out.extend_from_slice(sep);
+            }
             if Some(attr) == tx_idx {
-                let items = table
-                    .transaction_strs(row)
-                    .join(&opts.item_delimiter.to_string());
-                fields.push(quote_field(&items, delim));
+                let pool = table.pool(attr);
+                items.clear();
+                for (i, it) in table.transaction(row).iter().enumerate() {
+                    if i > 0 {
+                        items.push(opts.item_delimiter);
+                    }
+                    items.push_str(pool.resolve(it.0));
+                }
+                push_field(&mut out, &items, delim);
             } else {
-                let _ = a;
-                fields.push(quote_field(table.value_str(row, attr), delim));
+                let id = table.value(row, attr).0;
+                let value = table.pool(attr).resolve(id);
+                if quoted[id as usize] {
+                    push_quoted(&mut out, value);
+                } else {
+                    out.extend_from_slice(value.as_bytes());
+                }
             }
         }
-        writeln!(writer, "{}", fields.join(&delim.to_string()))?;
+        out.push(b'\n');
+        if out.len() >= WRITE_BLOCK {
+            writer.write_all(&out)?;
+            out.clear();
+        }
     }
+    writer.write_all(&out)?;
     Ok(())
 }
 
@@ -376,14 +483,189 @@ pub fn write_table_path(
         path: path.to_path_buf(),
         error: Box::new(e),
     };
-    let mut file =
-        std::io::BufWriter::new(std::fs::File::create(path).map_err(|e| in_file(e.into()))?);
+    // write_table buffers itself, so the file sees whole blocks
+    let mut file = std::fs::File::create(path).map_err(|e| in_file(e.into()))?;
     write_table(table, &mut file, opts).map_err(in_file)
+}
+
+/// The writer and record parser as they were before the one-buffer
+/// rewrite: a `String` per cell and per row, a `char` push per byte of
+/// input. Kept only as the oracle the differential tests below hold
+/// [`write_table`] and [`RecordReader`] to, byte for byte.
+#[cfg(test)]
+mod oracle {
+    use super::{CsvOptions, DataError, RtTable};
+    use std::io::{BufRead, Write};
+
+    struct FieldParser {
+        delim: char,
+        fields: Vec<String>,
+        cur: String,
+        quoted: bool,
+    }
+
+    impl FieldParser {
+        fn new(delim: char) -> Self {
+            Self {
+                delim,
+                fields: Vec::new(),
+                cur: String::new(),
+                quoted: false,
+            }
+        }
+
+        fn feed(&mut self, text: &str) {
+            let mut chars = text.chars().peekable();
+            while let Some(c) = chars.next() {
+                if self.quoted {
+                    if c == '"' {
+                        if chars.peek() == Some(&'"') {
+                            chars.next();
+                            self.cur.push('"');
+                        } else {
+                            self.quoted = false;
+                        }
+                    } else {
+                        self.cur.push(c);
+                    }
+                } else if c == '"' && self.cur.is_empty() {
+                    self.quoted = true;
+                } else if c == self.delim {
+                    self.fields.push(std::mem::take(&mut self.cur));
+                } else {
+                    self.cur.push(c);
+                }
+            }
+        }
+
+        fn feed_newline(&mut self) {
+            self.cur.push('\n');
+        }
+
+        fn finish(&mut self) -> Vec<String> {
+            self.fields.push(std::mem::take(&mut self.cur));
+            std::mem::take(&mut self.fields)
+        }
+    }
+
+    pub(super) struct Record {
+        pub fields: Vec<String>,
+        pub blank: bool,
+        pub line: usize,
+    }
+
+    pub(super) struct RecordReader<R: BufRead> {
+        reader: R,
+        delim: char,
+        next_line: usize,
+        buf: String,
+    }
+
+    impl<R: BufRead> RecordReader<R> {
+        pub(super) fn new(reader: R, delim: char) -> Self {
+            Self {
+                reader,
+                delim,
+                next_line: 1,
+                buf: String::new(),
+            }
+        }
+
+        fn next_line(&mut self) -> Result<Option<&str>, DataError> {
+            self.buf.clear();
+            let n = self.reader.read_line(&mut self.buf)?;
+            if n == 0 {
+                return Ok(None);
+            }
+            self.next_line += 1;
+            if self.buf.ends_with('\n') {
+                self.buf.pop();
+                if self.buf.ends_with('\r') {
+                    self.buf.pop();
+                }
+            }
+            Ok(Some(&self.buf))
+        }
+
+        pub(super) fn next_record(&mut self) -> Result<Option<Record>, DataError> {
+            let start = self.next_line;
+            let delim = self.delim;
+            let first = match self.next_line()? {
+                Some(line) => line,
+                None => return Ok(None),
+            };
+            let blank = first.trim().is_empty();
+            let mut parser = FieldParser::new(delim);
+            parser.feed(first);
+            while parser.quoted {
+                match self.next_line()? {
+                    Some(line) => {
+                        parser.feed_newline();
+                        parser.feed(line);
+                    }
+                    None => break,
+                }
+            }
+            Ok(Some(Record {
+                fields: parser.finish(),
+                blank,
+                line: start,
+            }))
+        }
+    }
+
+    fn quote_field(field: &str, delim: char) -> String {
+        if field.contains(delim)
+            || field.contains('"')
+            || field.contains('\n')
+            || field.contains('\r')
+            || field.starts_with(' ')
+        {
+            let escaped = field.replace('"', "\"\"");
+            format!("\"{escaped}\"")
+        } else {
+            field.to_owned()
+        }
+    }
+
+    pub(super) fn write_table<W: Write>(
+        table: &RtTable,
+        writer: &mut W,
+        opts: &CsvOptions,
+    ) -> Result<(), DataError> {
+        let schema = table.schema();
+        let delim = opts.delimiter;
+        if opts.has_header {
+            let header: Vec<String> = schema
+                .attributes()
+                .iter()
+                .map(|a| quote_field(&a.name, delim))
+                .collect();
+            writeln!(writer, "{}", header.join(&delim.to_string()))?;
+        }
+        let tx_idx = schema.transaction_index();
+        for row in 0..table.n_rows() {
+            let mut fields: Vec<String> = Vec::with_capacity(schema.len());
+            for attr in 0..schema.len() {
+                if Some(attr) == tx_idx {
+                    let items = table
+                        .transaction_strs(row)
+                        .join(&opts.item_delimiter.to_string());
+                    fields.push(quote_field(&items, delim));
+                } else {
+                    fields.push(quote_field(table.value_str(row, attr), delim));
+                }
+            }
+            writeln!(writer, "{}", fields.join(&delim.to_string()))?;
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const SAMPLE: &str = "Age,Edu,Items\n30,BSc,milk bread\n41,MSc,beer\n30,BSc,bread milk\n";
 
@@ -603,5 +885,109 @@ mod tests {
         };
         let t = read_table("Age;Items\n30;a|b|c\n".as_bytes(), &opts).unwrap();
         assert_eq!(t.transaction(0).len(), 3);
+    }
+
+    #[test]
+    fn writer_matches_the_oracle_across_blocks() {
+        // several WRITE_BLOCKs of output, so the buffer is handed on
+        // mid-table
+        let values = ["plain", "a,b", "say \"hi\"", " lead", "café", "two\nlines"];
+        let mut table = RtTable::new(
+            Schema::new(vec![
+                Attribute::categorical("Name"),
+                Attribute::categorical("Code"),
+                Attribute::transaction("Items"),
+            ])
+            .unwrap(),
+        );
+        for i in 0..10_000 {
+            let code = i.to_string();
+            let items = [values[i % 6], values[(i / 6) % 6]];
+            table.push_row(&[values[i % 5], &code], &items).unwrap();
+        }
+        let opts = CsvOptions::with_transaction("Items");
+        let mut got = Vec::new();
+        write_table(&table, &mut got, &opts).unwrap();
+        assert!(got.len() > 3 * WRITE_BLOCK);
+        let mut want = Vec::new();
+        oracle::write_table(&table, &mut want, &opts).unwrap();
+        assert!(got == want, "writer output differs from the oracle");
+    }
+
+    /// Every character the quoting rule and the parser treat specially
+    /// under any of the three delimiters, plus plain and non-ASCII text.
+    const ALPHABET: &str = "[ab,;\t\"\r\n é]{0,6}";
+
+    /// Column names that need quoting under some delimiter.
+    const NAMES: [&str; 4] = ["A,1", "B\"q", " C", "D;\té"];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn writer_matches_the_oracle(
+            n_rel in 0usize..4,
+            with_tx in any::<bool>(),
+            has_header in any::<bool>(),
+            delim in 0usize..3,
+            item_delim in 0usize..2,
+            rows in prop::collection::vec(
+                (
+                    prop::collection::vec(ALPHABET, 3),
+                    prop::collection::vec(ALPHABET, 0..4),
+                ),
+                0..12,
+            ),
+        ) {
+            let n_rel = if with_tx { n_rel } else { n_rel.max(1) };
+            let mut attrs: Vec<Attribute> =
+                NAMES[..n_rel].iter().map(|&n| Attribute::categorical(n)).collect();
+            if with_tx {
+                attrs.insert(n_rel / 2, Attribute::transaction("Items é"));
+            }
+            let mut table = RtTable::new(Schema::new(attrs).unwrap());
+            for (values, items) in &rows {
+                let rel: Vec<&str> = values[..n_rel].iter().map(String::as_str).collect();
+                let items: Vec<&str> = if with_tx {
+                    items.iter().map(String::as_str).collect()
+                } else {
+                    Vec::new()
+                };
+                table.push_row(&rel, &items).unwrap();
+            }
+            let opts = CsvOptions {
+                delimiter: [',', ';', '\t'][delim],
+                item_delimiter: [' ', ','][item_delim],
+                has_header,
+                ..CsvOptions::default()
+            };
+            let mut got = Vec::new();
+            write_table(&table, &mut got, &opts).unwrap();
+            let mut want = Vec::new();
+            oracle::write_table(&table, &mut want, &opts).unwrap();
+            prop_assert_eq!(String::from_utf8(got).unwrap(), String::from_utf8(want).unwrap());
+        }
+
+        #[test]
+        fn record_reader_matches_the_oracle(
+            text in "[ab,;\t\"\r\n é]{0,120}",
+            delim in 0usize..3,
+        ) {
+            let delim = [',', ';', '\t'][delim];
+            let mut got = RecordReader::new(text.as_bytes(), delim);
+            let mut want = oracle::RecordReader::new(text.as_bytes(), delim);
+            loop {
+                let (g, w) = (got.next_record().unwrap(), want.next_record().unwrap());
+                match (g, w) {
+                    (None, None) => break,
+                    (Some(g), Some(w)) => {
+                        let fields: Vec<&str> = g.fields().collect();
+                        prop_assert_eq!(fields, w.fields.iter().map(String::as_str).collect::<Vec<_>>());
+                        prop_assert_eq!((g.blank, g.line), (w.blank, w.line));
+                    }
+                    (g, w) => prop_assert!(false, "one reader ended early: {} vs {}", g.is_some(), w.is_some()),
+                }
+            }
+        }
     }
 }

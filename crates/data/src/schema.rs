@@ -120,12 +120,17 @@ impl Schema {
 
     /// Indices of the relational attributes, in declaration order.
     pub fn relational_indices(&self) -> Vec<usize> {
+        self.relational().collect()
+    }
+
+    /// [`Schema::relational_indices`] without collecting them, for the
+    /// per-row push paths.
+    pub(crate) fn relational(&self) -> impl Iterator<Item = usize> + '_ {
         self.attributes
             .iter()
             .enumerate()
             .filter(|(_, a)| a.kind.is_relational())
             .map(|(i, _)| i)
-            .collect()
     }
 
     /// Index of the transaction attribute, if any.

@@ -7,6 +7,7 @@
 //! — equivalence-class grouping, itemset support counting — on
 //! contiguous integer memory.
 
+use crate::csv::RecordSink;
 use crate::error::DataError;
 use crate::schema::{AttributeKind, Schema};
 use crate::value::{ItemId, ValueId, ValuePool};
@@ -325,34 +326,7 @@ impl RtTable {
     /// Append a record given textual relational values (in relational
     /// attribute order) and textual transaction items.
     pub fn push_row(&mut self, rel_values: &[&str], items: &[&str]) -> Result<(), DataError> {
-        let rel_idx = self.schema.relational_indices();
-        if rel_values.len() != rel_idx.len() {
-            return Err(DataError::Invalid(format!(
-                "expected {} relational values, got {}",
-                rel_idx.len(),
-                rel_values.len()
-            )));
-        }
-        for (pos, &attr) in rel_idx.iter().enumerate() {
-            let id = self.pools[attr].intern(rel_values[pos]);
-            self.columns[attr].push(ValueId(id));
-        }
-        if let Some(tx) = self.schema.transaction_index() {
-            let mut ids: Vec<ItemId> = items
-                .iter()
-                .map(|s| ItemId(self.pools[tx].intern(s)))
-                .collect();
-            ids.sort_unstable();
-            ids.dedup();
-            self.tx_items.extend_from_slice(&ids);
-            self.tx_offsets.push(self.tx_items.len() as u32);
-        } else if !items.is_empty() {
-            return Err(DataError::Invalid(
-                "schema has no transaction attribute but items were supplied".into(),
-            ));
-        }
-        self.n_rows += 1;
-        Ok(())
+        self.push_fields(rel_values.iter().copied(), items.iter().copied())
     }
 
     /// Append a record from already-interned ids. `rel_values` must be
@@ -363,38 +337,32 @@ impl RtTable {
         rel_values: &[ValueId],
         items: &[ItemId],
     ) -> Result<(), DataError> {
-        let rel_idx = self.schema.relational_indices();
-        if rel_values.len() != rel_idx.len() {
-            return Err(DataError::Invalid(format!(
-                "expected {} relational values, got {}",
-                rel_idx.len(),
-                rel_values.len()
-            )));
-        }
-        for (pos, &attr) in rel_idx.iter().enumerate() {
-            let v = rel_values[pos];
+        let tx = self.schema.transaction_index();
+        check_row_shape(
+            &self.schema,
+            rel_values.len(),
+            tx.is_none() && !items.is_empty(),
+        )?;
+        for (attr, &v) in self.schema.relational().zip(rel_values) {
             if v.index() >= self.pools[attr].len() {
                 return Err(DataError::Invalid(format!(
                     "value id {v} not interned in attribute {}",
                     self.schema.attribute(attr).expect("attr in range").name
                 )));
             }
-            self.columns[attr].push(v);
         }
-        if let Some(tx) = self.schema.transaction_index() {
+        if let Some(tx) = tx {
             let universe = self.pools[tx].len();
-            let mut ids = items.to_vec();
-            ids.sort_unstable();
-            ids.dedup();
-            if ids.iter().any(|it| it.index() >= universe) {
+            if items.iter().any(|it| it.index() >= universe) {
                 return Err(DataError::Invalid("item id not interned".into()));
             }
-            self.tx_items.extend_from_slice(&ids);
+            let start = self.tx_items.len();
+            self.tx_items.extend_from_slice(items);
+            sort_dedup_tail(&mut self.tx_items, start);
             self.tx_offsets.push(self.tx_items.len() as u32);
-        } else if !items.is_empty() {
-            return Err(DataError::Invalid(
-                "schema has no transaction attribute but items were supplied".into(),
-            ));
+        }
+        for (attr, &v) in self.schema.relational().zip(rel_values) {
+            self.columns[attr].push(v);
         }
         self.n_rows += 1;
         Ok(())
@@ -569,6 +537,72 @@ impl RtTable {
             self.tx_items.len() as f64 / self.n_rows as f64
         }
     }
+}
+
+impl RecordSink for RtTable {
+    fn push_fields<'v>(
+        &mut self,
+        rel_values: impl ExactSizeIterator<Item = &'v str>,
+        mut items: impl Iterator<Item = &'v str>,
+    ) -> Result<(), DataError> {
+        let tx = self.schema.transaction_index();
+        check_row_shape(
+            &self.schema,
+            rel_values.len(),
+            tx.is_none() && items.next().is_some(),
+        )?;
+        for (attr, value) in self.schema.relational().zip(rel_values) {
+            let id = self.pools[attr].intern(value);
+            self.columns[attr].push(ValueId(id));
+        }
+        if let Some(tx) = tx {
+            let start = self.tx_items.len();
+            for s in items {
+                let id = self.pools[tx].intern(s);
+                self.tx_items.push(ItemId(id));
+            }
+            sort_dedup_tail(&mut self.tx_items, start);
+            self.tx_offsets.push(self.tx_items.len() as u32);
+        }
+        self.n_rows += 1;
+        Ok(())
+    }
+}
+
+/// Reject a pushed row whose relational value count does not match
+/// `schema`, or that supplies items (`stray_items`) to a schema without
+/// a transaction attribute.
+pub(crate) fn check_row_shape(
+    schema: &Schema,
+    n_rel_values: usize,
+    stray_items: bool,
+) -> Result<(), DataError> {
+    let n_rel = schema.relational().count();
+    if n_rel_values != n_rel {
+        return Err(DataError::Invalid(format!(
+            "expected {n_rel} relational values, got {n_rel_values}"
+        )));
+    }
+    if stray_items {
+        return Err(DataError::Invalid(
+            "schema has no transaction attribute but items were supplied".into(),
+        ));
+    }
+    Ok(())
+}
+
+/// Sort `items[start..]`, one row's transaction, and drop its
+/// duplicates in place.
+pub(crate) fn sort_dedup_tail(items: &mut Vec<ItemId>, start: usize) {
+    items[start..].sort_unstable();
+    let mut kept = start;
+    for i in start..items.len() {
+        if kept == start || items[i] != items[kept - 1] {
+            items[kept] = items[i];
+            kept += 1;
+        }
+    }
+    items.truncate(kept);
 }
 
 #[cfg(test)]

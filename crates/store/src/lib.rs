@@ -26,7 +26,10 @@
 //!   fencing that rejects a reclaimed worker's late writes;
 //! * [`sha`] — a dependency-free SHA-256 and a digest [`io::Write`]
 //!   sink ([`sha::DigestWriter`]) for hashing session inputs through
-//!   the existing writers.
+//!   the existing writers. On x86-64 CPUs with the SHA extensions it
+//!   compresses with them; everywhere else, and as the tests' oracle,
+//!   the portable FIPS 180-4 code runs. The choice follows the CPU at
+//!   run time and both give the same digest, so there is no switch.
 //!
 //! The crate deliberately sits *below* the experimentation framework:
 //! it depends only on `secreta-metrics` (for the anonymized-table and

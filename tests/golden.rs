@@ -19,7 +19,8 @@
 //! every (spec, seed) line above, and the context digest of a small
 //! hand-built RT table whose values all need quoting. A change to the
 //! CSV render or to the hash that moved these would turn every stored
-//! run into a miss without failing any other test.
+//! run into a miss without failing any other test, so the fix for a
+//! mismatch there is in the code, not in the file.
 
 mod common;
 
