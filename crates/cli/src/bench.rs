@@ -266,9 +266,10 @@ fn rel(s: &Setup, bench: &mut Bench) -> Result<(), String> {
 }
 
 /// Attack-side evaluation against the anonymization it audits: Apriori
-/// at k^m, then the full risk block on its output, through the O(n²)
-/// oracle (small tables only) and through the kernels, also pinned to
-/// thread budgets of 1 and 2 (the m-item attack's sharded row walk).
+/// at k^m and COAT under the all-items privacy policy, then the full
+/// risk block on each output, through the O(n²) oracle (small tables
+/// only) and through the kernels, also pinned to thread budgets of 1
+/// and 2 (the m-item attack's sharded row walk).
 fn risk_eval(s: &Setup, bench: &mut Bench) -> Result<(), String> {
     bench.param("k", K as f64);
     bench.param("m", M as f64);
@@ -279,37 +280,58 @@ fn risk_eval(s: &Setup, bench: &mut Bench) -> Result<(), String> {
         .as_ref()
         .expect("adversarial rows have items");
     let km = TransactionInput::km(&ctx.table, K, M, h);
-    // the output the risk variants audit, produced outside their
-    // timed regions
-    let anon = tx::apriori::anonymize(&km).map_err(|e| e.to_string())?.anon;
-    let guarantee = Guarantee::KmAnonymity { k: K, m: M };
-    let params = RiskParams::default();
-    let evaluate = |counting: Counting| -> Result<Sample, String> {
-        let risk = risk::evaluate(
-            &ctx.table,
-            &anon,
-            Some(h),
-            None,
-            &guarantee,
-            &params,
-            counting,
-        );
-        Ok(Sample::of(risk))
+    let plain = TransactionInput {
+        table: &ctx.table,
+        k: K,
+        m: 1,
+        hierarchy: None,
+        privacy: None,
+        utility: None,
     };
-    let mut case = Case::new("risk/apriori").variant("anonymize", || {
-        tx::apriori::anonymize(&km)
-            .map(|o| Sample::default().with_phases(o.phases))
-            .map_err(|e| e.to_string())
-    });
-    if s.rows <= NAIVE_CAP {
-        case = case.variant("naive", move || evaluate(Counting::Naive));
+    // COAT without a policy protects every item, the policy its audit
+    // checks
+    let all_items = PrivacyPolicy::all_items(&ctx.table);
+    let params = RiskParams::default();
+    let cases = [
+        ("apriori", Guarantee::KmAnonymity { k: K, m: M }, None),
+        ("coat", Guarantee::Policy { k: K }, Some(&all_items)),
+    ];
+    for (name, guarantee, privacy) in &cases {
+        let anonymize = || match *name {
+            "apriori" => tx::apriori::anonymize(&km),
+            _ => tx::coat::anonymize(&plain),
+        };
+        // the output the risk variants audit, produced outside their
+        // timed regions
+        let anon = anonymize().map_err(|e| e.to_string())?.anon;
+        let evaluate = |counting: Counting| -> Result<Sample, String> {
+            let risk = risk::evaluate(
+                &ctx.table,
+                &anon,
+                Some(h),
+                *privacy,
+                guarantee,
+                &params,
+                counting,
+            );
+            Ok(Sample::of(risk))
+        };
+        let mut case = Case::new(format!("risk/{name}")).variant("anonymize", || {
+            anonymize()
+                .map(|o| Sample::default().with_phases(o.phases))
+                .map_err(|e| e.to_string())
+        });
+        if s.rows <= NAIVE_CAP {
+            case = case.variant("naive", move || evaluate(Counting::Naive));
+        }
+        let kernel = move || evaluate(Counting::Kernel);
+        bench.case(
+            case.variant("threads=1", move || with_threads(1, kernel))
+                .variant("threads=2", move || with_threads(2, kernel))
+                .variant("kernel", kernel),
+        )?;
     }
-    let kernel = move || evaluate(Counting::Kernel);
-    bench.case(
-        case.variant("threads=1", move || with_threads(1, kernel))
-            .variant("threads=2", move || with_threads(2, kernel))
-            .variant("kernel", kernel),
-    )
+    Ok(())
 }
 
 /// Observability cost: the Cluster hot path with the recorder

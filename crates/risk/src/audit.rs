@@ -7,21 +7,32 @@
 //! hard error signal. The counting rules mirror the verifiers exactly,
 //! so `violations == 0 ⇔ passed` agrees with the `verified` indicator
 //! for the same guarantee.
+//!
+//! The privacy-policy audit reads the m-item attack's
+//! [`CandidateIndex`]. A row supports a constraint when its published
+//! items cover every item of the constraint, which is when it lies in
+//! the candidate set of each of those items. So a constraint's support
+//! is one family count over its items' ranks, and 0 when some item has
+//! no covering entry. `crates/risk/tests/oracle.rs` keeps the row scan
+//! of the same rule as the reference this is tested against.
 
-use crate::Guarantee;
+use crate::{CandidateIndex, Guarantee, RiskWork};
 use secreta_data::hash::FxHashMap;
-use secreta_hierarchy::Hierarchy;
+use secreta_data::ItemId;
 use secreta_metrics::{AnonTable, ConstraintAudit};
 use secreta_policy::PrivacyPolicy;
 use secreta_transaction::support::for_each_subset_u32;
 
-/// Re-check `guarantee` on `anon`, counting violations.
+/// Re-check `guarantee` on `anon`, counting violations. `candidates`
+/// is the [`CandidateIndex`] of `anon`'s transaction part, `None` when
+/// it has none.
 pub fn audit_guarantee(
     anon: &AnonTable,
-    item_hierarchy: Option<&Hierarchy>,
+    candidates: Option<&CandidateIndex>,
     privacy: Option<&PrivacyPolicy>,
     guarantee: &Guarantee,
 ) -> ConstraintAudit {
+    debug_assert_eq!(anon.tx.is_some(), candidates.is_some());
     let (label, violations) = match guarantee {
         Guarantee::KAnonymity { k } => (format!("k-anonymity(k={k})"), k_violations(anon, *k)),
         Guarantee::KmAnonymity { k, m } => (
@@ -30,7 +41,9 @@ pub fn audit_guarantee(
         ),
         Guarantee::Policy { k } => (
             format!("privacy-policy(k={k})"),
-            policy_violations(anon, item_hierarchy, privacy, *k),
+            candidates.zip(privacy).map_or(0, |(candidates, privacy)| {
+                policy_violations(candidates, privacy, *k)
+            }),
         ),
         Guarantee::KKmAnonymity { k, m } => (
             format!("(k,k^m)-anonymity(k={k},m={m})"),
@@ -81,42 +94,30 @@ fn km_violations(anon: &AnonTable, k: usize, m: usize) -> u64 {
 }
 
 /// Privacy constraints with published support in `(0, k)`.
-fn policy_violations(
-    anon: &AnonTable,
-    item_hierarchy: Option<&Hierarchy>,
-    privacy: Option<&PrivacyPolicy>,
-    k: usize,
-) -> u64 {
-    let tx = match &anon.tx {
-        Some(tx) => tx,
-        None => return 0,
-    };
-    let privacy = match privacy {
-        Some(p) => p,
-        None => return 0,
-    };
-    let mut violations = 0u64;
-    for c in &privacy.constraints {
-        if c.is_empty() {
-            continue;
+fn policy_violations(candidates: &CandidateIndex, privacy: &PrivacyPolicy, k: usize) -> u64 {
+    privacy
+        .constraints
+        .iter()
+        .filter(|c| {
+            let sup = support(candidates, c);
+            sup > 0 && sup < k as u64
+        })
+        .count() as u64
+}
+
+/// Published support of one privacy constraint: the rows in the
+/// candidate set of each of its items. 0 for an empty constraint and
+/// for one holding an item no published entry covers.
+fn support(candidates: &CandidateIndex, constraint: &[ItemId]) -> u64 {
+    let ranks: Option<Vec<u32>> = constraint.iter().map(|it| candidates.rank(it.0)).collect();
+    match ranks {
+        Some(mut ranks) if !ranks.is_empty() => {
+            ranks.sort_unstable();
+            ranks.dedup();
+            candidates.family_count(&ranks, &mut RiskWork::default())
         }
-        let mut sup = 0usize;
-        for row in 0..tx.n_rows() {
-            let items = tx.row_items(row);
-            let all_covered = c.iter().all(|it| {
-                items
-                    .iter()
-                    .any(|&g| tx.domain[g as usize].covers(it.0, item_hierarchy))
-            });
-            if all_covered {
-                sup += 1;
-            }
-        }
-        if sup > 0 && sup < k {
-            violations += 1;
-        }
+        _ => 0,
     }
-    violations
 }
 
 #[cfg(test)]
@@ -133,6 +134,18 @@ mod tests {
         t.push_row(&[], &["a", "b"]).unwrap();
         t.push_row(&[], &["c"]).unwrap();
         t
+    }
+
+    /// Audit a transaction output of `t` through its candidate index.
+    fn audit_tx(
+        t: &RtTable,
+        anon: &AnonTable,
+        privacy: Option<&PrivacyPolicy>,
+        guarantee: &Guarantee,
+    ) -> ConstraintAudit {
+        let tx = anon.tx.as_ref().expect("a transaction output");
+        let candidates = CandidateIndex::build(t, tx, None);
+        audit_guarantee(anon, Some(&candidates), privacy, guarantee)
     }
 
     #[test]
@@ -158,9 +171,9 @@ mod tests {
         let t = tx_table();
         let anon = AnonTable::identity(&t, &[]);
         // items: a,b sup 2; c sup 1; pair {a,b} sup 2
-        let ok = audit_guarantee(&anon, None, None, &Guarantee::KmAnonymity { k: 1, m: 2 });
+        let ok = audit_tx(&t, &anon, None, &Guarantee::KmAnonymity { k: 1, m: 2 });
         assert!(ok.passed);
-        let bad = audit_guarantee(&anon, None, None, &Guarantee::KmAnonymity { k: 2, m: 2 });
+        let bad = audit_tx(&t, &anon, None, &Guarantee::KmAnonymity { k: 2, m: 2 });
         assert_eq!(bad.violations, 1, "only {{c}} is under-supported");
         assert_eq!(bad.guarantee, "k^m-anonymity(k=2,m=2)");
     }
@@ -170,7 +183,7 @@ mod tests {
         let t = tx_table();
         let anon = AnonTable::identity(&t, &[]);
         let policy = PrivacyPolicy::new(vec![vec![ItemId(0)], vec![ItemId(2)]]);
-        let a = audit_guarantee(&anon, None, Some(&policy), &Guarantee::Policy { k: 2 });
+        let a = audit_tx(&t, &anon, Some(&policy), &Guarantee::Policy { k: 2 });
         assert_eq!(a.violations, 1, "constraint {{c}} has support 1");
         // zero-support constraints are fine: audit agrees with the
         // verifier's `sup == 0 or ≥ k` rule
@@ -183,12 +196,7 @@ mod tests {
             tx: Some(tx),
             n_rows: 3,
         };
-        let a = audit_guarantee(
-            &suppressed,
-            None,
-            Some(&policy),
-            &Guarantee::Policy { k: 2 },
-        );
+        let a = audit_tx(&t, &suppressed, Some(&policy), &Guarantee::Policy { k: 2 });
         assert!(a.passed);
     }
 

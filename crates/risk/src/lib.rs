@@ -16,15 +16,17 @@
 //!   victim's original items. For each record the worst-case
 //!   *candidate set* (published rows consistent with the best m-item
 //!   background knowledge) is computed; a candidate set of size one is
-//!   a unique re-identification. The kernel path reuses the tiered
-//!   `InvertedIndex`/`RowSet` machinery from `secreta-transaction`, so
-//!   the candidate-set intersections run on bitmap words for hot
-//!   generalized items; the naive path is a brute-force O(n²) oracle
-//!   the kernels are tested against.
+//!   a unique re-identification. The kernel path reads a
+//!   [`CandidateIndex`] built on the tiered `InvertedIndex`/`RowSet`
+//!   machinery from `secreta-transaction`: candidate sets go dense at
+//!   1/64 of the published rows, and each record's subset walk stops
+//!   at a floor proven from its own published row. The naive path is a
+//!   brute-force O(n²) oracle the kernels are tested against.
 //! * [`audit`] — a **constraint-violation audit** that re-checks the
 //!   claimed guarantee (k-anonymity, k^m-anonymity, privacy policy,
 //!   ρ-uncertainty) on the output and reports the number of violations
-//!   as a hard error indicator.
+//!   as a hard error indicator. The privacy-policy audit counts each
+//!   constraint's support from the same [`CandidateIndex`].
 //!
 //! Everything aggregates through integer accumulators (counts, sums,
 //! minima) with ratios computed once at the end, so the resulting
@@ -40,7 +42,7 @@ pub mod mitem;
 pub mod relational;
 
 pub use audit::audit_guarantee;
-pub use mitem::transaction_risk;
+pub use mitem::{transaction_risk, CandidateIndex};
 pub use relational::relational_risk;
 
 use secreta_data::RtTable;
@@ -61,7 +63,7 @@ pub struct RiskParams {
     /// risk" (e.g. `0.2` flags records in classes smaller than 5).
     pub risk_threshold: f64,
     /// Largest background-knowledge size evaluated by the m-item
-    /// adversary (each `m` in `1..=max_m` is reported).
+    /// adversary (each `m` in `1..=max_m` is reported; 0 counts as 1).
     pub max_m: u32,
 }
 
@@ -123,7 +125,8 @@ pub enum Guarantee {
 /// audits (ignored otherwise); `item_hierarchy` expands
 /// hierarchy-node generalized values. `counting` picks the kernel or
 /// the brute-force oracle for the m-item adversary — both produce
-/// byte-identical indicators.
+/// byte-identical indicators. A published transaction table gets one
+/// [`CandidateIndex`], which the attack and the policy audit share.
 pub fn evaluate(
     table: &RtTable,
     anon: &AnonTable,
@@ -135,8 +138,13 @@ pub fn evaluate(
 ) -> RiskIndicators {
     let recorder = secreta_obsv::current();
     let rel = relational_risk(anon, params);
-    let (tx, work) = transaction_risk(table, anon, item_hierarchy, params, counting);
-    let audit = audit_guarantee(anon, item_hierarchy, privacy, guarantee);
+    let candidates = anon
+        .tx
+        .as_ref()
+        .map(|tx| CandidateIndex::build(table, tx, item_hierarchy));
+    let candidates = candidates.as_ref();
+    let (tx, work) = mitem::attack(table, anon, candidates, item_hierarchy, params, counting);
+    let audit = audit_guarantee(anon, candidates, privacy, guarantee);
     if let Some(r) = &rel {
         recorder.count("risk/rel_classes", r.n_classes);
     }
@@ -154,9 +162,10 @@ pub fn evaluate(
 pub struct RiskWork {
     /// Records attacked (rows with at least one original item).
     pub rows: u64,
-    /// m-subsets of background knowledge enumerated.
+    /// m-subsets of background knowledge evaluated before each
+    /// record's worst case was proven.
     pub subsets: u64,
-    /// Candidate-set intersections computed.
+    /// Candidate-set intersections computed (memo misses).
     pub intersections: u64,
     /// Intersections with at least one dense (bitmap) operand.
     pub bitmap_intersections: u64,

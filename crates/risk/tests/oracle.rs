@@ -2,15 +2,20 @@
 //! metrics: the tiered candidate-set kernel must produce byte-exact
 //! the same indicators as the brute-force O(n²) reference, on random
 //! tables (including empty and duplicate transactions), with both
-//! row-set tiers forced, and at any thread count.
+//! row-set tiers forced, and at any thread count. The privacy-policy
+//! audit, which counts supports from the same candidate index, must
+//! agree with the row-scan reference kept here.
 
 use proptest::prelude::*;
-use secreta_data::{Attribute, AttributeKind, RtTable, Schema};
-use secreta_hierarchy::auto_hierarchy;
-use secreta_metrics::AnonTable;
-use secreta_risk::{transaction_risk, RiskParams};
+use secreta_data::{Attribute, AttributeKind, ItemId, RtTable, Schema};
+use secreta_hierarchy::{auto_hierarchy, Hierarchy};
+use secreta_metrics::{AnonTable, AnonTransaction, GenEntry};
+use secreta_policy::PrivacyPolicy;
+use secreta_risk::{audit_guarantee, transaction_risk, CandidateIndex, Guarantee, RiskParams};
 use secreta_transaction::Counting::{Kernel, Naive};
-use secreta_transaction::{apriori, coat, set_density_threshold, TransactionInput};
+use secreta_transaction::{
+    apriori, coat, lra, satisfies_privacy, set_density_threshold, vpa, TransactionInput,
+};
 use std::sync::Mutex;
 
 /// Serializes tests that touch the process-global density threshold.
@@ -61,14 +66,22 @@ proptest! {
         // identity: every candidate set is an exact-match row set
         attack_both(&t, &AnonTable::identity(&t, &[]), &params);
 
-        // apriori generalizes over the hierarchy
+        // apriori generalizes over the hierarchy; LRA and VPA publish
+        // partitions, each generalized on its own
         let h = auto_hierarchy(t.item_pool().unwrap(), AttributeKind::Categorical, 2).unwrap();
         let km = TransactionInput::km(&t, k, 2, &h);
-        if let Ok(out) = apriori::anonymize(&km) {
-            // Node/Set entries both appear depending on the cut
-            let (fast, _) = transaction_risk(&t, &out.anon, Some(&h), &params, Kernel);
-            let (slow, _) = transaction_risk(&t, &out.anon, Some(&h), &params, Naive);
-            prop_assert_eq!(fast, slow, "apriori output diverged");
+        let generalized = [
+            ("apriori", apriori::anonymize(&km)),
+            ("lra", lra::anonymize(&km, 2)),
+            ("vpa", vpa::anonymize(&km, 2)),
+        ];
+        for (name, out) in generalized {
+            if let Ok(out) = out {
+                // Node/Set entries both appear depending on the cut
+                let (fast, _) = transaction_risk(&t, &out.anon, Some(&h), &params, Kernel);
+                let (slow, _) = transaction_risk(&t, &out.anon, Some(&h), &params, Naive);
+                prop_assert_eq!(fast, slow, "{} output diverged", name);
+            }
         }
 
         // coat suppresses items: zero-candidate records appear
@@ -98,6 +111,155 @@ proptest! {
         set_density_threshold(None);
         let (slow, _) = transaction_risk(&t, &anon, None, &params, Naive);
         prop_assert_eq!(fast, slow, "dense tier diverged from the oracle");
+    }
+}
+
+/// An item suppressed in its record's own row but published in others
+/// leaves that record a floor of 0, not 1. Row 0 = {a, b} publishes only
+/// b, rows 1–2 = {a}. Knowing b leaves one candidate (row 0) and knowing
+/// {a, b} leaves none, so row 0's worst case falls from 1 at m = 1 to 0
+/// at m = 2. A floor of 1 would stop at m = 1 and report 1 for m = 2.
+#[test]
+fn floor_is_zero_when_the_own_row_is_no_candidate() {
+    let t = build_table(&[vec![0, 1], vec![0], vec![0]], 2);
+    let domain = vec![GenEntry::Set(vec![0]), GenEntry::Set(vec![1])];
+    let tx = AnonTransaction::from_row_mapping(&t, domain, |row, it| {
+        (row != 0 || it.0 != 0).then_some(it.0)
+    });
+    let anon = AnonTable {
+        rel: vec![],
+        tx: Some(tx),
+        n_rows: 3,
+    };
+    let params = RiskParams::default();
+    let (fast, _) = transaction_risk(&t, &anon, None, &params, Kernel);
+    let (slow, _) = transaction_risk(&t, &anon, None, &params, Naive);
+    assert_eq!(fast, slow, "kernel diverged from the O(n²) oracle");
+    // rows 1–2 keep both a-rows as candidates at every m, so only row 0
+    // can bring a minimum below 2
+    let per_m = fast.expect("a transaction output").per_m;
+    assert_eq!(per_m[0].min_candidates, 1, "row 0 knowing b");
+    assert_eq!(per_m[1].min_candidates, 0, "row 0 knowing {{a, b}}");
+}
+
+/// The row-scan reference of the privacy-policy audit: constraints
+/// whose published support — rows whose items cover every item of the
+/// constraint — lies in `(0, k)`. An empty constraint has support 0.
+fn policy_violations_by_scan(
+    anon: &AnonTable,
+    h: Option<&Hierarchy>,
+    privacy: &PrivacyPolicy,
+    k: usize,
+) -> u64 {
+    let tx = anon.tx.as_ref().expect("a transaction output");
+    privacy
+        .constraints
+        .iter()
+        .filter(|c| {
+            let sup = (0..tx.n_rows())
+                .filter(|&row| {
+                    let items = tx.row_items(row);
+                    !c.is_empty()
+                        && c.iter()
+                            .all(|it| items.iter().any(|&g| tx.domain[g as usize].covers(it.0, h)))
+                })
+                .count();
+            sup > 0 && sup < k
+        })
+        .count() as u64
+}
+
+/// The item [`suppress_first_item`] removes from every row.
+const SUPPRESSED: u32 = 0;
+
+/// Random multi-item policies over a 16-item universe, built without
+/// [`PrivacyPolicy::new`] so that nothing is normalized away: each also
+/// carries an empty constraint, a constraint repeating an item, and a
+/// constraint holding [`SUPPRESSED`].
+fn policy_strategy() -> impl Strategy<Value = PrivacyPolicy> {
+    prop::collection::vec(prop::collection::vec(0u32..16, 1..4), 1..8).prop_map(|mut cs| {
+        let first = cs[0][0];
+        let last = *cs[cs.len() - 1].last().expect("non-empty");
+        cs.push(Vec::new());
+        cs.push(vec![first, last, first]);
+        cs.push(vec![last, SUPPRESSED]);
+        PrivacyPolicy {
+            constraints: cs
+                .into_iter()
+                .map(|c| c.into_iter().map(ItemId).collect())
+                .collect(),
+        }
+    })
+}
+
+/// The identity publication with item [`SUPPRESSED`] removed from every
+/// row and its domain entry suppressed, so that no entry covers it.
+fn suppress_first_item(t: &RtTable) -> AnonTable {
+    let domain = (0..t.item_universe() as u32)
+        .map(|i| {
+            if i == SUPPRESSED {
+                GenEntry::Suppressed
+            } else {
+                GenEntry::Set(vec![i])
+            }
+        })
+        .collect();
+    let tx = AnonTransaction::from_mapping(t, domain, |it| (it.0 != SUPPRESSED).then_some(it.0));
+    AnonTable {
+        rel: vec![],
+        tx: Some(tx),
+        n_rows: t.n_rows(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The index-backed policy audit counts the same violations as the
+    /// row scan, and passes exactly when the verifier does, on the
+    /// identity publication, on Apriori's hierarchy `Node` entries, on
+    /// COAT's output and on a publication with an item no entry covers.
+    #[test]
+    fn policy_audit_matches_row_scan(
+        rows in rows_strategy(),
+        policy in policy_strategy(),
+        k in 1usize..5,
+    ) {
+        let _serial = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
+        let t = build_table(&rows, 16);
+        let h = auto_hierarchy(t.item_pool().unwrap(), AttributeKind::Categorical, 2).unwrap();
+        let mut outputs: Vec<(&str, AnonTable, Option<&Hierarchy>)> = vec![
+            ("identity", AnonTable::identity(&t, &[]), None),
+            ("suppressed", suppress_first_item(&t), None),
+        ];
+        if let Ok(out) = apriori::anonymize(&TransactionInput::km(&t, k, 2, &h)) {
+            outputs.push(("apriori", out.anon, Some(&h)));
+        }
+        let plain = TransactionInput {
+            table: &t,
+            k,
+            m: 1,
+            hierarchy: None,
+            privacy: None,
+            utility: None,
+        };
+        if let Ok(out) = coat::anonymize(&plain) {
+            outputs.push(("coat", out.anon, None));
+        }
+        let guarantee = Guarantee::Policy { k };
+        for (name, anon, h) in &outputs {
+            let tx = anon.tx.as_ref().expect("a transaction output");
+            let candidates = CandidateIndex::build(&t, tx, *h);
+            let audit = audit_guarantee(anon, Some(&candidates), Some(&policy), &guarantee);
+            let scanned = policy_violations_by_scan(anon, *h, &policy, k);
+            prop_assert_eq!(audit.violations, scanned, "{} audit diverged", name);
+            prop_assert_eq!(
+                audit.passed,
+                satisfies_privacy(anon, &policy, k, *h),
+                "{} audit disagrees with the verifier",
+                name
+            );
+        }
     }
 }
 
