@@ -290,26 +290,27 @@ fn risk_eval(s: &Setup, bench: &mut Bench) -> Result<(), String> {
     };
     // COAT without a policy protects every item, the policy its audit
     // checks
-    let all_items = PrivacyPolicy::all_items(&ctx.table);
+    let policy = &PrivacyPolicy::all_items(&ctx.table);
     let params = RiskParams::default();
     let cases = [
-        ("apriori", Guarantee::KmAnonymity { k: K, m: M }, None),
-        ("coat", Guarantee::Policy { k: K }, Some(&all_items)),
+        ("apriori", Guarantee::KmAnonymity { k: K, m: M }),
+        ("coat", Guarantee::Policy { k: K, policy }),
     ];
-    for (name, guarantee, privacy) in &cases {
+    for (name, guarantee) in &cases {
         let anonymize = || match *name {
             "apriori" => tx::apriori::anonymize(&km),
             _ => tx::coat::anonymize(&plain),
         };
-        // the output the risk variants audit, produced outside their
-        // timed regions
+        // the output the risk variants audit and its classes, produced
+        // outside their timed regions
         let anon = anonymize().map_err(|e| e.to_string())?.anon;
+        let classes = anon.equivalence_classes();
         let evaluate = |counting: Counting| -> Result<Sample, String> {
             let risk = risk::evaluate(
                 &ctx.table,
                 &anon,
+                &classes,
                 Some(h),
-                *privacy,
                 guarantee,
                 &params,
                 counting,

@@ -5,13 +5,17 @@
 //! algorithm with the specified configuration." On top of the raw run
 //! it computes the full indicator set the Experimentation Module
 //! plots: utility (GCP, UL, ARE, frequency errors), group statistics,
-//! runtime with phases, and a post-hoc verification of the privacy
-//! guarantee — algorithms are never trusted blindly.
+//! runtime with phases, and the attack-side risk block — in one
+//! evaluation pass over one equivalence-class histogram. Algorithms
+//! are never trusted blindly: the risk block's guarantee audit checks
+//! the claimed guarantee on the output alone, and its verdict is the
+//! `verified` indicator.
 
 use crate::config::MethodSpec;
 use crate::context::SessionContext;
 use secreta_metrics::{
-    average_relative_error, freq, gcp, loss, transaction_gcp, utility_loss, AnonTable, PhaseTimes,
+    average_relative_error, freq, gcp, transaction_gcp, utility_loss, AnonTable,
+    EquivalenceClasses, PhaseTimes,
 };
 use secreta_policy::PrivacyPolicy;
 use secreta_relational::{RelError, RelationalInput};
@@ -146,7 +150,9 @@ pub fn run(ctx: &SessionContext, spec: &MethodSpec, seed: u64) -> Result<RunResu
         secreta_faults::fault::delay("run");
     }
 
-    let (anon, phases, verified) = match spec {
+    // ρ-uncertainty's verdict comes from its verifier, since the audit
+    // mines no rules; the audit counts every other guarantee itself
+    let (anon, phases, rho_verdict) = match spec {
         MethodSpec::Relational { algo, k } => {
             if ctx.qi_attrs.is_empty() {
                 return Err(RunError::BadConfig(
@@ -162,8 +168,7 @@ pub fn run(ctx: &SessionContext, spec: &MethodSpec, seed: u64) -> Result<RunResu
             let out = secreta_relational::RelationalAlgorithm::from(*algo)
                 .run(&input, seed)
                 .map_err(RunError::Rel)?;
-            let verified = secreta_relational::is_k_anonymous(&out.anon, *k);
-            (out.anon, out.phases, verified)
+            (out.anon, out.phases, None)
         }
         MethodSpec::Transaction { algo, k, m } => {
             if ctx.table.schema().transaction_index().is_none() {
@@ -182,8 +187,7 @@ pub fn run(ctx: &SessionContext, spec: &MethodSpec, seed: u64) -> Result<RunResu
             let out = secreta_transaction::TransactionAlgorithm::from(*algo)
                 .run(&input)
                 .map_err(RunError::Tx)?;
-            let verified = verify_transaction(ctx, *algo, &out.anon, *k, *m);
-            (out.anon, out.phases, verified)
+            (out.anon, out.phases, None)
         }
         MethodSpec::Rt {
             rel,
@@ -214,9 +218,7 @@ pub fn run(ctx: &SessionContext, spec: &MethodSpec, seed: u64) -> Result<RunResu
                 seed,
             };
             let out = secreta_rt::anonymize(&input).map_err(RunError::Rt)?;
-            let km_m = effective_m(*tx, *m);
-            let verified = secreta_rt::is_k_km_anonymous(&out.anon, *k, km_m);
-            (out.anon, out.phases, verified)
+            (out.anon, out.phases, None)
         }
         MethodSpec::Rho {
             rho,
@@ -274,14 +276,18 @@ pub fn run(ctx: &SessionContext, spec: &MethodSpec, seed: u64) -> Result<RunResu
                 let ok = secreta_transaction::is_rho_uncertain(&ctx.table, &out.anon, &params);
                 (out, ok)
             };
-            (out.anon, out.phases, verified)
+            (out.anon, out.phases, Some(verified))
         }
     };
 
+    // one evaluation pass: the class histogram is built once, and the
+    // guarantee audit inside the risk block is the run's verdict
     let indicators = {
         let _span = recorder.span("metrics");
-        let mut ind = compute_indicators(ctx, &anon, &phases, verified);
-        ind.risk = Some(compute_risk(ctx, spec, &anon, verified));
+        let classes = anon.equivalence_classes();
+        let risk = evaluate_risk(ctx, spec, &anon, &classes, rho_verdict);
+        let mut ind = compute_indicators(ctx, &anon, &classes, &phases, risk.audit.passed);
+        ind.risk = Some(risk);
         ind
     };
     let profile = recorder.finish(&spec.label());
@@ -356,38 +362,13 @@ fn effective_m(algo: crate::config::TxAlgo, m: usize) -> usize {
     }
 }
 
-fn verify_transaction(
-    ctx: &SessionContext,
-    algo: crate::config::TxAlgo,
-    anon: &AnonTable,
-    k: usize,
-    m: usize,
-) -> bool {
-    match algo {
-        crate::config::TxAlgo::Coat | crate::config::TxAlgo::Pcta => {
-            let default;
-            let privacy = match &ctx.privacy {
-                Some(p) => p,
-                None => {
-                    default = PrivacyPolicy::all_items(&ctx.table);
-                    &default
-                }
-            };
-            secreta_transaction::satisfies_privacy(anon, privacy, k, ctx.item_hierarchy.as_ref())
-        }
-        other => secreta_transaction::is_km_anonymous(
-            anon,
-            k,
-            effective_m(other, m),
-            ctx.item_hierarchy.as_ref(),
-        ),
-    }
-}
-
-/// Compute the full indicator set for an anonymized table.
+/// Compute the full indicator set for an anonymized table whose
+/// equivalence classes are `classes`. `verified` is the verdict on its
+/// guarantee.
 pub fn compute_indicators(
     ctx: &SessionContext,
     anon: &AnonTable,
+    classes: &EquivalenceClasses,
     phases: &PhaseTimes,
     verified: bool,
 ) -> Indicators {
@@ -405,8 +386,8 @@ pub fn compute_indicators(
             item_h,
         ),
         item_freq_error: freq::mean_item_frequency_error(&ctx.table, anon, item_h),
-        discernibility: loss::discernibility(anon),
-        avg_class_size: loss::average_class_size(anon),
+        discernibility: classes.discernibility(),
+        avg_class_size: classes.average_size(),
         runtime_ms: phases.total().as_secs_f64() * 1e3,
         verified,
         risk: None,
@@ -418,24 +399,50 @@ pub fn compute_indicators(
 /// relational classes, the m-item background-knowledge adversary over
 /// the transaction part, and a violation-counting audit of the
 /// guarantee `spec` claims. `verified` feeds the ρ-uncertainty audit,
-/// which reports the verifier's verdict rather than re-mining rules.
+/// which reports the verifier's verdict rather than re-mining rules;
+/// the other guarantees ignore it.
 pub fn compute_risk(
     ctx: &SessionContext,
     spec: &MethodSpec,
     anon: &AnonTable,
     verified: bool,
 ) -> secreta_metrics::RiskIndicators {
+    evaluate_risk(ctx, spec, anon, &anon.equivalence_classes(), Some(verified))
+}
+
+/// [`compute_risk`] on the run's equivalence `classes`; `rho_verdict`
+/// is the ρ-uncertainty verifier's verdict (`None` for the guarantees
+/// the audit counts itself).
+fn evaluate_risk(
+    ctx: &SessionContext,
+    spec: &MethodSpec,
+    anon: &AnonTable,
+    classes: &EquivalenceClasses,
+    rho_verdict: Option<bool>,
+) -> secreta_metrics::RiskIndicators {
+    use crate::config::TxAlgo;
     use secreta_risk::Guarantee;
+    // COAT/PCTA without an explicit policy protect every item
+    let all_items;
     let guarantee = match spec {
         MethodSpec::Relational { k, .. } => Guarantee::KAnonymity { k: *k },
-        MethodSpec::Transaction { algo, k, m } => match algo {
-            crate::config::TxAlgo::Coat | crate::config::TxAlgo::Pcta => {
-                Guarantee::Policy { k: *k }
-            }
-            other => Guarantee::KmAnonymity {
-                k: *k,
-                m: effective_m(*other, *m),
+        MethodSpec::Transaction {
+            algo: TxAlgo::Coat | TxAlgo::Pcta,
+            k,
+            ..
+        } => Guarantee::Policy {
+            k: *k,
+            policy: match &ctx.privacy {
+                Some(p) => p,
+                None => {
+                    all_items = PrivacyPolicy::all_items(&ctx.table);
+                    &all_items
+                }
             },
+        },
+        MethodSpec::Transaction { algo, k, m } => Guarantee::KmAnonymity {
+            k: *k,
+            m: effective_m(*algo, *m),
         },
         MethodSpec::Rt { tx, k, m, .. } => Guarantee::KKmAnonymity {
             k: *k,
@@ -443,25 +450,14 @@ pub fn compute_risk(
         },
         MethodSpec::Rho { rho, .. } => Guarantee::RhoUncertainty {
             rho: *rho,
-            satisfied: verified,
+            satisfied: rho_verdict == Some(true),
         },
-    };
-    // COAT/PCTA without an explicit policy protect every item (the
-    // same default `verify_transaction` audits against)
-    let default_policy;
-    let privacy = match (&guarantee, &ctx.privacy) {
-        (Guarantee::Policy { .. }, Some(p)) => Some(p),
-        (Guarantee::Policy { .. }, None) => {
-            default_policy = PrivacyPolicy::all_items(&ctx.table);
-            Some(&default_policy)
-        }
-        _ => ctx.privacy.as_ref(),
     };
     secreta_risk::evaluate(
         &ctx.table,
         anon,
+        classes,
         ctx.item_hierarchy.as_ref(),
-        privacy,
         &guarantee,
         &secreta_risk::RiskParams::default(),
         secreta_data::Counting::Kernel,

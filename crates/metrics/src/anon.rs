@@ -286,32 +286,38 @@ impl AnonTable {
     }
 
     /// Group rows into equivalence classes by their generalized
-    /// relational signature. Returns class sizes plus a row→class map.
-    pub fn equivalence_classes(&self) -> (Vec<usize>, Vec<u32>) {
+    /// relational signature. A table with no relational columns is one
+    /// class of all rows (none when it has no rows).
+    pub fn equivalence_classes(&self) -> EquivalenceClasses {
+        let mut row_class = vec![0u32; self.n_rows];
+        if self.rel.is_empty() {
+            let sizes = Some(self.n_rows).filter(|&n| n > 0).into_iter().collect();
+            return EquivalenceClasses { sizes, row_class };
+        }
         let mut classes: FxHashMap<Vec<u32>, u32> = FxHashMap::default();
         let mut sizes: Vec<usize> = Vec::new();
-        let mut row_class = vec![0u32; self.n_rows];
         let mut sig = Vec::with_capacity(self.rel.len());
         for (row, slot) in row_class.iter_mut().enumerate() {
             sig.clear();
-            for col in &self.rel {
-                sig.push(col.cells[row]);
-            }
-            let next = sizes.len() as u32;
-            let class = *classes.entry(sig.clone()).or_insert(next);
-            if class as usize == sizes.len() {
-                sizes.push(0);
-            }
+            sig.extend(self.rel.iter().map(|col| col.cells[row]));
+            let class = match classes.get(sig.as_slice()) {
+                Some(&class) => class,
+                None => {
+                    sizes.push(0);
+                    classes.insert(sig.clone(), sizes.len() as u32 - 1);
+                    sizes.len() as u32 - 1
+                }
+            };
             sizes[class as usize] += 1;
             *slot = class;
         }
-        (sizes, row_class)
+        EquivalenceClasses { sizes, row_class }
     }
 
     /// Check the original value of each cell is covered by its
     /// generalized value — the *data truthfulness* invariant the paper
-    /// highlights. Also verifies transaction occurrences. Used in
-    /// tests and as a post-run sanity check in the core framework.
+    /// highlights. Also verifies transaction occurrences. Only the
+    /// test suites call it; runs do not check it.
     pub fn is_truthful(
         &self,
         table: &RtTable,
@@ -388,6 +394,35 @@ impl AnonTable {
             }
         }
         true
+    }
+}
+
+/// The equivalence classes of an [`AnonTable`]
+/// ([`AnonTable::equivalence_classes`]): a run builds them once and
+/// every indicator that groups rows by class reads them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EquivalenceClasses {
+    /// Rows per class, classes numbered in order of first appearance.
+    pub sizes: Vec<usize>,
+    /// The class of each row.
+    pub row_class: Vec<u32>,
+}
+
+impl EquivalenceClasses {
+    /// Discernibility metric: `Σ |EC|²`. Lower is better; the minimum
+    /// is `n` (all classes singletons).
+    pub fn discernibility(&self) -> u64 {
+        self.sizes.iter().map(|&s| (s as u64) * (s as u64)).sum()
+    }
+
+    /// Average class size (`C_avg`); 0.0 for an empty table.
+    pub fn average_size(&self) -> f64 {
+        self.row_class.len() as f64 / self.sizes.len().max(1) as f64
+    }
+
+    /// The k-anonymity rule: records in classes smaller than `k`.
+    pub fn k_violations(&self, k: usize) -> u64 {
+        self.sizes.iter().filter(|&&s| s < k).sum::<usize>() as u64
     }
 }
 
@@ -517,7 +552,7 @@ mod tests {
             tx: None,
             n_rows: t.n_rows(),
         };
-        let (sizes, row_class) = a.equivalence_classes();
+        let EquivalenceClasses { sizes, row_class } = a.equivalence_classes();
         assert_eq!(sizes.len(), 3); // BSc, MSc, PhD
         assert_eq!(sizes.iter().sum::<usize>(), 4);
         assert_eq!(row_class[0], row_class[2]); // both BSc rows

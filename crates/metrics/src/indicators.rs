@@ -27,7 +27,8 @@ pub struct Indicators {
     pub avg_class_size: f64,
     /// Total wall-clock runtime in milliseconds.
     pub runtime_ms: f64,
-    /// Did the output pass post-hoc verification of its guarantee?
+    /// Did the output pass the audit of its guarantee
+    /// (`risk.audit.passed`, checked on the output alone)?
     pub verified: bool,
     /// Attack-side disclosure-risk indicators (`secreta-risk`).
     ///
@@ -101,16 +102,18 @@ pub struct MItemRisk {
     pub unique_fraction: f64,
 }
 
-/// Result of re-checking the claimed privacy guarantee on the output.
+/// Result of checking the claimed privacy guarantee on the output.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ConstraintAudit {
     /// Human-readable description of the audited guarantee, e.g.
     /// `"k-anonymity(k=5)"`.
     pub guarantee: String,
-    /// Number of violating records/constraints found (for
-    /// ρ-uncertainty: 0 or 1, a pass/fail re-check).
+    /// Violations found: records in too-small classes (k-anonymity),
+    /// under-supported itemsets (k^m), both (k,k^m), violated
+    /// constraints (privacy policy), or 0/1 (ρ-uncertainty).
     pub violations: u64,
-    /// True iff `violations == 0` — the hard error indicator.
+    /// True iff `violations == 0` — the hard error indicator, and the
+    /// run's `verified` indicator.
     pub passed: bool,
 }
 

@@ -34,7 +34,7 @@ pub mod loss;
 pub mod query;
 pub mod timing;
 
-pub use anon::{AnonTable, AnonTransaction, GenEntry, RelColumn};
+pub use anon::{AnonTable, AnonTransaction, EquivalenceClasses, GenEntry, RelColumn};
 pub use indicators::{
     ConstraintAudit, Indicators, MItemRisk, RelationalRisk, RiskIndicators, TransactionRisk,
 };

@@ -157,22 +157,16 @@ pub fn utility_loss(table: &RtTable, anon: &AnonTable, tx_hierarchy: Option<&Hie
     ((raw - best) / (worst - best)).clamp(0.0, 1.0)
 }
 
-/// Discernibility metric: `Σ |EC|²` over relational equivalence
-/// classes. Lower is better; minimum is `n` (all classes singletons).
+/// Discernibility of `anon`'s relational equivalence classes; see
+/// [`crate::anon::EquivalenceClasses::discernibility`].
 pub fn discernibility(anon: &AnonTable) -> u64 {
-    let (sizes, _) = anon.equivalence_classes();
-    sizes.iter().map(|&s| (s as u64) * (s as u64)).sum()
+    anon.equivalence_classes().discernibility()
 }
 
 /// Average relational equivalence-class size (`C_avg`). 0.0 for empty
 /// tables.
 pub fn average_class_size(anon: &AnonTable) -> f64 {
-    let (sizes, _) = anon.equivalence_classes();
-    if sizes.is_empty() {
-        0.0
-    } else {
-        anon.n_rows as f64 / sizes.len() as f64
-    }
+    anon.equivalence_classes().average_size()
 }
 
 #[cfg(test)]

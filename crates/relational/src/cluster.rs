@@ -320,9 +320,9 @@ pub fn cluster_rows(input: &RelationalInput, seed: u64) -> Result<Vec<Vec<usize>
     // reconstruct the partition from equivalence classes of the output
     // (clusters with identical LCAs merge — harmless for the callers,
     // since equal signatures are indistinguishable anyway)
-    let (sizes, row_class) = out.anon.equivalence_classes();
-    let mut clusters: Vec<Vec<usize>> = vec![Vec::new(); sizes.len()];
-    for (row, &c) in row_class.iter().enumerate() {
+    let classes = out.anon.equivalence_classes();
+    let mut clusters: Vec<Vec<usize>> = vec![Vec::new(); classes.sizes.len()];
+    for (row, &c) in classes.row_class.iter().enumerate() {
         clusters[c as usize].push(row);
     }
     Ok(clusters)
@@ -451,7 +451,7 @@ mod tests {
     fn leftovers_are_absorbed() {
         let t = table(); // 9 rows, k=4 -> 2 clusters + 1 leftover
         let out = anonymize(&input(&t, 4), 3).unwrap();
-        let (sizes, _) = out.anon.equivalence_classes();
+        let sizes = out.anon.equivalence_classes().sizes;
         assert_eq!(sizes.iter().sum::<usize>(), 9);
         assert!(sizes.iter().all(|&s| s >= 4));
     }
@@ -481,7 +481,7 @@ mod tests {
     fn k_equals_n_single_cluster() {
         let t = table();
         let out = anonymize(&input(&t, 9), 5).unwrap();
-        let (sizes, _) = out.anon.equivalence_classes();
+        let sizes = out.anon.equivalence_classes().sizes;
         assert_eq!(sizes, vec![9]);
     }
 }

@@ -236,7 +236,7 @@ mod tests {
         let out = anonymize(&input(&t, 8)).unwrap();
         assert!(is_k_anonymous(&out.anon, 8));
         // 8 = n: a single equivalence class
-        let (sizes, _) = out.anon.equivalence_classes();
+        let sizes = out.anon.equivalence_classes().sizes;
         assert_eq!(sizes, vec![8]);
     }
 

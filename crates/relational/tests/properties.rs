@@ -162,7 +162,7 @@ proptest! {
         let t = build_table(&rows, 10, 6);
         let i = input(&t, k, 3);
         let out = RelationalAlgorithm::Cluster.run(&i, seed).expect("feasible");
-        let (sizes, _) = out.anon.equivalence_classes();
+        let sizes = out.anon.equivalence_classes().sizes;
         prop_assert_eq!(sizes.iter().sum::<usize>(), t.n_rows());
         for s in sizes {
             prop_assert!(s >= k);

@@ -1,53 +1,68 @@
-//! Constraint-violation audit: re-check the claimed guarantee on the
+//! Constraint-violation audit: check the claimed guarantee on the
 //! published output and count how badly it fails.
 //!
-//! The framework's verifiers (`is_k_anonymous`, `is_km_anonymous`, …)
-//! answer pass/fail; the audit answers *how many* records / itemsets /
-//! constraints violate, which is what the risk indicators report as a
-//! hard error signal. The counting rules mirror the verifiers exactly,
-//! so `violations == 0 ⇔ passed` agrees with the `verified` indicator
-//! for the same guarantee.
+//! The audit is a run's verdict: the `verified` indicator is
+//! `passed`, and `passed` is `violations == 0`. Each guarantee has one
+//! rule. Its pass/fail form in the algorithm crates (`is_k_anonymous`,
+//! `is_km_anonymous`, `is_k_km_anonymous`, `satisfies_privacy`), which
+//! the test suites call, applies the same rule; all but the policy's
+//! row scan through the same counting code:
+//!
+//! * k-anonymity counts the records in classes smaller than `k`
+//!   ([`EquivalenceClasses::k_violations`]); an output without
+//!   relational columns is one class of all rows.
+//! * k^m-anonymity counts the occurring published itemsets of `1..=m`
+//!   items with support below `k`
+//!   ([`secreta_transaction::support::km_violations`]).
+//! * (k,k^m)-anonymity counts both, the itemset supports within each
+//!   relational class: an itemset occurring in two classes is two
+//!   itemsets, each needing `k` rows of its own class.
+//! * The privacy policy counts the constraints with published support
+//!   in `(0, k)`.
+//! * ρ-uncertainty reports its verifier's verdict as 0 or 1.
 //!
 //! The privacy-policy audit reads the m-item attack's
 //! [`CandidateIndex`]. A row supports a constraint when its published
 //! items cover every item of the constraint, which is when it lies in
 //! the candidate set of each of those items. So a constraint's support
 //! is one family count over its items' ranks, and 0 when some item has
-//! no covering entry. `crates/risk/tests/oracle.rs` keeps the row scan
-//! of the same rule as the reference this is tested against.
+//! no covering entry. `crates/risk/tests/oracle.rs` checks every rule
+//! against the verifiers and against brute-force counts.
 
 use crate::{CandidateIndex, Guarantee, RiskWork};
-use secreta_data::hash::FxHashMap;
 use secreta_data::ItemId;
-use secreta_metrics::{AnonTable, ConstraintAudit};
+use secreta_metrics::{AnonTable, ConstraintAudit, EquivalenceClasses};
 use secreta_policy::PrivacyPolicy;
-use secreta_transaction::support::for_each_subset_u32;
+use secreta_transaction::support::km_violations;
 
-/// Re-check `guarantee` on `anon`, counting violations. `candidates`
-/// is the [`CandidateIndex`] of `anon`'s transaction part, `None` when
-/// it has none.
+/// Check `guarantee` on `anon`, counting violations. `classes` are
+/// `anon`'s equivalence classes; `candidates` is the
+/// [`CandidateIndex`] of its transaction part, `None` when it has
+/// none.
 pub fn audit_guarantee(
     anon: &AnonTable,
+    classes: &EquivalenceClasses,
     candidates: Option<&CandidateIndex>,
-    privacy: Option<&PrivacyPolicy>,
     guarantee: &Guarantee,
 ) -> ConstraintAudit {
     debug_assert_eq!(anon.tx.is_some(), candidates.is_some());
+    let km = |k, m, row_class| {
+        anon.tx
+            .as_ref()
+            .map_or(0, |tx| km_violations(tx, k, m, row_class))
+    };
     let (label, violations) = match guarantee {
-        Guarantee::KAnonymity { k } => (format!("k-anonymity(k={k})"), k_violations(anon, *k)),
-        Guarantee::KmAnonymity { k, m } => (
-            format!("k^m-anonymity(k={k},m={m})"),
-            km_violations(anon, *k, *m),
-        ),
-        Guarantee::Policy { k } => (
+        Guarantee::KAnonymity { k } => (format!("k-anonymity(k={k})"), classes.k_violations(*k)),
+        Guarantee::KmAnonymity { k, m } => {
+            (format!("k^m-anonymity(k={k},m={m})"), km(*k, *m, None))
+        }
+        Guarantee::Policy { k, policy } => (
             format!("privacy-policy(k={k})"),
-            candidates.zip(privacy).map_or(0, |(candidates, privacy)| {
-                policy_violations(candidates, privacy, *k)
-            }),
+            candidates.map_or(0, |candidates| policy_violations(candidates, policy, *k)),
         ),
         Guarantee::KKmAnonymity { k, m } => (
             format!("(k,k^m)-anonymity(k={k},m={m})"),
-            k_violations(anon, *k) + km_violations(anon, *k, *m),
+            classes.k_violations(*k) + km(*k, *m, Some(&classes.row_class)),
         ),
         Guarantee::RhoUncertainty { rho, satisfied } => {
             (format!("rho-uncertainty(rho={rho})"), u64::from(!satisfied))
@@ -58,39 +73,6 @@ pub fn audit_guarantee(
         violations,
         passed: violations == 0,
     }
-}
-
-/// Records living in QI equivalence classes smaller than `k`.
-fn k_violations(anon: &AnonTable, k: usize) -> u64 {
-    if anon.rel.is_empty() {
-        return 0;
-    }
-    let (sizes, _) = anon.equivalence_classes();
-    sizes.iter().filter(|&&s| s < k).map(|&s| s as u64).sum()
-}
-
-/// Occurring published itemsets (sizes `1..=m`) with support `< k`.
-fn km_violations(anon: &AnonTable, k: usize, m: usize) -> u64 {
-    let tx = match &anon.tx {
-        Some(tx) => tx,
-        None => return 0,
-    };
-    let m = m.max(1);
-    let mut violations = 0u64;
-    for size in 1..=m {
-        let mut sup: FxHashMap<Vec<u32>, u32> = FxHashMap::default();
-        for row in 0..tx.n_rows() {
-            let items = tx.row_items(row);
-            if items.len() < size {
-                continue;
-            }
-            for_each_subset_u32(items, size, &mut |s| {
-                *sup.entry(s.to_vec()).or_insert(0) += 1;
-            });
-        }
-        violations += sup.values().filter(|&&c| (c as usize) < k).count() as u64;
-    }
-    violations
 }
 
 /// Privacy constraints with published support in `(0, k)`.
@@ -137,15 +119,15 @@ mod tests {
     }
 
     /// Audit a transaction output of `t` through its candidate index.
-    fn audit_tx(
-        t: &RtTable,
-        anon: &AnonTable,
-        privacy: Option<&PrivacyPolicy>,
-        guarantee: &Guarantee,
-    ) -> ConstraintAudit {
+    fn audit_tx(t: &RtTable, anon: &AnonTable, guarantee: &Guarantee) -> ConstraintAudit {
         let tx = anon.tx.as_ref().expect("a transaction output");
         let candidates = CandidateIndex::build(t, tx, None);
-        audit_guarantee(anon, Some(&candidates), privacy, guarantee)
+        audit_guarantee(
+            anon,
+            &anon.equivalence_classes(),
+            Some(&candidates),
+            guarantee,
+        )
     }
 
     #[test]
@@ -159,10 +141,11 @@ mod tests {
             tx: None,
             n_rows: 4,
         };
-        let a = audit_guarantee(&anon, None, None, &Guarantee::KAnonymity { k: 2 });
+        let classes = anon.equivalence_classes();
+        let a = audit_guarantee(&anon, &classes, None, &Guarantee::KAnonymity { k: 2 });
         assert_eq!(a.violations, 1, "the singleton class has one record");
         assert!(!a.passed);
-        let a3 = audit_guarantee(&anon, None, None, &Guarantee::KAnonymity { k: 4 });
+        let a3 = audit_guarantee(&anon, &classes, None, &Guarantee::KAnonymity { k: 4 });
         assert_eq!(a3.violations, 4, "both classes are below 4");
     }
 
@@ -171,9 +154,9 @@ mod tests {
         let t = tx_table();
         let anon = AnonTable::identity(&t, &[]);
         // items: a,b sup 2; c sup 1; pair {a,b} sup 2
-        let ok = audit_tx(&t, &anon, None, &Guarantee::KmAnonymity { k: 1, m: 2 });
+        let ok = audit_tx(&t, &anon, &Guarantee::KmAnonymity { k: 1, m: 2 });
         assert!(ok.passed);
-        let bad = audit_tx(&t, &anon, None, &Guarantee::KmAnonymity { k: 2, m: 2 });
+        let bad = audit_tx(&t, &anon, &Guarantee::KmAnonymity { k: 2, m: 2 });
         assert_eq!(bad.violations, 1, "only {{c}} is under-supported");
         assert_eq!(bad.guarantee, "k^m-anonymity(k=2,m=2)");
     }
@@ -183,7 +166,11 @@ mod tests {
         let t = tx_table();
         let anon = AnonTable::identity(&t, &[]);
         let policy = PrivacyPolicy::new(vec![vec![ItemId(0)], vec![ItemId(2)]]);
-        let a = audit_tx(&t, &anon, Some(&policy), &Guarantee::Policy { k: 2 });
+        let guarantee = Guarantee::Policy {
+            k: 2,
+            policy: &policy,
+        };
+        let a = audit_tx(&t, &anon, &guarantee);
         assert_eq!(a.violations, 1, "constraint {{c}} has support 1");
         // zero-support constraints are fine: audit agrees with the
         // verifier's `sup == 0 or ≥ k` rule
@@ -196,7 +183,7 @@ mod tests {
             tx: Some(tx),
             n_rows: 3,
         };
-        let a = audit_tx(&t, &suppressed, Some(&policy), &Guarantee::Policy { k: 2 });
+        let a = audit_tx(&t, &suppressed, &guarantee);
         assert!(a.passed);
     }
 
@@ -211,8 +198,60 @@ mod tests {
             rho: 0.5,
             satisfied: false,
         };
-        let a = audit_guarantee(&anon, None, None, &g);
+        let a = audit_guarantee(&anon, &anon.equivalence_classes(), None, &g);
         assert_eq!(a.violations, 1);
         assert_eq!(a.guarantee, "rho-uncertainty(rho=0.5)");
+    }
+
+    /// Two classes of two rows, each class publishing `{0}` and `{1}`:
+    /// every item has support 2 in the table but 1 in its class, so
+    /// (k,k^m) at k=2, m=1 fails on all four (class, item) pairs.
+    #[test]
+    fn k_km_counts_supports_within_each_class() {
+        let items = [0u32, 1, 0, 1];
+        let anon = AnonTable {
+            rel: vec![RelColumn {
+                attr: 0,
+                domain: vec![GenEntry::Set(vec![0]), GenEntry::Set(vec![1])],
+                cells: vec![0, 0, 1, 1],
+            }],
+            tx: Some(secreta_metrics::AnonTransaction {
+                domain: vec![GenEntry::Set(vec![0]), GenEntry::Set(vec![1])],
+                offsets: vec![0, 1, 2, 3, 4],
+                items: items.to_vec(),
+                multiplicity: vec![1; 4],
+                suppressed: vec![],
+            }),
+            n_rows: 4,
+        };
+        let tx = anon.tx.as_ref().unwrap();
+        let candidates = CandidateIndex::build(&tx_table_of(&items), tx, None);
+        let classes = anon.equivalence_classes();
+        let a = audit_guarantee(
+            &anon,
+            &classes,
+            Some(&candidates),
+            &Guarantee::KKmAnonymity { k: 2, m: 1 },
+        );
+        assert!(!a.passed);
+        assert_eq!(a.violations, 4);
+        // the same rows form one class under k^m: both items pass
+        let km = audit_guarantee(
+            &anon,
+            &classes,
+            Some(&candidates),
+            &Guarantee::KmAnonymity { k: 2, m: 1 },
+        );
+        assert!(km.passed);
+    }
+
+    /// A transaction-only table holding one item per row.
+    fn tx_table_of(items: &[u32]) -> RtTable {
+        let schema = Schema::new(vec![Attribute::transaction("Items")]).unwrap();
+        let mut t = RtTable::new(schema);
+        for item in items {
+            t.push_row(&[], &[&format!("i{item}")]).unwrap();
+        }
+        t
     }
 }

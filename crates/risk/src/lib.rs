@@ -22,11 +22,13 @@
 //!   1/64 of the published rows, and each record's subset walk stops
 //!   at a floor proven from its own published row. The naive path is a
 //!   brute-force O(n²) oracle the kernels are tested against.
-//! * [`audit`] — a **constraint-violation audit** that re-checks the
-//!   claimed guarantee (k-anonymity, k^m-anonymity, privacy policy,
-//!   ρ-uncertainty) on the output and reports the number of violations
-//!   as a hard error indicator. The privacy-policy audit counts each
-//!   constraint's support from the same [`CandidateIndex`].
+//! * [`audit`] — a **constraint-violation audit** that checks the
+//!   claimed guarantee (k-anonymity, k^m-anonymity, (k,k^m)-anonymity,
+//!   privacy policy, ρ-uncertainty) on the output and reports the
+//!   number of violations as a hard error indicator. It is the run's
+//!   verdict: a run's `verified` indicator is the audit's `passed`.
+//!   The privacy-policy audit counts each constraint's support from
+//!   the same [`CandidateIndex`].
 //!
 //! Everything aggregates through integer accumulators (counts, sums,
 //! minima) with ratios computed once at the end, so the resulting
@@ -47,7 +49,7 @@ pub use relational::relational_risk;
 
 use secreta_data::RtTable;
 use secreta_hierarchy::Hierarchy;
-use secreta_metrics::{AnonTable, RiskIndicators};
+use secreta_metrics::{AnonTable, EquivalenceClasses, RiskIndicators};
 use secreta_policy::PrivacyPolicy;
 use secreta_transaction::Counting;
 
@@ -77,9 +79,9 @@ impl Default for RiskParams {
     }
 }
 
-/// The privacy guarantee an output claims, for the audit re-check.
+/// The privacy guarantee an output claims, for the audit.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Guarantee {
+pub enum Guarantee<'a> {
     /// Relational k-anonymity at `k`.
     KAnonymity {
         /// The minimum equivalence-class size.
@@ -98,9 +100,11 @@ pub enum Guarantee {
     Policy {
         /// Minimum nonzero support of a privacy constraint.
         k: usize,
+        /// The protected constraints.
+        policy: &'a PrivacyPolicy,
     },
     /// RT (k, k^m)-anonymity: relational k-anonymity plus transaction
-    /// k^m-anonymity on the same rows.
+    /// k^m-anonymity within each relational equivalence class.
     KKmAnonymity {
         /// The minimum class size / itemset support.
         k: usize,
@@ -109,7 +113,7 @@ pub enum Guarantee {
     },
     /// ρ-uncertainty. Mining sensitive rules is the job of the
     /// verifiers in `secreta-transaction`; the audit reports their
-    /// verdict as a pass/fail re-check.
+    /// verdict.
     RhoUncertainty {
         /// The confidence threshold ρ.
         rho: f64,
@@ -121,30 +125,30 @@ pub enum Guarantee {
 /// Evaluate the full attack-side indicator block for a published
 /// output.
 ///
-/// `privacy` is the effective privacy policy for [`Guarantee::Policy`]
-/// audits (ignored otherwise); `item_hierarchy` expands
-/// hierarchy-node generalized values. `counting` picks the kernel or
-/// the brute-force oracle for the m-item adversary — both produce
-/// byte-identical indicators. A published transaction table gets one
+/// `classes` are `anon`'s equivalence classes, which the relational
+/// risk and the audit share; `item_hierarchy` expands hierarchy-node
+/// generalized values. `counting` picks the kernel or the brute-force
+/// oracle for the m-item adversary — both produce byte-identical
+/// indicators. A published transaction table gets one
 /// [`CandidateIndex`], which the attack and the policy audit share.
 pub fn evaluate(
     table: &RtTable,
     anon: &AnonTable,
+    classes: &EquivalenceClasses,
     item_hierarchy: Option<&Hierarchy>,
-    privacy: Option<&PrivacyPolicy>,
     guarantee: &Guarantee,
     params: &RiskParams,
     counting: Counting,
 ) -> RiskIndicators {
     let recorder = secreta_obsv::current();
-    let rel = relational_risk(anon, params);
+    let rel = relational_risk(anon, classes, params);
     let candidates = anon
         .tx
         .as_ref()
         .map(|tx| CandidateIndex::build(table, tx, item_hierarchy));
     let candidates = candidates.as_ref();
     let (tx, work) = mitem::attack(table, anon, candidates, item_hierarchy, params, counting);
-    let audit = audit_guarantee(anon, candidates, privacy, guarantee);
+    let audit = audit_guarantee(anon, classes, candidates, guarantee);
     if let Some(r) = &rel {
         recorder.count("risk/rel_classes", r.n_classes);
     }

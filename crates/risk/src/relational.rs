@@ -11,17 +11,19 @@
 //! the risk dilutes to `1 / ceil(s / π)`.
 
 use crate::RiskParams;
-use secreta_metrics::{AnonTable, RelationalRisk};
+use secreta_metrics::{AnonTable, EquivalenceClasses, RelationalRisk};
 
-/// Compute the relational risk block; `None` when the output has no
-/// relational part (class statistics over an empty QI set would be a
-/// single meaningless class).
-pub fn relational_risk(anon: &AnonTable, params: &RiskParams) -> Option<RelationalRisk> {
-    if anon.rel.is_empty() {
-        return None;
-    }
-    let (sizes, _) = anon.equivalence_classes();
-    if sizes.is_empty() {
+/// Compute the relational risk block from `anon`'s equivalence
+/// `classes`; `None` when the output has no relational part (class
+/// statistics over an empty QI set would be a single meaningless
+/// class) or no rows.
+pub fn relational_risk(
+    anon: &AnonTable,
+    classes: &EquivalenceClasses,
+    params: &RiskParams,
+) -> Option<RelationalRisk> {
+    let sizes = &classes.sizes;
+    if anon.rel.is_empty() || sizes.is_empty() {
         return None;
     }
     let n_rows: u64 = sizes.iter().map(|&s| s as u64).sum();
@@ -29,7 +31,7 @@ pub fn relational_risk(anon: &AnonTable, params: &RiskParams) -> Option<Relation
     // Σ over records of 1/|EC| = number of classes, exactly
     let n_classes = sizes.len() as u64;
     let mut at_risk: u64 = 0;
-    for &s in &sizes {
+    for &s in sizes {
         // 1/s > threshold  ⇔  s · threshold < 1
         if (s as f64) * params.risk_threshold < 1.0 {
             at_risk += s as u64;
@@ -70,7 +72,8 @@ mod tests {
     fn class_statistics() {
         // classes: {0,0,0} and {1}
         let anon = anon_with_classes(vec![0, 0, 0, 1]);
-        let r = relational_risk(&anon, &RiskParams::default()).unwrap();
+        let r =
+            relational_risk(&anon, &anon.equivalence_classes(), &RiskParams::default()).unwrap();
         assert_eq!(r.n_classes, 2);
         assert_eq!(r.min_class_size, 1);
         assert_eq!(r.max_prosecutor, 1.0);
@@ -88,7 +91,9 @@ mod tests {
             tx: None,
             n_rows: 5,
         };
-        assert!(relational_risk(&anon, &RiskParams::default()).is_none());
+        assert!(
+            relational_risk(&anon, &anon.equivalence_classes(), &RiskParams::default()).is_none()
+        );
     }
 
     #[test]
@@ -99,7 +104,7 @@ mod tests {
             ..Default::default()
         };
         // 1/5 = 0.2 ≤ 0.25 not at risk; 1/2 = 0.5 > 0.25 at risk
-        let r = relational_risk(&anon, &params).unwrap();
+        let r = relational_risk(&anon, &anon.equivalence_classes(), &params).unwrap();
         assert_eq!(r.at_risk_fraction, 2.0 / 7.0);
     }
 }

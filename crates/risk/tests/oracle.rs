@@ -5,17 +5,27 @@
 //! row-set tiers forced, and at any thread count. The privacy-policy
 //! audit, which counts supports from the same candidate index, must
 //! agree with the row-scan reference kept here.
+//!
+//! The guarantee audit is a run's verdict, so every rule it counts must
+//! pass exactly when the verifier loops it replaced do (kept here as
+//! oracles), and count exactly the violations a brute-force scan finds.
 
 use proptest::prelude::*;
+use secreta_data::hash::FxHashMap;
 use secreta_data::{Attribute, AttributeKind, ItemId, RtTable, Schema};
 use secreta_hierarchy::{auto_hierarchy, Hierarchy};
 use secreta_metrics::{AnonTable, AnonTransaction, GenEntry};
 use secreta_policy::PrivacyPolicy;
+use secreta_relational::is_k_anonymous;
 use secreta_risk::{audit_guarantee, transaction_risk, CandidateIndex, Guarantee, RiskParams};
+use secreta_rt::is_k_km_anonymous;
+use secreta_transaction::support::for_each_subset_u32;
 use secreta_transaction::Counting::{Kernel, Naive};
 use secreta_transaction::{
-    apriori, coat, lra, satisfies_privacy, set_density_threshold, vpa, TransactionInput,
+    apriori, coat, is_km_anonymous, lra, satisfies_privacy, set_density_threshold, vpa,
+    TransactionInput,
 };
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
 
 /// Serializes tests that touch the process-global density threshold.
@@ -246,11 +256,12 @@ proptest! {
         if let Ok(out) = coat::anonymize(&plain) {
             outputs.push(("coat", out.anon, None));
         }
-        let guarantee = Guarantee::Policy { k };
+        let guarantee = Guarantee::Policy { k, policy: &policy };
         for (name, anon, h) in &outputs {
             let tx = anon.tx.as_ref().expect("a transaction output");
             let candidates = CandidateIndex::build(&t, tx, *h);
-            let audit = audit_guarantee(anon, Some(&candidates), Some(&policy), &guarantee);
+            let classes = anon.equivalence_classes();
+            let audit = audit_guarantee(anon, &classes, Some(&candidates), &guarantee);
             let scanned = policy_violations_by_scan(anon, *h, &policy, k);
             prop_assert_eq!(audit.violations, scanned, "{} audit diverged", name);
             prop_assert_eq!(
@@ -259,6 +270,197 @@ proptest! {
                 "{} audit disagrees with the verifier",
                 name
             );
+        }
+    }
+}
+
+/// A published row of [`published_table`]: two relational values and
+/// an item list.
+type Row = (u32, u32, Vec<u32>);
+
+/// An item no generated row holds, added by an item perturbation.
+const FRESH_ITEM: u32 = 15;
+
+/// The original table behind a random published output: `base` rows,
+/// each repeated `reps` times (so outputs at `k ≤ reps` pass until a
+/// perturbation breaks one), with a transaction attribute only when
+/// `with_tx`. `perturb = (kind, row)` changes one row: kind 1 adds
+/// [`FRESH_ITEM`] to its items, kind 2 gives it a fresh first
+/// relational value, and kind 0 leaves the table alone.
+fn published_table(base: &[Row], reps: usize, with_tx: bool, perturb: (u32, usize)) -> RtTable {
+    let mut attrs = vec![Attribute::categorical("A"), Attribute::categorical("B")];
+    if with_tx {
+        attrs.push(Attribute::transaction("Items"));
+    }
+    let mut t = RtTable::new(Schema::new(attrs).unwrap());
+    if with_tx {
+        for i in 0..16 {
+            t.intern_item(&format!("i{i:02}")).unwrap();
+        }
+    }
+    let mut rows: Vec<Row> = base
+        .iter()
+        .flat_map(|row| std::iter::repeat_n(row.clone(), reps))
+        .collect();
+    let n = rows.len();
+    match perturb {
+        (1, row) if n > 0 => rows[row % n].2.push(FRESH_ITEM),
+        (2, row) if n > 0 => rows[row % n].0 = 9,
+        _ => {}
+    }
+    for (a, b, items) in &rows {
+        let items: Vec<String> = if with_tx {
+            items.iter().map(|v| format!("i{v:02}")).collect()
+        } else {
+            Vec::new()
+        };
+        let items: Vec<&str> = items.iter().map(String::as_str).collect();
+        t.push_row(&[&format!("a{a}"), &format!("b{b}")], &items)
+            .unwrap();
+    }
+    t
+}
+
+/// Rows grouped by their published relational signature.
+fn classes_by_signature(anon: &AnonTable) -> Vec<Vec<usize>> {
+    let mut by_sig: BTreeMap<Vec<u32>, Vec<usize>> = BTreeMap::new();
+    for row in 0..anon.n_rows {
+        let sig = anon.rel.iter().map(|c| c.cells[row]).collect();
+        by_sig.entry(sig).or_default().push(row);
+    }
+    by_sig.into_values().collect()
+}
+
+/// The k^m verifier loop the shared counter replaced: one map of
+/// allocated keys per itemset size over `rows`, failing at the first
+/// support below `k`.
+fn km_oracle(tx: &AnonTransaction, rows: &[usize], k: usize, m: usize) -> bool {
+    for size in 1..=m.max(1) {
+        let mut sup: FxHashMap<Vec<u32>, u32> = FxHashMap::default();
+        for &row in rows {
+            let items = tx.row_items(row);
+            if items.len() < size {
+                continue;
+            }
+            for_each_subset_u32(items, size, &mut |s| {
+                *sup.entry(s.to_vec()).or_insert(0) += 1;
+            });
+        }
+        if sup.values().any(|&c| (c as usize) < k) {
+            return false;
+        }
+    }
+    true
+}
+
+/// The (k,k^m) verifier loop the audit replaced: every class at least
+/// `k` rows, then k^m within each class.
+fn k_km_oracle(anon: &AnonTable, k: usize, m: usize) -> bool {
+    let classes = classes_by_signature(anon);
+    if classes.iter().any(|rows| rows.len() < k) {
+        return false;
+    }
+    let Some(tx) = &anon.tx else {
+        return true;
+    };
+    classes.iter().all(|rows| km_oracle(tx, rows, k, m))
+}
+
+/// Brute-force k-anonymity count: rows whose signature fewer than `k`
+/// rows share, compared row against row.
+fn k_by_scan(anon: &AnonTable, k: usize) -> u64 {
+    let sig = |row: usize| anon.rel.iter().map(|c| c.cells[row]).collect::<Vec<_>>();
+    (0..anon.n_rows)
+        .filter(|&row| (0..anon.n_rows).filter(|&r| sig(r) == sig(row)).count() < k)
+        .count() as u64
+}
+
+/// Brute-force k^m count over `scopes` (the whole table, or each
+/// class): distinct itemsets of `1..=m` items occurring in a scope
+/// that fewer than `k` of its rows contain, each counted by a row scan.
+fn km_by_scan(tx: &AnonTransaction, scopes: &[Vec<usize>], k: usize, m: usize) -> u64 {
+    let m = m.max(1);
+    let mut violations = 0;
+    for rows in scopes {
+        let mut itemsets: BTreeSet<Vec<u32>> = BTreeSet::new();
+        for &row in rows {
+            let items = tx.row_items(row);
+            for mask in 1u32..(1 << items.len()) {
+                if mask.count_ones() as usize <= m {
+                    let set = (0..items.len()).filter(|&i| mask >> i & 1 == 1);
+                    itemsets.insert(set.map(|i| items[i]).collect());
+                }
+            }
+        }
+        for set in &itemsets {
+            let support = rows
+                .iter()
+                .filter(|&&row| set.iter().all(|it| tx.row_items(row).contains(it)))
+                .count();
+            violations += u64::from(support < k);
+        }
+    }
+    violations
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// For every guarantee the audit passes exactly when the verifier
+    /// loop it replaced does, and counts the violations a brute-force
+    /// scan counts; the verifier wrappers agree with the loops too.
+    /// Tables run from empty to a few dozen rows, with zero, one or
+    /// two relational columns, with and without a transaction part,
+    /// at `m = 0..=3`.
+    #[test]
+    fn audit_matches_verifier_oracle(
+        base in prop::collection::vec((0u32..3, 0u32..2, prop::collection::vec(0u32..6, 0..4)), 0..6),
+        (reps, qi) in (1usize..4, 0usize..3),
+        with_tx in any::<bool>(),
+        perturb in (0u32..3, 0usize..64),
+        (k, m) in (1usize..4, 0usize..4),
+        policy in policy_strategy(),
+    ) {
+        let t = published_table(&base, reps, with_tx, perturb);
+        let qi_attrs: Vec<usize> = (0..qi).collect();
+        let anon = AnonTable::identity(&t, &qi_attrs);
+        let classes = anon.equivalence_classes();
+        let candidates = anon.tx.as_ref().map(|tx| CandidateIndex::build(&t, tx, None));
+        let all_rows: Vec<usize> = (0..anon.n_rows).collect();
+        let scopes = classes_by_signature(&anon);
+
+        let k_ok = scopes.iter().all(|rows| rows.len() >= k);
+        let km_ok = anon.tx.as_ref().is_none_or(|tx| km_oracle(tx, &all_rows, k, m));
+        let k_km_ok = k_km_oracle(&anon, k, m);
+        prop_assert_eq!(is_k_anonymous(&anon, k), k_ok);
+        prop_assert_eq!(is_km_anonymous(&anon, k, m, None), km_ok);
+        prop_assert_eq!(is_k_km_anonymous(&anon, k, m), k_km_ok);
+
+        let km_count = |scopes: &[Vec<usize>]| {
+            anon.tx.as_ref().map_or(0, |tx| km_by_scan(tx, scopes, k, m))
+        };
+        let policy_count = match anon.tx {
+            Some(_) => policy_violations_by_scan(&anon, None, &policy, k),
+            None => 0,
+        };
+        let cases = [
+            (Guarantee::KAnonymity { k }, k_ok, k_by_scan(&anon, k)),
+            (Guarantee::KmAnonymity { k, m }, km_ok, km_count(std::slice::from_ref(&all_rows))),
+            (
+                Guarantee::KKmAnonymity { k, m },
+                k_km_ok,
+                k_by_scan(&anon, k) + km_count(&scopes),
+            ),
+            (
+                Guarantee::Policy { k, policy: &policy },
+                satisfies_privacy(&anon, &policy, k, None),
+                policy_count,
+            ),
+        ];
+        for (guarantee, verdict, count) in &cases {
+            let audit = audit_guarantee(&anon, &classes, candidates.as_ref(), guarantee);
+            prop_assert_eq!(audit.passed, *verdict, "{:?} verdict", guarantee);
+            prop_assert_eq!(audit.violations, *count, "{:?} count", guarantee);
         }
     }
 }

@@ -101,9 +101,9 @@ pub fn anonymize(input: &RtInput) -> Result<RtOutput, RtError> {
         k: input.k,
     };
     let rel_out = input.rel_algo.run(&rel_input, input.seed)?;
-    let (sizes, row_class) = rel_out.anon.equivalence_classes();
-    let mut cluster_rows: Vec<Vec<usize>> = vec![Vec::new(); sizes.len()];
-    for (row, &c) in row_class.iter().enumerate() {
+    let classes = rel_out.anon.equivalence_classes();
+    let mut cluster_rows: Vec<Vec<usize>> = vec![Vec::new(); classes.sizes.len()];
+    for (row, &c) in classes.row_class.iter().enumerate() {
         cluster_rows[c as usize].push(row);
     }
     // splice the sub-run's phases in here, while "relational

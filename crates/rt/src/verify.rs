@@ -1,7 +1,8 @@
-//! Post-hoc verification of (k, k^m)-anonymity.
+//! Post-hoc verification of (k, k^m)-anonymity: the pass/fail form of
+//! the rule `secreta-risk`'s guarantee audit counts for RT runs.
 
-use secreta_data::hash::FxHashMap;
 use secreta_metrics::AnonTable;
+use secreta_transaction::support::km_violations;
 
 /// Is `anon` (k, k^m)-anonymous?
 ///
@@ -11,61 +12,12 @@ use secreta_metrics::AnonTable;
 ///   items occurring in some row of the class occurs in at least `k`
 ///   rows of that class.
 pub fn is_k_km_anonymous(anon: &AnonTable, k: usize, m: usize) -> bool {
-    if anon.n_rows == 0 {
-        return true;
-    }
-    let (sizes, row_class) = anon.equivalence_classes();
-    if sizes.iter().any(|&s| s < k) {
-        return false;
-    }
-    let tx = match &anon.tx {
-        Some(tx) => tx,
-        None => return true,
-    };
-    let m = m.max(1);
-
-    // per class, count subset supports of published gen items
-    let mut class_rows: Vec<Vec<usize>> = vec![Vec::new(); sizes.len()];
-    for (row, &c) in row_class.iter().enumerate() {
-        class_rows[c as usize].push(row);
-    }
-    for rows in &class_rows {
-        for i in 1..=m {
-            let mut sup: FxHashMap<Vec<u32>, usize> = FxHashMap::default();
-            for &row in rows {
-                let items = tx.row_items(row);
-                if items.len() < i {
-                    continue;
-                }
-                subsets(items, i, &mut |s| {
-                    *sup.entry(s.to_vec()).or_insert(0) += 1;
-                });
-            }
-            if sup.values().any(|&c| c < k) {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-fn subsets(items: &[u32], i: usize, f: &mut impl FnMut(&[u32])) {
-    fn rec(items: &[u32], i: usize, start: usize, cur: &mut Vec<u32>, f: &mut impl FnMut(&[u32])) {
-        if cur.len() == i {
-            f(cur);
-            return;
-        }
-        let need = i - cur.len();
-        for idx in start..=items.len().saturating_sub(need) {
-            cur.push(items[idx]);
-            rec(items, i, idx + 1, cur, f);
-            cur.pop();
-        }
-    }
-    if i == 0 || i > items.len() {
-        return;
-    }
-    rec(items, i, 0, &mut Vec::with_capacity(i), f);
+    let classes = anon.equivalence_classes();
+    classes.k_violations(k) == 0
+        && anon
+            .tx
+            .as_ref()
+            .is_none_or(|tx| km_violations(tx, k, m, Some(&classes.row_class)) == 0)
 }
 
 #[cfg(test)]

@@ -47,6 +47,7 @@ use crate::bitmap::{Bitset, RowSet};
 use crate::groups::ItemGroups;
 use secreta_data::hash::{FxHashMap, FxHasher};
 use secreta_data::{ChunkedTable, ItemId, RowChunk, RtTable, TxChunk};
+use secreta_metrics::AnonTransaction;
 use std::hash::Hasher;
 
 pub use secreta_data::Counting;
@@ -326,6 +327,38 @@ pub fn for_each_subset_u32(items: &[u32], size: usize, f: &mut impl FnMut(&[u32]
     }
     let mut cur = Vec::with_capacity(size);
     rec(items, size, 0, &mut cur, f);
+}
+
+/// The k^m rule on a published transaction part: occurring itemsets of
+/// `1..=m` published items (`m = 0` counts as 1) with support below
+/// `k`, counted over all rows, or with `row_class` within each class
+/// (an itemset occurring in two classes is then two itemsets). One
+/// row pass counts every size in one [`SupportMap`]: keys of different
+/// sizes cannot collide, and a per-class key leads with its class id.
+pub fn km_violations(tx: &AnonTransaction, k: usize, m: usize, row_class: Option<&[u32]>) -> u64 {
+    /// Count each extension of `key` by items of `items`, in order, up
+    /// to `max_len` ids.
+    fn rec(items: &[u32], max_len: usize, key: &mut Vec<u32>, sup: &mut SupportMap) {
+        for (i, &item) in items.iter().enumerate() {
+            key.push(item);
+            sup.add(key, 1);
+            if key.len() < max_len {
+                rec(&items[i + 1..], max_len, key, sup);
+            }
+            key.pop();
+        }
+    }
+    let m = m.max(1);
+    let mut sup = SupportMap::with_capacity(tx.domain.len());
+    let mut key = Vec::with_capacity(m + 1);
+    for row in 0..tx.n_rows() {
+        key.clear();
+        key.extend(row_class.map(|classes| classes[row]));
+        rec(tx.row_items(row), key.len() + m, &mut key, &mut sup);
+    }
+    sup.iter()
+        .filter(|&(_, count)| (count as usize) < k)
+        .count() as u64
 }
 
 /// Tiered CSR inverted index: item id → sorted positions (into the

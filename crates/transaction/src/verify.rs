@@ -1,8 +1,9 @@
-//! Post-hoc verification of transaction privacy guarantees.
+//! Post-hoc verification of transaction privacy guarantees: the
+//! pass/fail forms of the rules `secreta-risk`'s guarantee audit
+//! counts. Runs read the audit; the algorithms' test suites call these.
 
-use crate::apriori::for_each_subset;
-use secreta_data::hash::FxHashMap;
-use secreta_hierarchy::{Hierarchy, NodeId};
+use crate::support::km_violations;
+use secreta_hierarchy::Hierarchy;
 use secreta_metrics::AnonTable;
 use secreta_policy::PrivacyPolicy;
 
@@ -19,29 +20,9 @@ pub fn is_km_anonymous(
     m: usize,
     _tx_hierarchy: Option<&Hierarchy>,
 ) -> bool {
-    let tx = match &anon.tx {
-        Some(tx) => tx,
-        None => return true,
-    };
-    let m = m.max(1);
-    for i in 1..=m {
-        let mut sup: FxHashMap<Vec<NodeId>, u32> = FxHashMap::default();
-        for row in 0..tx.n_rows() {
-            let items = tx.row_items(row);
-            if items.len() < i {
-                continue;
-            }
-            // reuse the subset enumerator via a NodeId view of gen ids
-            let view: Vec<NodeId> = items.iter().map(|&g| NodeId(g)).collect();
-            for_each_subset(&view, i, &mut |s| {
-                *sup.entry(s.to_vec()).or_insert(0) += 1;
-            });
-        }
-        if sup.values().any(|&c| (c as usize) < k) {
-            return false;
-        }
-    }
-    true
+    anon.tx
+        .as_ref()
+        .is_none_or(|tx| km_violations(tx, k, m, None) == 0)
 }
 
 /// Does the published output satisfy `privacy` at level `k`?
@@ -49,16 +30,17 @@ pub fn is_km_anonymous(
 /// A constraint's published support is the number of transactions
 /// whose generalized items cover **all** of the constraint's original
 /// items; COAT's guarantee is support ≥ k or = 0 for every
-/// constraint.
+/// constraint. An output without a transaction part publishes no
+/// items, so every support is 0. This row scan is the reference the
+/// policy audit in `secreta-risk` is tested against.
 pub fn satisfies_privacy(
     anon: &AnonTable,
     privacy: &PrivacyPolicy,
     k: usize,
     tx_hierarchy: Option<&Hierarchy>,
 ) -> bool {
-    let tx = match &anon.tx {
-        Some(tx) => tx,
-        None => return privacy.is_empty(),
+    let Some(tx) = &anon.tx else {
+        return true;
     };
     for c in &privacy.constraints {
         let mut sup = 0usize;

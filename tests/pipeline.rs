@@ -114,7 +114,8 @@ fn identity_baseline_has_zero_loss_and_zero_are() {
     let ctx = session(60, 4);
     let anon = secreta::core::metrics::AnonTable::identity(&ctx.table, &ctx.qi_attrs);
     let phases = secreta::core::metrics::PhaseTimes::default();
-    let ind = anonymizer::compute_indicators(&ctx, &anon, &phases, true);
+    let classes = anon.equivalence_classes();
+    let ind = anonymizer::compute_indicators(&ctx, &anon, &classes, &phases, true);
     assert_eq!(ind.gcp, 0.0);
     assert_eq!(ind.tx_gcp, 0.0);
     assert_eq!(ind.ul, 0.0);
