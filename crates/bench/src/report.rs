@@ -267,13 +267,9 @@ impl Suite {
 pub struct Setup<'a> {
     /// Dataset rows of this size.
     pub rows: usize,
-    /// `--seed` (default 42).
-    pub seed: u64,
-    /// `--threads`, when given; the suite runs within a thread budget
-    /// of that many threads (default: one per core).
-    pub threads: Option<usize>,
-    /// `--memory-budget` in megabytes, when given.
-    pub memory_budget_mb: Option<u64>,
+    /// What the run was asked for; the suite runs within a thread
+    /// budget of `--threads` threads (default: one per core).
+    pub options: &'a Options,
     /// The run's scratch directory, removed when the run ends.
     pub scratch: &'a Path,
 }
@@ -452,21 +448,6 @@ impl Drop for Scratch {
     }
 }
 
-/// Take `--name` out of `flags`, parsed as a number (`None` when
-/// absent).
-fn number<T: std::str::FromStr>(
-    flags: &mut BTreeMap<String, String>,
-    name: &str,
-) -> Result<Option<T>, String> {
-    flags
-        .remove(name)
-        .map(|v| {
-            v.parse()
-                .map_err(|_| format!("--{name} expects a number, got {v:?}"))
-        })
-        .transpose()
-}
-
 /// The gate self-test's slowdown factor (1 when unset).
 fn handicap() -> Result<usize, String> {
     let Ok(v) = std::env::var(HANDICAP_VAR) else {
@@ -520,12 +501,26 @@ fn gate(path: &str, new: &BenchReport, gate_pct: f64) -> Result<(), String> {
     Ok(())
 }
 
-/// Run the suite `options` select from `suites` (`--all` picks `all`,
-/// `--suite NAME` any other, default `kernels`): each `--rows` size in
-/// ascending order, then the report (`--out FILE`), then the checks.
-/// Diverging variants fail the run, naming every such case; so does a
-/// regression against `--baseline FILE` beyond `--gate-pct` (25).
-pub fn run(suites: &[Suite], options: &BTreeMap<String, String>) -> Result<(), String> {
+/// What a `secreta bench` run asks of a suite besides its name: each
+/// field is the `bench` flag of the same name (`memory_budget_mb` is
+/// `--memory-budget`), `None` when absent; absent `rows` and `reps`
+/// take the suite's defaults.
+pub struct Options {
+    pub rows: Option<Vec<usize>>,
+    pub seed: u64,
+    pub threads: Option<usize>,
+    pub reps: Option<usize>,
+    pub memory_budget_mb: Option<u64>,
+    pub out: Option<String>,
+    pub baseline: Option<String>,
+    pub gate_pct: f64,
+}
+
+/// Run `suite`: each size in ascending order, then the report
+/// (`--out FILE`), then the checks. Diverging variants fail the run,
+/// naming every such case; so does a regression against `--baseline
+/// FILE` beyond `--gate-pct`.
+pub fn run(suite: &Suite, options: &Options) -> Result<(), String> {
     // benchmarks measure the real code paths; an active fault plan
     // would inject panics/latency into the timed regions and corrupt
     // every number, so refuse outright rather than record garbage
@@ -536,50 +531,12 @@ pub fn run(suites: &[Suite], options: &BTreeMap<String, String>) -> Result<(), S
              the timings; unset it and re-run"
         ));
     }
-    // each flag is taken out of `flags` where it is read; any left over
-    // is a typo or a retired flag, refused rather than ignored
-    let mut flags = options.clone();
-    let all = flags.remove("all").is_some();
-    let name = match flags.remove("suite") {
-        _ if all => "all".to_owned(),
-        Some(name) => name,
-        None => "kernels".to_owned(),
-    };
-    let rows = flags.remove("rows");
-    let seed = number(&mut flags, "seed")?.unwrap_or(42);
-    let threads = match number(&mut flags, "threads")? {
-        Some(0) => return Err("--threads expects a positive integer".into()),
-        n => n,
-    };
-    let reps: Option<usize> = number(&mut flags, "reps")?;
-    let gate_pct = number(&mut flags, "gate-pct")?.unwrap_or(25.0);
-    let memory_budget_mb = match number(&mut flags, "memory-budget")? {
-        Some(0) => return Err("--memory-budget expects a positive number of megabytes".into()),
-        mb => mb,
-    };
-    let (out, baseline) = (flags.remove("out"), flags.remove("baseline"));
-    if let Some(flag) = flags.keys().next() {
-        return Err(format!("unknown bench flag --{flag}"));
-    }
-    let suite = suites.iter().find(|s| s.name == name).ok_or_else(|| {
-        let names: Vec<&str> = suites.iter().map(|s| s.name).collect();
-        format!("unknown --suite {name:?} ({})", names.join("|"))
-    })?;
-    let mut rows: Vec<usize> = match rows {
-        Some(list) => list
-            .split(',')
-            .map(|t| {
-                t.trim()
-                    .parse()
-                    .map_err(|_| format!("--rows expects integers, got {t:?}"))
-            })
-            .collect::<Result<_, _>>()?,
-        None => suite.rows.to_vec(),
-    };
+    let (name, seed, threads) = (suite.name, options.seed, options.threads);
+    let mut rows = options.rows.clone().unwrap_or_else(|| suite.rows.to_vec());
     rows.sort_unstable();
-    let reps = reps.unwrap_or(suite.reps).max(1);
+    let reps = options.reps.unwrap_or(suite.reps).max(1);
     let handicap = handicap()?;
-    let scratch = Scratch::create(&name)?;
+    let scratch = Scratch::create(name)?;
 
     println!("bench --suite {name} (seed={seed}, best of {reps})");
     let calibration_ms = calibrate();
@@ -598,9 +555,7 @@ pub fn run(suites: &[Suite], options: &BTreeMap<String, String>) -> Result<(), S
             bench.rows = n;
             let setup = Setup {
                 rows: n,
-                seed,
-                threads,
-                memory_budget_mb,
+                options,
                 scratch: &scratch.0,
             };
             (suite.cases)(&setup, &mut bench)?;
@@ -610,7 +565,7 @@ pub fn run(suites: &[Suite], options: &BTreeMap<String, String>) -> Result<(), S
 
     let report = BenchReport {
         schema_version: SCHEMA_VERSION,
-        suite: name,
+        suite: name.to_owned(),
         rows: rows.last().copied().unwrap_or(0),
         seed,
         threads: threads.unwrap_or(0),
@@ -619,14 +574,14 @@ pub fn run(suites: &[Suite], options: &BTreeMap<String, String>) -> Result<(), S
         params: bench.params,
         cases: bench.cases,
     };
-    if let Some(path) = out {
+    if let Some(path) = &options.out {
         let body = serde_json::to_string_pretty(&report)
             .map_err(|e| format!("internal error: report serialization failed: {e}"))?;
-        std::fs::write(&path, body).map_err(|e| format!("{path}: {e}"))?;
+        std::fs::write(path, body).map_err(|e| format!("{path}: {e}"))?;
         println!("wrote {path}");
     }
-    let gated = match baseline {
-        Some(path) => gate(&path, &report, gate_pct),
+    let gated = match &options.baseline {
+        Some(path) => gate(path, &report, options.gate_pct),
         None => Ok(()),
     };
     let diverged: Vec<String> = report
@@ -770,10 +725,17 @@ mod tests {
             "secreta-bench-diverging-{}.json",
             std::process::id()
         ));
-        let options = [("suite", "diverging"), ("out", out.to_str().unwrap())]
-            .map(|(k, v)| (k.to_owned(), v.to_owned()))
-            .into();
-        let err = run(&suites, &options).expect_err("a divergence must fail the run");
+        let options = Options {
+            rows: None,
+            seed: 42,
+            threads: None,
+            reps: None,
+            memory_budget_mb: None,
+            out: Some(out.to_str().unwrap().to_owned()),
+            baseline: None,
+            gate_pct: 25.0,
+        };
+        let err = run(&suites[0], &options).expect_err("a divergence must fail the run");
         assert!(err.contains("demo/diverge at 5 rows"), "{err}");
         assert!(!err.contains("demo/agree"), "{err}");
         let written: BenchReport =

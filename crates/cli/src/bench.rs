@@ -12,7 +12,7 @@
 use crate::args::Args;
 use crate::commands::load_context;
 use crate::worker::worker_spawner;
-use secreta_bench::report::{self, Bench, Case, Sample, Setup, Suite};
+use secreta_bench::report::{self, Bench, Case, Options, Sample, Setup, Suite};
 use secreta_core::config::RelAlgo;
 use secreta_core::data::{chunk, csv, Counting, CsvOptions, DataError, ItemId, MemoryBudget};
 use secreta_core::distributed::{run_distributed, DistOptions};
@@ -36,8 +36,38 @@ use serde::Value;
 use std::cell::{Cell, RefCell};
 
 /// `secreta bench`: run the suite the flags select.
-pub(crate) fn cmd_bench(args: &Args) -> Result<(), String> {
-    report::run(SUITES, &args.options)
+pub(crate) fn cmd_bench(args: &Args) -> Result<i32, String> {
+    let name = if args.given("all") {
+        "all"
+    } else {
+        args.text("suite").expect("has a default")
+    };
+    let suite = SUITES
+        .iter()
+        .find(|s| s.name == name)
+        .expect("--suite names the table's");
+    let options = Options {
+        rows: rows_of(args)?,
+        seed: args.get("seed"),
+        threads: args.opt("threads"),
+        reps: args.opt("reps"),
+        memory_budget_mb: args.opt("memory-budget"),
+        out: args.text("out").map(str::to_owned),
+        baseline: args.text("baseline").map(str::to_owned),
+        gate_pct: args.get("gate-pct"),
+    };
+    report::run(suite, &options).map(|()| crate::commands::EXIT_OK)
+}
+
+/// `--rows N,N,...`, when given.
+pub(crate) fn rows_of(args: &Args) -> Result<Option<Vec<usize>>, String> {
+    let rows = args.text("rows").map(|list| {
+        let parse = |t: &str| t.trim().parse();
+        list.split(',')
+            .map(|t| parse(t).map_err(|_| format!("--rows expects integers, got {t:?}")))
+            .collect()
+    });
+    rows.transpose()
 }
 
 /// Anonymity parameter of every suite.
@@ -54,6 +84,17 @@ const REL_FANOUT: usize = 2;
 /// Orchestrator threads of `store` and `dist` unless `--threads` is
 /// given.
 const SWEEP_THREADS: usize = 4;
+
+/// The names `--suite` takes: the suite table's, in its order.
+pub(crate) const SUITE_NAMES: [&str; SUITES.len()] = {
+    let mut names = [""; SUITES.len()];
+    let mut i = 0;
+    while i < names.len() {
+        names[i] = SUITES[i].name;
+        i += 1;
+    }
+    names
+};
 
 const SUITES: &[Suite] = &[
     Suite::new("kernels", &[1000, 10000], 1, kernels),
@@ -195,14 +236,16 @@ fn tx_params(bench: &mut Bench) {
 /// the kernels (Euler-tour LCA, leaf matrix, per-leaf cost tables).
 fn kernels(s: &Setup, bench: &mut Bench) -> Result<(), String> {
     bench.param("k", K as f64);
-    let ctx = session(DatasetSpec::adult_like(s.rows, s.seed), 4)?;
+    let ctx = session(DatasetSpec::adult_like(s.rows, s.options.seed), 4)?;
     let input = rel_input(&ctx);
     bench.case(
         Case::new("rel/cluster")
             .variant("reference", || {
-                rel_sample(cluster::anonymize_reference(&input, s.seed))
+                rel_sample(cluster::anonymize_reference(&input, s.options.seed))
             })
-            .variant("kernel", || rel_sample(cluster::anonymize(&input, s.seed))),
+            .variant("kernel", || {
+                rel_sample(cluster::anonymize(&input, s.options.seed))
+            }),
     )
 }
 
@@ -212,7 +255,7 @@ fn kernels(s: &Setup, bench: &mut Bench) -> Result<(), String> {
 /// site these cases time).
 fn tx_kernels(s: &Setup, bench: &mut Bench) -> Result<(), String> {
     tx_params(bench);
-    let fx = TxFixture::build(s.rows, s.seed, false)?;
+    let fx = TxFixture::build(s.rows, s.options.seed, false)?;
     for &name in TX_ALGOS {
         let kernel = || fx.run(name, Counting::Kernel);
         bench.case(
@@ -230,7 +273,7 @@ fn tx_kernels(s: &Setup, bench: &mut Bench) -> Result<(), String> {
 /// bitmap/CSR kernels.
 fn tiered(s: &Setup, bench: &mut Bench) -> Result<(), String> {
     tx_params(bench);
-    let fx = TxFixture::build(s.rows, s.seed, true)?;
+    let fx = TxFixture::build(s.rows, s.options.seed, true)?;
     for &name in TX_ALGOS {
         bench.case(
             Case::new(format!("tx/{name}"))
@@ -253,7 +296,7 @@ fn tiered(s: &Setup, bench: &mut Bench) -> Result<(), String> {
 fn rel(s: &Setup, bench: &mut Bench) -> Result<(), String> {
     bench.param("k", K as f64);
     bench.param("fanout", REL_FANOUT as f64);
-    let ctx = session(DatasetSpec::census(s.rows, s.seed), REL_FANOUT)?;
+    let ctx = session(DatasetSpec::census(s.rows, s.options.seed), REL_FANOUT)?;
     let input = rel_input(&ctx);
     for &name in REL_ALGOS {
         bench.case(
@@ -274,7 +317,7 @@ fn risk_eval(s: &Setup, bench: &mut Bench) -> Result<(), String> {
     bench.param("k", K as f64);
     bench.param("m", M as f64);
     bench.param("naive_cap", NAIVE_CAP as f64);
-    let ctx = session(DatasetSpec::adversarial(s.rows, s.seed), 4)?;
+    let ctx = session(DatasetSpec::adversarial(s.rows, s.options.seed), 4)?;
     let h = ctx
         .item_hierarchy
         .as_ref()
@@ -340,13 +383,13 @@ fn risk_eval(s: &Setup, bench: &mut Bench) -> Result<(), String> {
 /// streaming an in-memory NDJSON trace.
 fn obsv(s: &Setup, bench: &mut Bench) -> Result<(), String> {
     bench.param("k", K as f64);
-    let ctx = session(DatasetSpec::adult_like(s.rows, s.seed), 4)?;
+    let ctx = session(DatasetSpec::adult_like(s.rows, s.options.seed), 4)?;
     let input = rel_input(&ctx);
     let (sink, _trace) = TraceSink::buffer();
     let run = |cfg: ObsvConfig| -> Result<Sample, String> {
         let rec = cfg.recorder();
         let guard = obsv::install(&rec);
-        let out = cluster::anonymize(&input, s.seed).map_err(|e| e.to_string())?;
+        let out = cluster::anonymize(&input, s.options.seed).map_err(|e| e.to_string())?;
         drop(guard);
         let counters = rec.finish("bench").map_or(0, |p| p.counters.len());
         Ok(Sample::of(out.anon)
@@ -388,12 +431,13 @@ fn scale_point(spec: &DatasetSpec, budget: MemoryBudget) -> Result<Sample, DataE
 /// deterministic data-layer figure for the point alone.
 fn scale(s: &Setup, bench: &mut Bench) -> Result<(), String> {
     bench.param("chunk_rows", chunk::chunk_rows() as f64);
-    if let Some(mb) = s.memory_budget_mb {
+    if let Some(mb) = s.options.memory_budget_mb {
         bench.param("memory_budget_mb", mb as f64);
     }
-    let spec = DatasetSpec::adult_like(s.rows, s.seed);
+    let spec = DatasetSpec::adult_like(s.rows, s.options.seed);
     bench.case(Case::new("scale/adult").variant("chunked", || {
         let budget = s
+            .options
             .memory_budget_mb
             .map_or_else(MemoryBudget::unlimited, MemoryBudget::megabytes);
         let sample = match scale_point(&spec, budget) {
@@ -428,10 +472,12 @@ fn sweep(s: &Setup, bench: &mut Bench) -> (Vec<Configuration>, usize, usize) {
     };
     let configs: Vec<Configuration> = [RelAlgo::Cluster, RelAlgo::TopDown]
         .into_iter()
-        .map(|algo| Configuration::new(MethodSpec::Relational { algo, k: 0 }, sweep, s.seed))
+        .map(|algo| {
+            Configuration::new(MethodSpec::Relational { algo, k: 0 }, sweep, s.options.seed)
+        })
         .collect();
     let jobs = configs.len() * sweep.values().len();
-    let threads = s.threads.unwrap_or(SWEEP_THREADS);
+    let threads = s.options.threads.unwrap_or(SWEEP_THREADS);
     bench.param("jobs", jobs as f64);
     bench.param("sweep_threads", threads as f64);
     (configs, jobs, threads)
@@ -449,10 +495,10 @@ fn indicators(out: &Orchestrated) -> Vec<Option<Indicators>> {
 /// pass executes every job into a fresh store, and the warm pass after
 /// it must replay every job from that store.
 fn store(s: &Setup, bench: &mut Bench) -> Result<(), String> {
-    let ctx = session(DatasetSpec::adult_like(s.rows, s.seed), 4)?;
+    let ctx = session(DatasetSpec::adult_like(s.rows, s.options.seed), 4)?;
     let workload = WorkloadSpec {
         n_queries: 50,
-        seed: s.seed,
+        seed: s.options.seed,
         ..Default::default()
     }
     .generate(&ctx.table);
@@ -506,9 +552,9 @@ fn dist(s: &Setup, bench: &mut Bench) -> Result<(), String> {
     // loaded through the exact same path the coordinator uses, so the
     // context digests agree
     let data = s.scratch.join(format!("dist-{}.csv", s.rows));
-    let table = DatasetSpec::adult_like(s.rows, s.seed).generate();
+    let table = DatasetSpec::adult_like(s.rows, s.options.seed).generate();
     csv::write_table_path(&table, &data, &CsvOptions::default()).map_err(|e| e.to_string())?;
-    let (path, seed) = (data.display().to_string(), s.seed.to_string());
+    let (path, seed) = (data.display().to_string(), s.options.seed.to_string());
     let flags = ["--tx", "Items", "--queries", "50", "--seed", &seed];
     let args = ["worker", &path]
         .into_iter()
@@ -545,7 +591,7 @@ fn dist(s: &Setup, bench: &mut Bench) -> Result<(), String> {
                 workers,
                 ..DistOptions::default()
             };
-            let mut forwarded = session.forward(&[]);
+            let mut forwarded = session.forward();
             forwarded.extend(["--store-dir".to_owned(), store.root().display().to_string()]);
             let spawner = worker_spawner(forwarded);
             let out = run_distributed(ctx, &store, configs, Value::Null, &opts, Some(&spawner))
@@ -569,14 +615,14 @@ fn dist(s: &Setup, bench: &mut Bench) -> Result<(), String> {
 /// single production variant compared against `benches/baseline.json`.
 fn gate(s: &Setup, bench: &mut Bench) -> Result<(), String> {
     tx_params(bench);
-    let ctx = session(DatasetSpec::adult_like(s.rows, s.seed), 4)?;
+    let ctx = session(DatasetSpec::adult_like(s.rows, s.options.seed), 4)?;
     let input = rel_input(&ctx);
     // a finished Cluster run feeds the metrics/gcp case
-    let clustered = cluster::anonymize(&input, s.seed).map_err(|e| e.to_string())?;
-    let fx = TxFixture::build(s.rows, s.seed, true)?;
-    bench.case(
-        Case::new("rel/cluster").variant("run", || rel_sample(cluster::anonymize(&input, s.seed))),
-    )?;
+    let clustered = cluster::anonymize(&input, s.options.seed).map_err(|e| e.to_string())?;
+    let fx = TxFixture::build(s.rows, s.options.seed, true)?;
+    bench.case(Case::new("rel/cluster").variant("run", || {
+        rel_sample(cluster::anonymize(&input, s.options.seed))
+    }))?;
     for &name in REL_ALGOS {
         bench.case(
             Case::new(format!("rel/{name}"))

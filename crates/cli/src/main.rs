@@ -24,21 +24,14 @@ fn main() {
         std::process::exit(2);
     }
     install_panic_hook();
-    let args = match Args::parse(std::env::args().skip(1)) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    let code = match commands::dispatch(&args) {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("error: {e}");
-            1
-        }
-    };
-    std::process::exit(code);
+    // a malformed command line is a usage error; what fails once a
+    // verb runs is fatal
+    let args = Args::parse(std::env::args().skip(1)).map_err(|e| (e, 2));
+    let code = args.and_then(|args| args.run().map_err(|e| (e, 1)));
+    std::process::exit(code.unwrap_or_else(|(e, code)| {
+        eprintln!("error: {e}");
+        code
+    }));
 }
 
 /// Keep expected unwinds quiet. Cooperative cancellation travels as a

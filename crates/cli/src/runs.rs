@@ -12,40 +12,21 @@
 //! * `runs fsck`   — verify every entry; `--repair` quarantines corrupt
 //!   ones and removes leftovers
 
-use crate::args::Args;
-use crate::commands::{load_context, print_indicators, threads_of, with_limits, DEFAULT_STORE_DIR};
+use crate::args::{Args, CONTEXT};
+use crate::commands::{emit_chart, load_context, print_comparison, print_indicators};
+use crate::commands::{threads_of, with_limits};
 use crate::commands::{EXIT_DEGRADED, EXIT_OK};
 use secreta_core::store::{resumable_sweeps, JournalEvent, RunStore, SweepRecord};
 use secreta_core::{export, Configuration, Orchestrator};
 use serde::{Deserialize, Value};
 
-/// Dispatch `secreta runs <subcommand>`; returns the process exit code.
-pub fn cmd_runs(args: &Args) -> Result<i32, String> {
-    let sub = args
-        .positional
-        .first()
-        .map(String::as_str)
-        .unwrap_or("list");
-    match sub {
-        "list" => cmd_list(args).map(|()| EXIT_OK),
-        "show" => cmd_show(args).map(|()| EXIT_OK),
-        "chart" => cmd_chart(args).map(|()| EXIT_OK),
-        "gc" => cmd_gc(args).map(|()| EXIT_OK),
-        "resume" => cmd_resume(args),
-        "fsck" => cmd_fsck(args),
-        other => Err(format!(
-            "unknown runs subcommand {other:?} (list|show|chart|gc|resume|fsck)"
-        )),
-    }
-}
-
 /// Open the store at `--store-dir` (default `.secreta-store`).
 fn store_of(args: &Args) -> Result<RunStore, String> {
-    let dir = args.opt("store-dir").unwrap_or(DEFAULT_STORE_DIR);
+    let dir = args.text("store-dir").expect("--store-dir has a default");
     RunStore::open(dir).map_err(|e| e.to_string())
 }
 
-fn cmd_list(args: &Args) -> Result<(), String> {
+pub(crate) fn cmd_list(args: &Args) -> Result<i32, String> {
     let store = store_of(args)?;
     let manifests = store.list().map_err(|e| e.to_string())?;
     if manifests.is_empty() {
@@ -107,15 +88,12 @@ fn cmd_list(args: &Args) -> Result<(), String> {
             }
         }
     }
-    Ok(())
+    Ok(EXIT_OK)
 }
 
-fn cmd_show(args: &Args) -> Result<(), String> {
+pub(crate) fn cmd_show(args: &Args) -> Result<i32, String> {
     let store = store_of(args)?;
-    let prefix = args
-        .positional
-        .get(1)
-        .ok_or("usage: secreta runs show KEY [--store-dir DIR]")?;
+    let prefix = args.positional0()?;
     let key = store
         .resolve(prefix)
         .map_err(|e| e.to_string())?
@@ -164,41 +142,28 @@ fn cmd_show(args: &Args) -> Result<(), String> {
         anon.rel.len(),
         anon.tx.is_some()
     );
-    Ok(())
+    Ok(EXIT_OK)
 }
 
-fn cmd_chart(args: &Args) -> Result<(), String> {
+pub(crate) fn cmd_chart(args: &Args) -> Result<i32, String> {
     let store = store_of(args)?;
     let manifests = store.list().map_err(|e| e.to_string())?;
     if manifests.is_empty() {
         return Err(format!("store {} holds no runs", store.root().display()));
     }
-    let indicator = args.opt("indicator").unwrap_or("gcp");
+    let indicator = args.text("indicator").expect("--indicator has a default");
+    // charts print unless they only go to files
+    let shown = args.given("ascii") || !args.given("out-dir");
     if indicator == "phases" {
         let chart = export::phase_chart_from_manifests(&manifests);
         if chart.categories.is_empty() {
             return Err("no stored run carries phase timings to plot".into());
         }
-        if args.flag("ascii") || args.opt("out-dir").is_none() {
-            print!("{}", export::terminal_grouped(&chart));
-        }
-        if let Some(dir) = args.opt("out-dir") {
-            std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-            let stem = std::path::Path::new(dir).join("runs_phases");
-            let (svg, csv) =
-                export::export_grouped_chart(&chart, &stem).map_err(|e| e.to_string())?;
-            println!("wrote {} and {}", svg.display(), csv.display());
-        }
-        return Ok(());
-    }
-    match indicator {
-        "gcp" | "are" | "runtime" | "prosecutor" | "uniqueness" | "violations" => {}
-        other => {
-            return Err(format!(
-                "unknown --indicator {other:?} \
-                 (gcp|are|runtime|prosecutor|uniqueness|violations|phases)"
-            ))
-        }
+        let shown = shown.then(|| export::terminal_grouped(&chart));
+        emit_chart(args, shown, "runs_phases", |stem| {
+            export::export_grouped_chart(&chart, stem)
+        })?;
+        return Ok(EXIT_OK);
     }
     let chart = export::chart_from_manifests(
         &manifests,
@@ -209,21 +174,15 @@ fn cmd_chart(args: &Args) -> Result<(), String> {
     if chart.series.is_empty() {
         return Err("no stored run carries a sweep point to plot".into());
     }
-    if args.flag("ascii") || args.opt("out-dir").is_none() {
-        print!("{}", export::terminal_xy(&chart));
-    }
-    if let Some(dir) = args.opt("out-dir") {
-        std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-        let stem = std::path::Path::new(dir).join(format!("runs_{indicator}"));
-        let (svg, csv) = export::export_xy_chart(&chart, &stem).map_err(|e| e.to_string())?;
-        println!("wrote {} and {}", svg.display(), csv.display());
-    }
-    Ok(())
+    let shown = shown.then(|| export::terminal_xy(&chart));
+    let export = |stem: &std::path::Path| export::export_xy_chart(&chart, stem);
+    emit_chart(args, shown, &format!("runs_{indicator}"), export)?;
+    Ok(EXIT_OK)
 }
 
-fn cmd_gc(args: &Args) -> Result<(), String> {
+pub(crate) fn cmd_gc(args: &Args) -> Result<i32, String> {
     let store = store_of(args)?;
-    if args.flag("all") {
+    if args.given("all") {
         let removed = store.gc_all().map_err(|e| e.to_string())?;
         println!(
             "removed {} entries; {} is empty",
@@ -234,15 +193,15 @@ fn cmd_gc(args: &Args) -> Result<(), String> {
         let removed = store.gc_incomplete().map_err(|e| e.to_string())?;
         println!("removed {removed} incomplete entries");
     }
-    Ok(())
+    Ok(EXIT_OK)
 }
 
-fn cmd_resume(args: &Args) -> Result<i32, String> {
-    let threads = threads_of(args)?;
+pub(crate) fn cmd_resume(args: &Args) -> Result<i32, String> {
+    let threads = threads_of(args);
     let store = store_of(args)?;
     let events = store.read_journal().map_err(|e| e.to_string())?;
     let open = resumable_sweeps(&events);
-    let record = match args.positional.get(1) {
+    let record = match &args.positional {
         Some(id) => open
             .iter()
             .find(|r| r.id.starts_with(id.as_str()))
@@ -275,7 +234,7 @@ fn resume_sweep(
     threads: usize,
 ) -> Result<i32, String> {
     let (rebuilt, configs) = decode_invocation(&record.invocation)?;
-    let ctx = with_limits(args, load_context(&rebuilt).map_err(String::from)?)?;
+    let ctx = with_limits(args, load_context(&rebuilt).map_err(String::from)?);
     let orch = Orchestrator::new(threads).with_store(store.clone());
     println!(
         "resuming sweep {} ({}) from {}",
@@ -296,18 +255,7 @@ fn resume_sweep(
             record.id, out.sweep_id
         ));
     }
-    for (label, pts) in out.result.labels.iter().zip(&out.result.points) {
-        println!("== {label}");
-        for (v, r) in pts {
-            match r {
-                Ok(p) => print_indicators(
-                    &format!("  {}={v}", out.result.param.label()),
-                    &p.indicators,
-                ),
-                Err(e) => println!("  {}={v}: failed: {e}", out.result.param.label()),
-            }
-        }
-    }
+    print_comparison(&out.result);
     println!(
         "sweep {} complete: {} replayed, {} executed, {} failed",
         out.sweep_id, out.stats.hits, out.stats.misses, out.stats.failures
@@ -324,9 +272,9 @@ fn resume_sweep(
 /// store is left untouched and problems exit 3; with it, corrupt
 /// entries are quarantined and leftovers removed. Journal damage is
 /// reported but never auto-repaired.
-fn cmd_fsck(args: &Args) -> Result<i32, String> {
+pub(crate) fn cmd_fsck(args: &Args) -> Result<i32, String> {
     let store = store_of(args)?;
-    let repair = args.flag("repair");
+    let repair = args.given("repair");
     let report = store.fsck(repair).map_err(|e| e.to_string())?;
     println!(
         "fsck {}: {} scanned, {} ok, {} corrupt, {} incomplete, {} staging leftover(s)",
@@ -359,32 +307,30 @@ fn cmd_fsck(args: &Args) -> Result<i32, String> {
 }
 
 /// Decode the opaque invocation payload journaled by evaluate/compare
-/// back into the argument set and configurations that produced it.
+/// back into its configurations and the session they ran on: the
+/// positional and the [`CONTEXT`] flags, parsed as the command line of a
+/// worker, which rebuilds sessions the same way. Any other key of the
+/// payload is not read; binaries before the flag declaration journaled
+/// every flag, typos included, and ignored DATA, `--tx` and `--fanout`
+/// beside a `--session`.
 fn decode_invocation(invocation: &Value) -> Result<(Args, Vec<Configuration>), String> {
     let bad = |what: &str| format!("journal invocation payload is missing {what}");
-    let mut rebuilt = Args {
-        command: invocation
-            .get("command")
-            .and_then(Value::as_str)
-            .ok_or_else(|| bad("\"command\""))?
-            .to_owned(),
-        ..Args::default()
-    };
-    if let Some(positional) = invocation.get("positional").and_then(Value::as_arr) {
-        for p in positional {
-            rebuilt
-                .positional
-                .push(p.as_str().ok_or_else(|| bad("a positional string"))?.into());
+    let text = |v: &Value| v.as_str().map(str::to_owned).ok_or_else(|| bad("a string"));
+    let option = |name: &str| invocation.get("options")?.get(name);
+    let session = option("session").is_some();
+    let mut tokens = vec!["worker".to_owned()];
+    let positional = invocation.get("positional").and_then(Value::as_arr);
+    if let Some(data) = positional.and_then(|p| p.first()).filter(|_| !session) {
+        tokens.push(text(data)?);
+    }
+    for flag in CONTEXT {
+        if let Some(value) =
+            option(flag.name).filter(|_| !session || !matches!(flag.name, "tx" | "fanout"))
+        {
+            tokens.extend([format!("--{}", flag.name), text(value)?]);
         }
     }
-    if let Some(options) = invocation.get("options").and_then(Value::as_obj) {
-        for (k, v) in options {
-            rebuilt.options.insert(
-                k.clone(),
-                v.as_str().ok_or_else(|| bad("an option string"))?.into(),
-            );
-        }
-    }
+    let rebuilt = Args::parse(tokens).map_err(|e| format!("journal invocation payload: {e}"))?;
     let configs = Vec::<Configuration>::de(
         invocation
             .get("configurations")
@@ -392,4 +338,81 @@ fn decode_invocation(invocation: &Value) -> Result<(Args, Vec<Configuration>), S
     )
     .map_err(|e| format!("journal invocation payload: {e}"))?;
     Ok((rebuilt, configs))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::commands::invocation_of;
+    use secreta_core::{context_digest, MethodSpec, RelAlgo, Sweep, VaryingParam};
+    use serde::Serialize;
+
+    /// Sweeps journaled by the binary before the flag declaration, whose
+    /// payload holds every flag of the invocation (method, output and
+    /// execution flags, typos too), resume onto the same session; so do
+    /// the payloads journaled now.
+    #[test]
+    fn journaled_invocations_rebuild_their_session() {
+        let dir = std::env::temp_dir().join(format!("secreta-journal-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let data = dir.join("data.csv");
+        let table = secreta_gen::DatasetSpec::adult_like(80, 3).generate();
+        secreta_core::data::csv::write_table_path(&table, &data, &Default::default()).unwrap();
+        let data = data.to_str().unwrap().to_owned();
+        let sweep = Sweep {
+            param: VaryingParam::K,
+            start: 2,
+            end: 4,
+            step: 2,
+        };
+        let spec = MethodSpec::Relational {
+            algo: RelAlgo::Cluster,
+            k: 0,
+        };
+        let configs = vec![Configuration::new(spec, sweep, 1)];
+        let text = |s: &str| Value::Str(s.to_owned());
+        let options = [
+            ("tx", "Items"),
+            ("queries", "5"),
+            ("seed", "7"),
+            ("threads", "2"),
+            ("mode", "rel"),
+            ("out-dir", "charts"),
+            ("ascii", "true"),
+            ("treads", "1"),
+        ];
+        let parent = Value::Obj(vec![
+            ("command".to_owned(), text("evaluate")),
+            ("positional".to_owned(), Value::Arr(vec![text(&data)])),
+            (
+                "options".to_owned(),
+                Value::Obj(options.map(|(k, v)| (k.to_owned(), text(v))).to_vec()),
+            ),
+            (
+                "configurations".to_owned(),
+                Value::Arr(configs.iter().map(Serialize::ser).collect()),
+            ),
+        ]);
+        let line = [
+            "evaluate",
+            &data,
+            "--tx",
+            "Items",
+            "--queries",
+            "5",
+            "--seed",
+            "7",
+        ];
+        let original = Args::parse(line.iter().map(|t| t.to_string()))
+            .ok()
+            .unwrap();
+        let digest = |args: &Args| context_digest(&load_context(args).ok().unwrap());
+        let now = invocation_of("evaluate", &original, &configs);
+        for payload in [parent, now] {
+            let (rebuilt, decoded) = decode_invocation(&payload).ok().unwrap();
+            assert_eq!(decoded, configs);
+            assert_eq!(digest(&rebuilt), digest(&original));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

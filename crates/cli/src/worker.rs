@@ -10,28 +10,28 @@
 //! the journal for up to `--wait-ms` for the sweep to appear.
 
 use crate::args::Args;
-use crate::commands::{load_context, with_limits, DEFAULT_STORE_DIR, EXIT_DEGRADED, EXIT_OK};
+use crate::commands::{load_context, with_limits, EXIT_DEGRADED, EXIT_OK};
 use secreta_core::distributed::{run_distributed, wait_for_sweep, worker_loop, DistOptions};
 use secreta_core::store::{unfinished_sweeps, JournalEvent, RunStore};
 use secreta_core::{context_digest, Configuration, Orchestrated, Orchestrator, SessionContext};
 use serde::Value;
 use std::process::{Child, Command, Stdio};
 
-/// Parse the distributed-execution options shared by the coordinator
+/// The lease-protocol options shared by the coordinator
 /// (`evaluate`/`compare` with `--workers`/`--distributed`) and the
-/// `worker` verb.
-pub(crate) fn dist_options_of(args: &Args) -> Result<DistOptions, String> {
-    let defaults = DistOptions::default();
-    let opts = DistOptions {
-        lease_ttl_ms: args.u64_or("lease-ttl-ms", defaults.lease_ttl_ms)?,
-        poll_ms: args.u64_or("poll-ms", defaults.poll_ms)?,
-        workers: args.usize_or("workers", 0)?,
-        worker_wait_ms: args.u64_or("wait-ms", defaults.worker_wait_ms)?,
-    };
-    if opts.lease_ttl_ms == 0 {
-        return Err("--lease-ttl-ms expects a positive number of milliseconds".into());
+/// `worker` verb, which spawns no workers.
+fn dist_options_of(args: &Args, workers: usize) -> DistOptions {
+    DistOptions {
+        lease_ttl_ms: args.get("lease-ttl-ms"),
+        poll_ms: args.get("poll-ms"),
+        workers,
+        worker_wait_ms: args.get("wait-ms"),
     }
-    Ok(opts)
+}
+
+/// Whether a coordinator's sweep runs on worker processes.
+pub(crate) fn distributed(args: &Args) -> bool {
+    args.get::<usize>("workers") > 0 || args.given("distributed")
 }
 
 /// Run `configurations` through the in-process orchestrator, or — when
@@ -45,34 +45,13 @@ pub(crate) fn run_sweep(
     configurations: &[Configuration],
     invocation: Value,
 ) -> Result<Orchestrated, String> {
-    let opts = dist_options_of(args)?;
-    if opts.workers == 0 && !args.flag("distributed") {
+    let opts = dist_options_of(args, args.get("workers"));
+    let Some(store) = orch.store().filter(|_| distributed(args)) else {
         return orch
             .compare(ctx, configurations, invocation)
             .map_err(|e| e.to_string());
-    }
-    let store = orch
-        .store()
-        .ok_or("--workers/--distributed requires --store-dir")?;
-    if args.flag("no-cache") {
-        return Err(
-            "--no-cache is not supported with distributed execution: workers \
-             serve and fill the shared store by design"
-                .into(),
-        );
-    }
-    let forwarded = args.forward(&[
-        "workers",
-        "distributed",
-        "no-cache",
-        "out-dir",
-        "export-anon",
-        "ascii",
-        "trace-out",
-        "config",
-        "threads",
-    ]);
-    let spawner = worker_spawner(forwarded);
+    };
+    let spawner = worker_spawner(args.forward());
     let spawn_ref = (opts.workers > 0).then_some(&spawner as &secreta_core::WorkerSpawner);
     run_distributed(ctx, store, configurations, invocation, &opts, spawn_ref)
         .map_err(|e| e.to_string())
@@ -98,21 +77,17 @@ pub(crate) fn worker_spawner(
     }
 }
 
-/// `secreta worker DATA [--tx COL] [--store-dir DIR] [--sweep ID]
-/// [--lease-ttl-ms MS] [--poll-ms MS] [--wait-ms MS]`: attach to a
-/// distributed sweep and execute its jobs until none remain. Without
+/// `secreta worker`: attach to a distributed sweep and execute its
+/// jobs until none remain. Without
 /// `--sweep`, the worker waits for an open sweep whose recorded
 /// context matches this session.
 pub(crate) fn cmd_worker(args: &Args) -> Result<i32, String> {
-    let ctx = with_limits(args, load_context(args).map_err(String::from)?)?;
-    let ctx = {
-        let obsv = crate::commands::obsv_of(args, false)?;
-        ctx.with_obsv(obsv)
-    };
-    let dir = args.opt("store-dir").unwrap_or(DEFAULT_STORE_DIR);
+    let ctx = with_limits(args, load_context(args).map_err(String::from)?);
+    let ctx = ctx.with_obsv(crate::commands::obsv_of(args, false)?);
+    let dir = args.text("store-dir").expect("--store-dir has a default");
     let store = RunStore::open(dir).map_err(|e| e.to_string())?;
-    let opts = dist_options_of(args)?;
-    let sweep = match args.opt("sweep") {
+    let opts = dist_options_of(args, 0);
+    let sweep = match args.text("sweep") {
         Some(id) => id.to_owned(),
         None => {
             // the newest open sweep whose recorded context matches
@@ -160,4 +135,96 @@ pub(crate) fn cmd_worker(args: &Args) -> Result<i32, String> {
     } else {
         EXIT_OK
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(tokens: &[&str]) -> Args {
+        let parsed = Args::parse(tokens.iter().map(|t| t.to_string()));
+        parsed.unwrap_or_else(|e| panic!("{tokens:?}: {e}"))
+    }
+
+    /// What a coordinator forwards parses under `worker`'s declaration,
+    /// carries every flag `load_context` reads, and leaves the rest
+    /// behind: the coordinator's and the workers' context digests
+    /// cannot diverge.
+    #[test]
+    fn forwarded_flags_rebuild_the_coordinators_session() {
+        let dir = std::env::temp_dir().join(format!("secreta-forward-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let data = dir.join("data.csv");
+        let table = secreta_gen::DatasetSpec::adult_like(80, 3).generate();
+        secreta_core::data::csv::write_table_path(&table, &data, &Default::default()).unwrap();
+        let data = data.to_str().unwrap();
+        let session = [
+            "--tx",
+            "Items",
+            "--fanout",
+            "3",
+            "--queries",
+            "5",
+            "--seed",
+            "9",
+        ];
+        let operational = [
+            "--memory-budget",
+            "64",
+            "--job-timeout-ms",
+            "60000",
+            "--store-dir",
+            "s",
+            "--lease-ttl-ms",
+            "900",
+            "--poll-ms",
+            "10",
+            "--wait-ms",
+            "50",
+        ];
+        let left_behind = [
+            "--mode",
+            "rel",
+            "--k",
+            "3",
+            "--threads",
+            "2",
+            "--vary",
+            "k",
+            "--ascii",
+            "--out-dir",
+            "charts",
+            "--trace-out",
+            "t.ndjson",
+            "--workers",
+            "2",
+        ];
+        let coordinator: Vec<&str> = ["evaluate", data]
+            .into_iter()
+            .chain(session)
+            .chain(operational)
+            .chain(left_behind)
+            .collect();
+        let coordinator = parse(&coordinator);
+        let forwarded = coordinator.forward();
+        let mut worker = vec!["worker"];
+        worker.extend(forwarded.iter().map(String::as_str));
+        let worker = parse(&worker);
+        let expected: Vec<&str> = [data]
+            .into_iter()
+            .chain(session)
+            .chain(operational)
+            .collect();
+        assert_eq!(forwarded, expected);
+        let digest = |args: &Args| context_digest(&load_context(args).ok().unwrap());
+        assert_eq!(digest(&coordinator), digest(&worker));
+        std::fs::remove_dir_all(&dir).ok();
+
+        // a session file travels the same way
+        let coordinator = parse(&["compare", "--session", "s.json", "--config", "c.json"]);
+        let mut worker = vec!["worker"];
+        let forwarded = coordinator.forward();
+        worker.extend(forwarded.iter().map(String::as_str));
+        assert_eq!(parse(&worker).text("session"), Some("s.json"));
+    }
 }

@@ -55,13 +55,338 @@ fn help_lists_commands() {
     for cmd in ["generate", "evaluate", "compare", "histogram", "policy"] {
         assert!(text.contains(cmd), "help must mention {cmd}");
     }
+    // a verb's --help prints its declared flags before any check runs
+    for (line, flag) in [
+        (
+            "evaluate --help",
+            "--rel-algo incognito|cluster|topdown|bottomup",
+        ),
+        ("evaluate --K 7 --help", "--threads N"),
+        ("runs resume --help", "--store-dir DIR"),
+        ("bench --help", "--gate-pct N"),
+    ] {
+        let out = secreta().args(line.split(' ')).output().unwrap();
+        assert_eq!(out.status.code(), Some(0), "{line}");
+        assert!(
+            String::from_utf8_lossy(&out.stdout).contains(flag),
+            "{line}"
+        );
+    }
 }
 
 #[test]
 fn unknown_command_fails_with_code() {
     let _machine = shared_machine();
     let out = secreta().arg("frobnicate").output().unwrap();
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(2));
+}
+
+/// Run `line` in `dir`; it must be refused as malformed: exit 2,
+/// nothing on stdout, and `expected` on stderr.
+fn assert_refused(dir: &std::path::Path, line: &[&str], expected: &str) {
+    let out = secreta().args(line).current_dir(dir).output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{line:?}: {err}");
+    assert!(out.stdout.is_empty(), "{line:?} printed on stdout");
+    assert!(err.contains(expected), "{line:?}: {err}");
+}
+
+/// Every verb, each `runs` subcommand and `bench` refuse an unknown
+/// flag (suggesting the nearest declared one), another verb's flag, an
+/// extra positional and an ill-typed value at parse: exit 2, nothing on
+/// stdout, no file written. None of these lines starts any work.
+#[test]
+fn malformed_command_lines_exit_2() {
+    let _machine = shared_machine();
+    let dir = tmpdir("malformed");
+    let cases: &[(&str, &str)] = &[
+        // typos no longer run on defaults (this printed `Incognito (k=5)`)
+        (
+            "evaluate adult.csv --tx Items --mode rel --rel-algo incognito --K 7 --treads 1",
+            "unknown flag --K for evaluate; did you mean --k?",
+        ),
+        // `--items` took `--fanout` as its value and built fan-out 4
+        (
+            "hierarchy adult.csv --attr Age --items --fanout 2",
+            "unknown flag --items",
+        ),
+        ("frobnicate", "unknown command \"frobnicate\""),
+        ("generate --out g.csv --rowz 5", "did you mean --rows?"),
+        (
+            "generate --out g.csv --tx Items",
+            "unknown flag --tx for generate",
+        ),
+        (
+            "generate --out g.csv extra.csv",
+            "unexpected argument \"extra.csv\"",
+        ),
+        (
+            "generate --out g.csv --rows many",
+            "--rows expects an integer",
+        ),
+        ("generate --rows 5", "generate requires --out"),
+        ("info d.csv --txx Items", "did you mean --tx?"),
+        ("info d.csv --k 5", "unknown flag --k for info"),
+        ("info d.csv e.csv", "unexpected argument \"e.csv\""),
+        (
+            "info d.csv --memory-budget 0",
+            "--memory-budget expects a positive integer",
+        ),
+        ("histogram d.csv --attr A --topp 3", "did you mean --top?"),
+        (
+            "histogram d.csv --attr A --fanout 3",
+            "unknown flag --fanout for histogram",
+        ),
+        ("histogram d.csv e.csv --attr A", "unexpected argument"),
+        (
+            "histogram d.csv --attr A --top x",
+            "--top expects an integer",
+        ),
+        (
+            "hierarchy d.csv --attr A --fanuot 3",
+            "did you mean --fanout?",
+        ),
+        (
+            "hierarchy d.csv --attr A --queries 3",
+            "unknown flag --queries for hierarchy",
+        ),
+        ("hierarchy d.csv e.csv --attr A", "unexpected argument"),
+        (
+            "hierarchy d.csv --attr A --fanout -1",
+            "--fanout expects an integer",
+        ),
+        (
+            "workload d.csv --out w.txt --querys 3",
+            "did you mean --queries?",
+        ),
+        (
+            "workload d.csv --out w.txt --attr A",
+            "unknown flag --attr for workload",
+        ),
+        ("workload d.csv e.csv --out w.txt", "unexpected argument"),
+        (
+            "workload d.csv --out w.txt --seed s",
+            "--seed expects an integer",
+        ),
+        (
+            "policy d.csv --out p.txt --privacy rare --sise 2",
+            "did you mean --size?",
+        ),
+        (
+            "policy d.csv --out p.txt --privacy rare --k 2",
+            "unknown flag --k for policy",
+        ),
+        (
+            "policy d.csv e.csv --out p.txt --privacy rare",
+            "unexpected argument",
+        ),
+        (
+            "policy d.csv --out p.txt --privacy some",
+            "--privacy expects one of all|rare|random",
+        ),
+        (
+            "policy d.csv --out p.txt",
+            "exactly one of --privacy and --utility",
+        ),
+        (
+            "evaluate d.csv --mode rel --threds 2",
+            "did you mean --threads?",
+        ),
+        (
+            "evaluate d.csv --mode rel --attr A",
+            "unknown flag --attr for evaluate",
+        ),
+        ("evaluate d.csv e.csv --mode rel", "unexpected argument"),
+        ("evaluate d.csv --k five", "--k expects an integer"),
+        (
+            "evaluate d.csv --mode foo",
+            "--mode expects one of rel|tx|rt|rho",
+        ),
+        (
+            "evaluate d.csv --mode rho",
+            "--mode rho requires --sensitive",
+        ),
+        (
+            "evaluate d.csv --vary k --lease-ttl-ms 0",
+            "--lease-ttl-ms expects a positive",
+        ),
+        ("evaluate d.csv --k", "--k expects a value"),
+        (
+            "evaluate d.csv --vary k --workers 2",
+            "--workers/--distributed requires --store-dir",
+        ),
+        (
+            "compare d.csv --config c.json --store-dir s --distributed --no-cache",
+            "--no-cache does not apply to distributed execution",
+        ),
+        ("profile d.csv --mode rel --kk 2", "did you mean --k?"),
+        (
+            "profile d.csv --mode rel --vary k",
+            "unknown flag --vary for profile",
+        ),
+        ("profile d.csv e.csv --mode rel", "unexpected argument"),
+        ("profile d.csv --rho high", "--rho expects a number"),
+        (
+            "compare d.csv --config c.json --querie 3",
+            "did you mean --queries?",
+        ),
+        (
+            "compare d.csv --config c.json --k 2",
+            "unknown flag --k for compare",
+        ),
+        ("compare d.csv e.csv --config c.json", "unexpected argument"),
+        (
+            "compare d.csv --config c.json --threads 0",
+            "--threads expects a positive",
+        ),
+        ("compare d.csv", "compare requires --config"),
+        ("worker d.csv --swep abc", "did you mean --sweep?"),
+        ("worker d.csv --mode rel", "unknown flag --mode for worker"),
+        ("worker d.csv e.csv", "unexpected argument"),
+        (
+            "worker d.csv --wait-ms soon",
+            "--wait-ms expects an integer",
+        ),
+        ("runs list --store-dri s", "did you mean --store-dir?"),
+        ("runs list --repair", "unknown flag --repair for runs list"),
+        ("runs list extra", "unexpected argument"),
+        ("runs show abc --stor-dir s", "did you mean --store-dir?"),
+        ("runs show abc --all", "unknown flag --all for runs show"),
+        ("runs show abc def", "unexpected argument"),
+        ("runs show", "runs show requires KEY"),
+        ("runs chart --indicatr gcp", "did you mean --indicator?"),
+        (
+            "runs chart --repair",
+            "unknown flag --repair for runs chart",
+        ),
+        ("runs chart extra", "unexpected argument"),
+        ("runs chart --indicator size", "--indicator expects one of"),
+        ("runs gc --alll", "did you mean --all?"),
+        (
+            "runs gc --indicator gcp",
+            "unknown flag --indicator for runs gc",
+        ),
+        ("runs gc extra", "unexpected argument"),
+        ("runs resume --thread 2", "did you mean --threads?"),
+        (
+            "runs resume --repair",
+            "unknown flag --repair for runs resume",
+        ),
+        ("runs resume abc def", "unexpected argument"),
+        ("runs resume --threads 0", "--threads expects a positive"),
+        ("runs fsck --repiar", "did you mean --repair?"),
+        ("runs fsck --all", "unknown flag --all for runs fsck"),
+        ("runs fsck extra", "unexpected argument"),
+        ("runs fsck --store-dir", "--store-dir expects a value"),
+        ("runs frob", "unknown command \"runs frob\""),
+        (
+            "edit d.csv --out e.csv --scrip s.json",
+            "did you mean --script?",
+        ),
+        (
+            "edit d.csv --out e.csv --script s.json --attr A",
+            "unknown flag --attr for edit",
+        ),
+        (
+            "edit d.csv e.csv --out x.csv --script s.json",
+            "unexpected argument",
+        ),
+        ("edit d.csv --script s.json", "edit requires --out"),
+        ("session s.json --tx Items", "unknown flag --tx for session"),
+        ("session s.json t.json", "unexpected argument"),
+        ("session", "session requires SESSION.json"),
+        ("bench --suite tx --rowz 50", "did you mean --rows?"),
+        ("bench --suite tx --k 5", "unknown flag --k for bench"),
+        ("bench extra", "unexpected argument"),
+        ("bench --suite tx --rows 5,x", "--rows expects integers"),
+        (
+            "bench --suite nope",
+            "--suite expects one of kernels|store|",
+        ),
+        ("bench --all --suite tx", "--all is --suite all"),
+        ("help extra", "unexpected argument"),
+        ("help --k 5", "unknown flag --k for help"),
+    ];
+    for (line, expected) in cases {
+        let tokens: Vec<&str> = line.split(' ').collect();
+        assert_refused(&dir, &tokens, expected);
+    }
+    let written: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    assert!(written.is_empty(), "refused lines wrote {written:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A flag the chosen mode would ignore is refused, not dropped: exit 2
+/// before any work, no file written, even with a real dataset and
+/// session file to run on.
+#[test]
+fn mode_conflicting_flags_are_refused() {
+    let _machine = shared_machine();
+    let dir = tmpdir("conflicts");
+    let data = generate_dataset(&dir);
+    let data = data.to_str().unwrap();
+    std::fs::write(dir.join("s.json"), r#"{"dataset":"data.csv"}"#).unwrap();
+    let single = [
+        "evaluate", data, "--tx", "Items", "--mode", "rel", "--k", "4",
+    ];
+    let sweep = [&single[..], &["--vary", "k", "--start", "2", "--end", "4"]].concat();
+    let session = ["--session", "s.json", "--mode", "rel"];
+    let cases: Vec<(Vec<&str>, &str)> = vec![
+        (
+            [&sweep[..], &["--export-anon", "anon.csv"]].concat(),
+            "--export-anon applies to single runs",
+        ),
+        (
+            [&single[..], &["--out-dir", "charts"]].concat(),
+            "--out-dir applies to sweeps",
+        ),
+        (
+            [&single[..], &["--ascii"]].concat(),
+            "--ascii applies to sweeps",
+        ),
+        (
+            [&single[..], &["--step", "2"]].concat(),
+            "--step applies to sweeps",
+        ),
+        (
+            [&single[..], &["--workers", "2"]].concat(),
+            "--workers applies to sweeps",
+        ),
+        (
+            [&single[..], &["--distributed"]].concat(),
+            "--distributed applies to sweeps",
+        ),
+        (
+            [&["evaluate", "does-not-exist.csv"], &session[..]].concat(),
+            "--session replaces DATA, --tx and --fanout; drop DATA",
+        ),
+        (
+            [&["evaluate"], &session[..], &["--tx", "NoSuchColumn"]].concat(),
+            "drop --tx",
+        ),
+        (
+            [&["profile"], &session[..], &["--fanout", "9"]].concat(),
+            "drop --fanout",
+        ),
+        (
+            [&["compare", data, "--config", "c.json"], &session[..2]].concat(),
+            "drop DATA",
+        ),
+        (
+            vec!["evaluate", "--mode", "rel"],
+            "evaluate requires DATA or --session FILE",
+        ),
+    ];
+    for (line, expected) in &cases {
+        assert_refused(&dir, line, expected);
+    }
+    let mut left: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    left.sort();
+    assert_eq!(left, ["data.csv", "s.json"], "refused lines wrote files");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -869,7 +1194,7 @@ fn zero_threads_is_refused() {
     for mut cmd in [evaluate, profile, compare, resume, bench] {
         let out = cmd.args(["--threads", "0"]).output().unwrap();
         let verb = format!("{:?}", cmd.get_args().next().unwrap());
-        assert_eq!(out.status.code(), Some(1), "{verb}");
+        assert_eq!(out.status.code(), Some(2), "{verb}");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(
             err.contains("--threads expects a positive integer"),
@@ -957,8 +1282,8 @@ fn bench_every_suite_outputs_identical() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `bench` reads every flag it knows once and refuses the rest: a
-/// typo or a retired flag (`--k`, `--json`) must not run on defaults.
+/// `bench` refuses every flag it does not declare: a typo or a retired
+/// flag (`--k`, `--json`) must not run on defaults.
 #[test]
 fn bench_refuses_unknown_flags() {
     let _machine = shared_machine();
@@ -967,9 +1292,12 @@ fn bench_refuses_unknown_flags() {
             .args(["bench", "--suite", "tx", "--rows", "50", flag, "5"])
             .output()
             .unwrap();
-        assert_eq!(out.status.code(), Some(1), "{flag}");
+        assert_eq!(out.status.code(), Some(2), "{flag}");
         let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains(&format!("unknown bench flag {flag}")), "{err}");
+        assert!(
+            err.contains(&format!("unknown flag {flag} for bench")),
+            "{err}"
+        );
     }
 }
 
