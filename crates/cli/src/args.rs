@@ -52,6 +52,16 @@ pub(crate) struct Flag {
     pub kind: Kind,
     pub fallback: Fallback,
     pub help: &'static str,
+    /// When the verb reads the flag at all; `None` when it always does.
+    pub scope: Option<Scope>,
+}
+
+/// The values of another flag, `--gate`, under which a flag is read;
+/// given under any other value it is refused.
+#[derive(Clone, Copy)]
+pub(crate) struct Scope {
+    pub gate: &'static str,
+    pub values: &'static [&'static str],
 }
 
 const fn f(name: &'static str, kind: Kind, fallback: Fallback, help: &'static str) -> Flag {
@@ -60,10 +70,27 @@ const fn f(name: &'static str, kind: Kind, fallback: Fallback, help: &'static st
         kind,
         fallback,
         help,
+        scope: None,
     }
 }
 
 impl Flag {
+    /// This flag, read only while `--gate` has one of `values`.
+    const fn only(self, gate: &'static str, values: &'static [&'static str]) -> Flag {
+        Flag {
+            scope: Some(Scope { gate, values }),
+            ..self
+        }
+    }
+
+    /// The help line, ending in the scope the flag is read in.
+    pub fn help_line(&self) -> String {
+        match self.scope {
+            Some(s) => format!("{} (`--{} {}`)", self.help, s.gate, s.values.join("|")),
+            None => self.help.to_owned(),
+        }
+    }
+
     /// `--name HINT`, as help shows it.
     pub fn syntax(&self) -> String {
         match self.kind {
@@ -123,20 +150,21 @@ mod declared {
         MEMORY_BUDGET,
         f("job-timeout-ms", Count("MS"), Unset("off"), "per-job soft deadline; a late job fails alone"),
     ];
+    /// Each method flag with the `--mode` (or `--tx-algo`) that reads it.
     const METHOD: &[Flag] = &[
         f("mode", OneOf(&["rel", "tx", "rt", "rho"]), Value("rt"), "privacy model family"),
-        f("rel-algo", OneOf(&["incognito", "cluster", "topdown", "bottomup"]), Value("cluster"), "relational algorithm"),
-        f("tx-algo", OneOf(&["coat", "pcta", "apriori", "lra", "vpa"]), Value("apriori"), "transaction algorithm"),
-        f("bounding", OneOf(&["rmerge", "tmerge", "rtmerge"]), Value("rmerge"), "RT bounding method"),
-        f("k", Count("N"), Value("5"), "k of k-anonymity and k^m-anonymity"),
-        f("m", Count("N"), Value("2"), "m of k^m-anonymity"),
-        f("delta", Count("N"), Value("1"), "RT merge budget δ"),
-        f("partitions", Count("N"), Value("4"), "LRA horizontal partitions"),
-        f("parts", Count("N"), Value("4"), "VPA vertical parts"),
-        f("rho", Number("R"), Value("0.5"), "ρ confidence threshold"),
-        f("sensitive", Text("I1,I2,..."), Unset(""), "sensitive item labels (`--mode rho`)"),
-        f("max-antecedent", Count("N"), Value("2"), "ρ rule-antecedent size bound"),
-        f("rho-algo", OneOf(&["suppress", "tdcontrol"]), Value("suppress"), "SuppressControl or TDControl"),
+        f("rel-algo", OneOf(&["incognito", "cluster", "topdown", "bottomup"]), Value("cluster"), "relational algorithm").only("mode", &["rel", "rt"]),
+        f("tx-algo", OneOf(&["coat", "pcta", "apriori", "lra", "vpa"]), Value("apriori"), "transaction algorithm").only("mode", &["tx", "rt"]),
+        f("bounding", OneOf(&["rmerge", "tmerge", "rtmerge"]), Value("rmerge"), "RT bounding method").only("mode", &["rt"]),
+        f("k", Count("N"), Value("5"), "k of k-anonymity and k^m-anonymity").only("mode", &["rel", "tx", "rt"]),
+        f("m", Count("N"), Value("2"), "m of k^m-anonymity").only("mode", &["tx", "rt"]),
+        f("delta", Count("N"), Value("1"), "RT merge budget δ").only("mode", &["rt"]),
+        f("partitions", Count("N"), Value("4"), "LRA horizontal partitions").only("tx-algo", &["lra"]),
+        f("parts", Count("N"), Value("4"), "VPA vertical parts").only("tx-algo", &["vpa"]),
+        f("rho", Number("R"), Value("0.5"), "ρ confidence threshold").only("mode", &["rho"]),
+        f("sensitive", Text("I1,I2,..."), Unset(""), "sensitive item labels").only("mode", &["rho"]),
+        f("max-antecedent", Count("N"), Value("2"), "ρ rule-antecedent size bound").only("mode", &["rho"]),
+        f("rho-algo", OneOf(&["suppress", "tdcontrol"]), Value("suppress"), "SuppressControl or TDControl").only("mode", &["rho"]),
     ];
     const RUN: &[Flag] = &[
         THREADS,
@@ -173,12 +201,12 @@ mod declared {
         v("generate", "", "synthesize a dataset", &[&[
             f("kind", OneOf(&["adult", "basket", "census", "adversarial"]), Value("adult"), "generator family"),
             f("rows", Count("N"), Value("1000"), "number of records"),
-            f("items", Count("N"), Value("100"), "item-universe size (`basket`)"),
+            f("items", Count("N"), Value("100"), "item-universe size").only("kind", &["basket"]),
             SEED,
             OUT,
-            f("correlation", Number("C"), Value("0.6"), "QI joint-value correlation in [0, 1] (`adversarial`)"),
-            f("item-skew", OneOf(&["head", "tail"]), Value("tail"), "common or rare half carries the items (`adversarial`)"),
-            f("outlier-fraction", Number("F"), Value("0.05"), "fraction of rows with rare picks (`adversarial`)"),
+            f("correlation", Number("C"), Value("0.6"), "QI joint-value correlation in [0, 1]").only("kind", &["adversarial"]),
+            f("item-skew", OneOf(&["head", "tail"]), Value("tail"), "common or rare half carries the items").only("kind", &["adversarial"]),
+            f("outlier-fraction", Number("F"), Value("0.05"), "fraction of rows with rare picks").only("kind", &["adversarial"]),
         ]], cmd::cmd_generate),
         v("info", "DATA", "dataset summary", &[DATA], cmd::cmd_info),
         v("histogram", "DATA", "attribute or item histogram", &[DATA, &[
@@ -198,11 +226,11 @@ mod declared {
         ]], cmd::cmd_workload),
         v("policy", "DATA", "derive COAT/PCTA privacy or utility policies", &[DATA, &[
             f("privacy", OneOf(&["all", "rare", "random"]), Unset(""), "every item, items under 5% support, or random itemsets"),
-            f("size", Count("N"), Value("2"), "itemset size (`random`)"),
-            f("count", Count("N"), Value("50"), "itemset count (`random`)"),
+            f("size", Count("N"), Value("2"), "itemset size").only("privacy", &["random"]),
+            f("count", Count("N"), Value("50"), "itemset count").only("privacy", &["random"]),
             SEED,
             f("utility", OneOf(&["unconstrained", "bands"]), Unset(""), "utility-group strategy"),
-            f("bands", Count("N"), Value("5"), "number of frequency bands (`bands`)"),
+            f("bands", Count("N"), Value("5"), "number of frequency bands").only("utility", &["bands"]),
             OUT,
         ]], cmd::cmd_policy),
         v("evaluate", "[DATA]", "Evaluation mode: one method, fixed or swept", &[
@@ -309,7 +337,12 @@ impl Verb {
                 Unset("") => String::new(),
                 Unset(note) | Value(note) => format!(" (default: {note})"),
             };
-            let _ = writeln!(out, "  {:<30} {}{fallback}", flag.syntax(), flag.help);
+            let _ = writeln!(
+                out,
+                "  {:<30} {}{fallback}",
+                flag.syntax(),
+                flag.help_line()
+            );
         }
         out + "\nSee docs/GUIDE.md for the full reference.\n"
     }
@@ -635,6 +668,18 @@ mod tests {
                 );
                 // a `|` would split the GUIDE's table row
                 assert!(!flag.help.contains('|'), "--{}", flag.name);
+                // a scope names values of one of the verb's choices
+                if let Some(scope) = flag.scope {
+                    let gate = verb.flag(scope.gate).map(|g| g.kind);
+                    let Some(OneOf(names)) = gate else {
+                        panic!("--{} is scoped by --{}, no choice", flag.name, scope.gate);
+                    };
+                    assert!(
+                        scope.values.iter().all(|v| names.contains(v)),
+                        "--{}",
+                        flag.name
+                    );
+                }
             }
         }
     }
@@ -673,8 +718,8 @@ mod tests {
                 Unset(note) => note.to_owned(),
                 Value(value) => format!("`{value}`"),
             };
-            let syntax = flag.syntax().replace('|', "\\|");
-            let _ = writeln!(out, "| `{syntax}` | {} | {default} |", flag.help);
+            let [syntax, help] = [flag.syntax(), flag.help_line()].map(|t| t.replace('|', "\\|"));
+            let _ = writeln!(out, "| `{syntax}` | {help} | {default} |");
         }
         out
     }

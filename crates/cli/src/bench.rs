@@ -14,16 +14,16 @@ use crate::commands::load_context;
 use crate::worker::worker_spawner;
 use secreta_bench::report::{self, Bench, Case, Options, Sample, Setup, Suite};
 use secreta_core::config::RelAlgo;
-use secreta_core::data::{chunk, csv, Counting, CsvOptions, DataError, ItemId, MemoryBudget};
+use secreta_core::data::{chunk, csv, CsvOptions, DataError, ItemId, MemoryBudget};
 use secreta_core::distributed::{run_distributed, DistOptions};
-use secreta_core::metrics::{gcp, PhaseTimer};
+use secreta_core::metrics::{gcp, PhaseTimer, RiskIndicators};
 use secreta_core::obsv::{self, ObsvConfig, TraceSink};
 use secreta_core::parallel::with_threads;
 use secreta_core::policy::{generate_privacy, PrivacyPolicy, PrivacyStrategy};
 use secreta_core::relational::{
     bottomup, cluster, incognito, topdown, RelError, RelOutput, RelationalInput,
 };
-use secreta_core::risk::{self, Guarantee, RiskParams};
+use secreta_core::risk::{self, CandidateIndex, Guarantee, RiskParams};
 use secreta_core::store::RunStore;
 use secreta_core::transaction::support::InvertedIndex;
 use secreta_core::transaction::{self as tx, set_density_threshold, RhoParams, TransactionInput};
@@ -32,6 +32,7 @@ use secreta_core::{
     VaryingParam,
 };
 use secreta_gen::{DatasetSpec, WorkloadSpec};
+use secreta_oracle as oracle;
 use serde::Value;
 use std::cell::{Cell, RefCell};
 
@@ -133,12 +134,18 @@ fn rel_input(ctx: &SessionContext) -> RelationalInput<'_> {
 /// The relational search algorithms with counting kernels.
 const REL_ALGOS: &[&str] = &["incognito", "topdown", "bottomup"];
 
-fn run_rel(name: &str, input: &RelationalInput, counting: Counting) -> Result<Sample, String> {
-    rel_sample(match name {
-        "incognito" => incognito::anonymize_with(input, counting),
-        "topdown" => topdown::anonymize_with(input, counting),
-        "bottomup" => bottomup::anonymize_with(input, counting),
-        other => return Err(format!("unknown algorithm {other:?}")),
+/// Run one named relational search: its production path, or with
+/// `naive` its oracle from `secreta-oracle`.
+fn run_rel(name: &str, input: &RelationalInput, naive: bool) -> Result<Sample, String> {
+    use oracle::relational as o;
+    rel_sample(match (name, naive) {
+        ("incognito", false) => incognito::anonymize(input),
+        ("incognito", true) => o::incognito::anonymize(input),
+        ("topdown", false) => topdown::anonymize(input),
+        ("topdown", true) => o::topdown::anonymize(input),
+        ("bottomup", false) => bottomup::anonymize(input),
+        ("bottomup", true) => o::bottomup::anonymize(input),
+        (other, _) => return Err(format!("unknown algorithm {other:?}")),
     })
 }
 
@@ -187,8 +194,9 @@ impl TxFixture {
         })
     }
 
-    /// Run one named algorithm under the given counting strategy.
-    fn run(&self, name: &str, counting: Counting) -> Result<Sample, String> {
+    /// Run one named algorithm: its production path, or with `naive`
+    /// its oracle from `secreta-oracle`.
+    fn run(&self, name: &str, naive: bool) -> Result<Sample, String> {
         let table = &self.ctx.table;
         let h = self
             .ctx
@@ -210,15 +218,23 @@ impl TxFixture {
             ..plain
         };
         let td = TransactionInput::km(table, 1, 1, h);
-        let out = match name {
-            "apriori" => tx::apriori::anonymize_with(&km, counting),
-            "lra" => tx::lra::anonymize_with(&km, 2, counting),
-            "vpa" => tx::vpa::anonymize_with(&km, 4, counting),
-            "coat" => tx::coat::anonymize_with(&plain, counting),
-            "pcta" => tx::pcta::anonymize_with(&plain, counting),
-            "rho" => tx::rho::anonymize_with(&one, &self.params, counting),
-            "rho_td" => tx::rho_td::anonymize_with(&td, &self.params, counting),
-            other => return Err(format!("unknown algorithm {other:?}")),
+        use oracle::transaction as o;
+        let out = match (name, naive) {
+            ("apriori", false) => tx::apriori::anonymize(&km),
+            ("apriori", true) => o::apriori::anonymize(&km),
+            ("lra", false) => tx::lra::anonymize(&km, 2),
+            ("lra", true) => o::lra::anonymize(&km, 2),
+            ("vpa", false) => tx::vpa::anonymize(&km, 4),
+            ("vpa", true) => o::vpa::anonymize(&km, 4),
+            ("coat", false) => tx::coat::anonymize(&plain),
+            ("coat", true) => o::coat::anonymize(&plain),
+            ("pcta", false) => tx::pcta::anonymize(&plain),
+            ("pcta", true) => o::pcta::anonymize(&plain),
+            ("rho", false) => tx::rho::anonymize(&one, &self.params),
+            ("rho", true) => o::rho::anonymize(&one, &self.params),
+            ("rho_td", false) => tx::rho_td::anonymize(&td, &self.params),
+            ("rho_td", true) => o::rho_td::anonymize(&td, &self.params),
+            (other, _) => return Err(format!("unknown algorithm {other:?}")),
         };
         out.map(|o| Sample::of(o.anon).with_phases(o.phases))
             .map_err(|e| e.to_string())
@@ -232,8 +248,9 @@ fn tx_params(bench: &mut Bench) {
     bench.param("items", ITEMS as f64);
 }
 
-/// Cluster's hot path: the retained pre-optimization implementation vs
-/// the kernels (Euler-tour LCA, leaf matrix, per-leaf cost tables).
+/// Cluster's hot path: the pre-optimization implementation from
+/// `secreta-oracle` vs the kernels (Euler-tour LCA, leaf matrix,
+/// per-leaf cost tables).
 fn kernels(s: &Setup, bench: &mut Bench) -> Result<(), String> {
     bench.param("k", K as f64);
     let ctx = session(DatasetSpec::adult_like(s.rows, s.options.seed), 4)?;
@@ -241,7 +258,10 @@ fn kernels(s: &Setup, bench: &mut Bench) -> Result<(), String> {
     bench.case(
         Case::new("rel/cluster")
             .variant("reference", || {
-                rel_sample(cluster::anonymize_reference(&input, s.options.seed))
+                rel_sample(oracle::relational::cluster::anonymize(
+                    &input,
+                    s.options.seed,
+                ))
             })
             .variant("kernel", || {
                 rel_sample(cluster::anonymize(&input, s.options.seed))
@@ -249,7 +269,7 @@ fn kernels(s: &Setup, bench: &mut Bench) -> Result<(), String> {
     )
 }
 
-/// Every transaction algorithm, naive reference counters vs the
+/// Every transaction algorithm, its naive oracle vs the
 /// interned/sharded support kernels, the kernels also pinned to thread
 /// budgets of 1 and 2 (the sharded support counts are the parallel
 /// site these cases time).
@@ -257,10 +277,10 @@ fn tx_kernels(s: &Setup, bench: &mut Bench) -> Result<(), String> {
     tx_params(bench);
     let fx = TxFixture::build(s.rows, s.options.seed, false)?;
     for &name in TX_ALGOS {
-        let kernel = || fx.run(name, Counting::Kernel);
+        let kernel = || fx.run(name, false);
         bench.case(
             Case::new(format!("tx/{name}"))
-                .variant("naive", || fx.run(name, Counting::Naive))
+                .variant("naive", || fx.run(name, true))
                 .variant("threads=1", move || with_threads(1, kernel))
                 .variant("threads=2", move || with_threads(2, kernel))
                 .variant("kernel", kernel),
@@ -281,18 +301,18 @@ fn tiered(s: &Setup, bench: &mut Bench) -> Result<(), String> {
                     // no item clears a density bar above 1.0: the
                     // kernels degenerate to their pure-CSR paths
                     set_density_threshold(Some(2.0));
-                    let out = fx.run(name, Counting::Kernel);
+                    let out = fx.run(name, false);
                     set_density_threshold(None);
                     out
                 })
-                .variant("tiered", || fx.run(name, Counting::Kernel)),
+                .variant("tiered", || fx.run(name, false)),
         )?;
     }
     Ok(())
 }
 
-/// Incognito, Top-down and Bottom-up, naive rescan-per-check counting
-/// vs the partition-rollup kernels.
+/// Incognito, Top-down and Bottom-up, their rescan-per-check oracles vs
+/// the partition-rollup kernels.
 fn rel(s: &Setup, bench: &mut Bench) -> Result<(), String> {
     bench.param("k", K as f64);
     bench.param("fanout", REL_FANOUT as f64);
@@ -301,8 +321,8 @@ fn rel(s: &Setup, bench: &mut Bench) -> Result<(), String> {
     for &name in REL_ALGOS {
         bench.case(
             Case::new(format!("rel/{name}"))
-                .variant("naive", || run_rel(name, &input, Counting::Naive))
-                .variant("kernel", || run_rel(name, &input, Counting::Kernel)),
+                .variant("naive", || run_rel(name, &input, true))
+                .variant("kernel", || run_rel(name, &input, false)),
         )?;
     }
     Ok(())
@@ -348,17 +368,22 @@ fn risk_eval(s: &Setup, bench: &mut Bench) -> Result<(), String> {
         // outside their timed regions
         let anon = anonymize().map_err(|e| e.to_string())?.anon;
         let classes = anon.equivalence_classes();
-        let evaluate = |counting: Counting| -> Result<Sample, String> {
-            let risk = risk::evaluate(
-                &ctx.table,
-                &anon,
-                &classes,
-                Some(h),
-                guarantee,
-                &params,
-                counting,
-            );
+        let kernel = || -> Result<Sample, String> {
+            let risk = risk::evaluate(&ctx.table, &anon, &classes, Some(h), guarantee, &params);
             Ok(Sample::of(risk))
+        };
+        // the same block with the m-item attack on the oracle
+        let naive = || -> Result<Sample, String> {
+            let candidates = anon
+                .tx
+                .as_ref()
+                .map(|t| CandidateIndex::build(&ctx.table, t, Some(h)));
+            let (tx, _) = oracle::risk::transaction_risk(&ctx.table, &anon, Some(h), &params);
+            Ok(Sample::of(RiskIndicators {
+                rel: risk::relational_risk(&anon, &classes, &params),
+                tx,
+                audit: risk::audit_guarantee(&anon, &classes, candidates.as_ref(), guarantee),
+            }))
         };
         let mut case = Case::new(format!("risk/{name}")).variant("anonymize", || {
             anonymize()
@@ -366,9 +391,8 @@ fn risk_eval(s: &Setup, bench: &mut Bench) -> Result<(), String> {
                 .map_err(|e| e.to_string())
         });
         if s.rows <= NAIVE_CAP {
-            case = case.variant("naive", move || evaluate(Counting::Naive));
+            case = case.variant("naive", naive);
         }
-        let kernel = move || evaluate(Counting::Kernel);
         bench.case(
             case.variant("threads=1", move || with_threads(1, kernel))
                 .variant("threads=2", move || with_threads(2, kernel))
@@ -625,14 +649,11 @@ fn gate(s: &Setup, bench: &mut Bench) -> Result<(), String> {
     }))?;
     for &name in REL_ALGOS {
         bench.case(
-            Case::new(format!("rel/{name}"))
-                .variant("run", || run_rel(name, &input, Counting::Kernel)),
+            Case::new(format!("rel/{name}")).variant("run", || run_rel(name, &input, false)),
         )?;
     }
     for &name in TX_ALGOS {
-        bench.case(
-            Case::new(format!("tx/{name}")).variant("run", || fx.run(name, Counting::Kernel)),
-        )?;
+        bench.case(Case::new(format!("tx/{name}")).variant("run", || fx.run(name, false)))?;
     }
     bench.case(Case::new("metrics/gcp").variant("run", || {
         // one evaluation is tens of microseconds — far below timer

@@ -46,6 +46,22 @@ pub(crate) fn check_usage(args: &Args) -> Result<(), String> {
     } else if takes("session") && args.positional.is_none() {
         return Err(format!("{verb} requires DATA or --session FILE"));
     }
+    // a flag the chosen mode, algorithm, kind or policy does not read
+    for flag in args.verb.all_flags().filter(|f| args.given(f.name)) {
+        let Some(scope) = flag.scope else {
+            continue;
+        };
+        if !args
+            .text(scope.gate)
+            .is_some_and(|v| scope.values.contains(&v))
+        {
+            let values = scope.values.join("|");
+            let (name, gate) = (flag.name, scope.gate);
+            return Err(format!(
+                "--{name} applies to --{gate} {values} only; drop it"
+            ));
+        }
+    }
     if takes("mode") && args.text("mode") == Some("rho") && !args.given("sensitive") {
         return Err("--mode rho requires --sensitive item1,item2,...".into());
     }
@@ -635,92 +651,112 @@ fn print_cache_stats(orch: &Orchestrator, out: &secreta_core::Orchestrated) {
 /// Announce a memory-budget exhaustion (at ingest or mid-run) and
 /// exit through the degraded path: blowing the declared budget is a
 /// recorded outcome (exit 3), not a fatal error.
-fn budget_degraded(what: &str, msg: &str) -> Result<i32, String> {
+fn budget_degraded(what: &str, msg: &str) {
     eprintln!("error: {msg}");
     println!(
         "{what} completed degraded: the memory budget was exceeded; \
          raise --memory-budget or shrink the dataset"
     );
-    Ok(EXIT_DEGRADED)
+}
+
+/// The session of `evaluate`, `compare` and `profile`, with its
+/// recorder (forced on by `profile`) and its limits. `Ok(None)` when
+/// loading ran out of `--memory-budget`: the degraded outcome, already
+/// reported.
+fn run_context(args: &Args, what: &str, profile: bool) -> Result<Option<SessionContext>, String> {
+    let ctx = match load_context(args) {
+        Ok(ctx) => ctx,
+        Err(LoadError::Budget(msg)) => {
+            budget_degraded(what, &msg);
+            return Ok(None);
+        }
+        Err(LoadError::Other(msg)) => return Err(msg),
+    };
+    Ok(Some(with_limits(
+        args,
+        ctx.with_obsv(obsv_of(args, profile)?),
+    )))
+}
+
+/// The single run of `evaluate` (no `--vary`) and `profile`: run the
+/// method and print its label and indicators. `Ok(None)` when the run
+/// exceeded `--memory-budget`: the degraded outcome, already reported.
+fn single_run(
+    args: &Args,
+    orch: &Orchestrator,
+    ctx: &SessionContext,
+    what: &str,
+    replayed: &str,
+) -> Result<Option<secreta_core::RunResult>, String> {
+    let spec = build_spec(args);
+    let (result, cache_hit) = orch
+        .run_one(ctx, &spec, args.get("seed"))
+        .map_err(|e| e.to_string())?;
+    let out = match result {
+        Ok(out) => out,
+        Err(e @ secreta_core::RunError::BudgetExceeded { .. }) => {
+            budget_degraded(what, &e.to_string());
+            return Ok(None);
+        }
+        Err(e) => return Err(e.to_string()),
+    };
+    println!("method: {}", spec.label());
+    if cache_hit {
+        println!("(replayed from the run store — {replayed})");
+    }
+    print_indicators("result", &out.indicators);
+    Ok(Some(out))
 }
 
 pub(crate) fn cmd_evaluate(args: &Args) -> Result<i32, String> {
     let orch = orchestrator_of(args)?;
-    let ctx = match load_context(args) {
-        Ok(ctx) => ctx,
-        Err(LoadError::Budget(msg)) => return budget_degraded("evaluate", &msg),
-        Err(LoadError::Other(msg)) => return Err(msg),
+    let Some(ctx) = run_context(args, "evaluate", false)? else {
+        return Ok(EXIT_DEGRADED);
     };
-    let ctx = with_limits(args, ctx.with_obsv(obsv_of(args, false)?));
-    let spec = build_spec(args);
-    let seed = args.get("seed");
-
-    let mut failures = 0u64;
-    match parse_sweep(args) {
-        None => {
-            let (result, cache_hit) = orch.run_one(&ctx, &spec, seed).map_err(|e| e.to_string())?;
-            let out = match result {
-                Ok(out) => out,
-                Err(e @ secreta_core::RunError::BudgetExceeded { .. }) => {
-                    return budget_degraded("evaluate", &e.to_string())
-                }
-                Err(e) => return Err(e.to_string()),
-            };
-            println!("method: {}", spec.label());
-            if cache_hit {
-                println!("(replayed from the run store — no anonymization executed)");
-            }
-            print_indicators("result", &out.indicators);
-            println!("phases:");
-            for (name, d) in &out.phases.phases {
-                println!("  {:<32} {:>10.2}ms", name, d.as_secs_f64() * 1e3);
-            }
-            if let Some(path) = args.text("export-anon") {
-                let mut file = std::io::BufWriter::new(
-                    std::fs::File::create(path).map_err(|e| e.to_string())?,
-                );
-                export::write_anonymized(&ctx, &out.anon, &mut file).map_err(|e| e.to_string())?;
-                println!("anonymized dataset written to {path}");
-            }
+    let Some(sweep) = parse_sweep(args) else {
+        let replayed = "no anonymization executed";
+        let Some(out) = single_run(args, &orch, &ctx, "evaluate", replayed)? else {
+            return Ok(EXIT_DEGRADED);
+        };
+        println!("phases:");
+        for (name, d) in &out.phases.phases {
+            println!("  {:<32} {:>10.2}ms", name, d.as_secs_f64() * 1e3);
         }
-        Some(sweep) => {
-            let cfg = Configuration::new(spec.clone(), sweep, seed);
-            let invocation = invocation_of("evaluate", args, std::slice::from_ref(&cfg));
-            let out = crate::worker::run_sweep(
-                args,
-                &ctx,
-                &orch,
-                std::slice::from_ref(&cfg),
-                invocation,
-            )?;
-            print_cache_stats(&orch, &out);
-            failures = out.stats.failures;
-            let points = out.result.points.into_iter().next().unwrap_or_default();
-            println!("method: {} varying {}", spec.label(), sweep.param.label());
-            for (v, r) in &points {
-                match r {
-                    Ok(p) => {
-                        print_indicators(&format!("{}={v}", sweep.param.label()), &p.indicators)
-                    }
-                    Err(e) => println!("{}={v}: failed: {e}", sweep.param.label()),
-                }
-            }
-            for (_, ylabel, key) in SWEEP_CHARTS {
-                let chart = secreta_core::sweep::chart_of(
-                    format!("{} vs {}", ylabel, sweep.param.label()),
-                    ylabel,
-                    &sweep,
-                    spec.label(),
-                    &points,
-                    |i| indicator_scalar(key, i),
-                );
-                let shown = args.given("ascii").then(|| export::terminal_xy(&chart));
-                let export = |stem: &Path| export::export_xy_chart(&chart, stem);
-                emit_chart(args, shown, &format!("evaluate_{key}"), export)?;
-            }
+        if let Some(path) = args.text("export-anon") {
+            let mut file =
+                std::io::BufWriter::new(std::fs::File::create(path).map_err(|e| e.to_string())?);
+            export::write_anonymized(&ctx, &out.anon, &mut file).map_err(|e| e.to_string())?;
+            println!("anonymized dataset written to {path}");
+        }
+        return Ok(EXIT_OK);
+    };
+    let spec = build_spec(args);
+    let cfg = Configuration::new(spec.clone(), sweep, args.get("seed"));
+    let invocation = invocation_of("evaluate", args, std::slice::from_ref(&cfg));
+    let out = crate::worker::run_sweep(args, &ctx, &orch, std::slice::from_ref(&cfg), invocation)?;
+    print_cache_stats(&orch, &out);
+    let points = out.result.points.into_iter().next().unwrap_or_default();
+    println!("method: {} varying {}", spec.label(), sweep.param.label());
+    for (v, r) in &points {
+        match r {
+            Ok(p) => print_indicators(&format!("{}={v}", sweep.param.label()), &p.indicators),
+            Err(e) => println!("{}={v}: failed: {e}", sweep.param.label()),
         }
     }
-    Ok(degraded_code("evaluate", failures))
+    for (_, ylabel, key) in SWEEP_CHARTS {
+        let chart = secreta_core::sweep::chart_of(
+            format!("{} vs {}", ylabel, sweep.param.label()),
+            ylabel,
+            &sweep,
+            spec.label(),
+            &points,
+            |i| indicator_scalar(key, i),
+        );
+        let shown = args.given("ascii").then(|| export::terminal_xy(&chart));
+        let export = |stem: &Path| export::export_xy_chart(&chart, stem);
+        emit_chart(args, shown, &format!("evaluate_{key}"), export)?;
+    }
+    Ok(degraded_code("evaluate", out.stats.failures))
 }
 
 /// Turn a sweep's failure count into the exit code, announcing the
@@ -737,23 +773,18 @@ fn degraded_code(what: &str, failures: u64) -> i32 {
     }
 }
 
-/// `secreta profile`: run one method with the recorder on and print
-/// the hierarchical phase/counter table. Accepts the same method flags
-/// as single-run `evaluate`; `--trace-out FILE` additionally streams
-/// the NDJSON trace.
+/// `secreta profile`: `evaluate`'s single run with the recorder on,
+/// printing the hierarchical phase/counter table; `--trace-out FILE`
+/// additionally streams the NDJSON trace.
 pub(crate) fn cmd_profile(args: &Args) -> Result<i32, String> {
     let orch = orchestrator_of(args)?;
-    let ctx = load_context(args).map_err(String::from)?;
-    let ctx = with_limits(args, ctx.with_obsv(obsv_of(args, true)?));
-    let spec = build_spec(args);
-    let seed = args.get("seed");
-    let (result, cache_hit) = orch.run_one(&ctx, &spec, seed).map_err(|e| e.to_string())?;
-    let out = result.map_err(|e| e.to_string())?;
-    println!("method: {}", spec.label());
-    if cache_hit {
-        println!("(replayed from the run store — profile reflects the original execution)");
-    }
-    print_indicators("result", &out.indicators);
+    let Some(ctx) = run_context(args, "profile", true)? else {
+        return Ok(EXIT_DEGRADED);
+    };
+    let replayed = "profile reflects the original execution";
+    let Some(out) = single_run(args, &orch, &ctx, "profile", replayed)? else {
+        return Ok(EXIT_DEGRADED);
+    };
     match &out.profile {
         Some(profile) => {
             println!("profile:");
@@ -769,12 +800,9 @@ pub(crate) fn cmd_profile(args: &Args) -> Result<i32, String> {
 
 pub(crate) fn cmd_compare(args: &Args) -> Result<i32, String> {
     let orch = orchestrator_of(args)?;
-    let ctx = match load_context(args) {
-        Ok(ctx) => ctx,
-        Err(LoadError::Budget(msg)) => return budget_degraded("compare", &msg),
-        Err(LoadError::Other(msg)) => return Err(msg),
+    let Some(ctx) = run_context(args, "compare", false)? else {
+        return Ok(EXIT_DEGRADED);
     };
-    let ctx = with_limits(args, ctx.with_obsv(obsv_of(args, false)?));
     let config_path = args.text("config").expect("--config is required");
     let text = std::fs::read_to_string(config_path).map_err(|e| e.to_string())?;
     let configs: Vec<Configuration> =

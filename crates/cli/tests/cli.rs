@@ -376,6 +376,78 @@ fn mode_conflicting_flags_are_refused() {
             vec!["evaluate", "--mode", "rel"],
             "evaluate requires DATA or --session FILE",
         ),
+        // the method flags of another mode: this printed
+        // `method: Cluster (k=4)`
+        (
+            vec![
+                "evaluate",
+                data,
+                "--mode",
+                "rel",
+                "--rel-algo",
+                "cluster",
+                "--k",
+                "4",
+                "--tx-algo",
+                "coat",
+                "--m",
+                "9",
+                "--bounding",
+                "tmerge",
+                "--rho",
+                "0.1",
+                "--threads",
+                "1",
+            ],
+            "--tx-algo applies to --mode tx|rt only",
+        ),
+        (
+            [&single[..], &["--rho", "0.1"]].concat(),
+            "--rho applies to --mode rho only",
+        ),
+        (
+            vec![
+                "profile",
+                data,
+                "--mode",
+                "tx",
+                "--tx-algo",
+                "apriori",
+                "--partitions",
+                "3",
+            ],
+            "--partitions applies to --tx-algo lra only",
+        ),
+        // another kind's generator flags: this wrote the same bytes as
+        // without them
+        (
+            vec![
+                "generate",
+                "--kind",
+                "adult",
+                "--rows",
+                "200",
+                "--items",
+                "5",
+                "--correlation",
+                "0.9",
+                "--out",
+                "A2.csv",
+            ],
+            "--items applies to --kind basket only",
+        ),
+        (
+            vec![
+                "generate",
+                "--kind",
+                "basket",
+                "--correlation",
+                "0.9",
+                "--out",
+                "b.csv",
+            ],
+            "--correlation applies to --kind adversarial only",
+        ),
     ];
     for (line, expected) in &cases {
         assert_refused(&dir, line, expected);
@@ -1156,6 +1228,33 @@ fn exit_codes_follow_failure_severity() {
         String::from_utf8_lossy(&timeout.stdout).contains("deadline"),
         "timeout errors name the deadline"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `profile` is `evaluate`'s single run with the recorder on: a run over
+/// its memory budget is the degraded outcome, exit 3, for both.
+#[test]
+fn profile_over_budget_exits_degraded() {
+    let _machine = shared_machine();
+    let dir = tmpdir("profile-budget");
+    let data = generate_dataset(&dir);
+    for verb in ["evaluate", "profile"] {
+        let out = secreta()
+            .arg(verb)
+            .arg(&data)
+            .args(["--mode", "rel", "--rel-algo", "cluster", "--k", "4"])
+            .args(["--memory-budget", "1", "--threads", "1"])
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(3), "{verb}: {stdout}\n{stderr}");
+        assert!(
+            stdout.contains(&format!("{verb} completed degraded")),
+            "{verb}: {stdout}"
+        );
+        assert!(stderr.contains("memory budget"), "{verb}: {stderr}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

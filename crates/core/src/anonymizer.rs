@@ -460,7 +460,6 @@ fn evaluate_risk(
         ctx.item_hierarchy.as_ref(),
         &guarantee,
         &secreta_risk::RiskParams::default(),
-        secreta_data::Counting::Kernel,
     )
 }
 

@@ -12,29 +12,15 @@
 //! taken.
 
 use crate::common::{RelError, RelOutput, RelationalInput};
-use crate::kernel::{Counting, CutClasses};
-use secreta_data::hash::{FxHashMap, FxHashSet};
+use crate::kernel::CutClasses;
+use secreta_data::hash::FxHashSet;
 use secreta_hierarchy::Cut;
 use secreta_hierarchy::NodeId;
 use secreta_metrics::anon::rel_column_from_value_map;
 use secreta_metrics::{AnonTable, GenEntry, PhaseTimer};
 
-/// Run full-subtree bottom-up generalization on `input` with the
-/// kernel counting paths.
-pub fn anonymize(input: &RelationalInput) -> Result<RelOutput, RelError> {
-    anonymize_with(input, Counting::Kernel)
-}
-
-/// Run Bottom-up with the naive per-round full-row regrouping — the
-/// reference oracle the kernel path is tested and benchmarked against.
-pub fn anonymize_reference(input: &RelationalInput) -> Result<RelOutput, RelError> {
-    anonymize_with(input, Counting::Naive)
-}
-
-/// Cheapest candidate by weighted NCP increase. Shared by both
-/// counting paths: the sort plus `min_by` comparator pin down the tie
-/// behavior, so factoring it keeps the paths identical by
-/// construction.
+/// Cheapest candidate by weighted NCP increase: the sort plus the
+/// `min_by` comparator pin down the tie behavior.
 fn select_cheapest(
     input: &RelationalInput,
     cuts: &[Cut],
@@ -54,31 +40,22 @@ fn select_cheapest(
         .expect("candidates non-empty")
 }
 
-/// Run full-subtree bottom-up generalization on `input` with an
-/// explicit [`Counting`] selection.
-pub fn anonymize_with(input: &RelationalInput, counting: Counting) -> Result<RelOutput, RelError> {
+/// Run full-subtree bottom-up generalization on `input`.
+pub fn anonymize(input: &RelationalInput) -> Result<RelOutput, RelError> {
     input.validate()?;
     let mut timer = PhaseTimer::new();
 
     let q = input.qi_attrs.len();
     let (counts, totals) = input.qi_value_counts();
     let mut cuts: Vec<Cut> = input.hierarchies.iter().map(Cut::leaves).collect();
-    // row-major QI values: the signature grouping below re-reads every
-    // cell once per round, so table lookups must stay off that path
-    let matrix = input.value_matrix();
-    // kernel: group the rows once at the leaf cut; every later round
-    // works on class signatures (remap + coalesce), never on rows
-    let mut classes = match counting {
-        Counting::Kernel => {
-            let domains: Vec<usize> = input
-                .qi_attrs
-                .iter()
-                .map(|&a| input.table.domain_size(a))
-                .collect();
-            Some(CutClasses::leaf_cut(&matrix, &input.hierarchies, &domains))
-        }
-        Counting::Naive => None,
-    };
+    // group the rows once at the leaf cut; every later round works on
+    // class signatures (remap + coalesce), never on rows
+    let domains: Vec<usize> = input
+        .qi_attrs
+        .iter()
+        .map(|&a| input.table.domain_size(a))
+        .collect();
+    let mut classes = CutClasses::leaf_cut(&input.value_matrix(), &input.hierarchies, &domains);
     timer.phase("setup");
 
     let recorder = secreta_obsv::current();
@@ -86,56 +63,17 @@ pub fn anonymize_with(input: &RelationalInput, counting: Counting) -> Result<Rel
     let mut class_scans = 0u64;
     loop {
         // candidate generalizations: parents of cut nodes used by
-        // violating rows (equivalently, by violating classes — every
-        // row of a class shares its signature)
+        // violating classes (every row of a class shares its signature)
+        class_scans += classes.n_classes() as u64;
+        let violating = classes.violating(input.k);
+        if violating.is_empty() {
+            break;
+        }
         let mut cands: FxHashSet<(usize, NodeId)> = FxHashSet::default();
-        match &classes {
-            Some(cc) => {
-                class_scans += cc.n_classes() as u64;
-                let violating = cc.violating(input.k);
-                if violating.is_empty() {
-                    break;
-                }
-                for c in violating {
-                    for pos in 0..q {
-                        if let Some(parent) = input.hierarchies[pos].parent(cc.node(c, pos)) {
-                            cands.insert((pos, parent));
-                        }
-                    }
-                }
-            }
-            None => {
-                // group rows by current signature; clone the key only
-                // when a new group appears (groups are few, rows are
-                // many)
-                let mut groups: FxHashMap<Vec<NodeId>, Vec<usize>> = FxHashMap::default();
-                let mut sig = Vec::with_capacity(q);
-                for row in 0..input.table.n_rows() {
-                    sig.clear();
-                    for (pos, &v) in matrix.row(row).iter().enumerate() {
-                        sig.push(cuts[pos].node_of(v));
-                    }
-                    if let Some(rows) = groups.get_mut(&sig) {
-                        rows.push(row);
-                    } else {
-                        groups.insert(sig.clone(), vec![row]);
-                    }
-                }
-                let violators: Vec<usize> = groups
-                    .values()
-                    .filter(|rows| rows.len() < input.k)
-                    .flat_map(|rows| rows.iter().copied())
-                    .collect();
-                if violators.is_empty() {
-                    break;
-                }
-                for &row in &violators {
-                    for (pos, &v) in matrix.row(row).iter().enumerate() {
-                        let node = cuts[pos].node_of(v);
-                        if let Some(parent) = input.hierarchies[pos].parent(node) {
-                            cands.insert((pos, parent));
-                        }
-                    }
+        for c in violating {
+            for pos in 0..q {
+                if let Some(parent) = input.hierarchies[pos].parent(classes.node(c, pos)) {
+                    cands.insert((pos, parent));
                 }
             }
         }
@@ -152,9 +90,7 @@ pub fn anonymize_with(input: &RelationalInput, counting: Counting) -> Result<Rel
         // cheapest candidate by weighted NCP increase
         let (best_pos, best_node) = select_cheapest(input, &cuts, &counts, &totals, cands);
         cuts[best_pos].generalize_to(&input.hierarchies[best_pos], best_node);
-        if let Some(cc) = classes.take() {
-            classes = Some(cc.remap(best_pos, &input.hierarchies[best_pos], best_node));
-        }
+        classes = classes.remap(best_pos, &input.hierarchies[best_pos], best_node);
         merges += 1;
     }
     recorder.count("bottomup/generalizations", merges);
@@ -336,15 +272,5 @@ mod tests {
         let t = table();
         let out = anonymize(&input(&t, 4)).unwrap();
         assert!(out.phases.get("generalization").is_some());
-    }
-
-    #[test]
-    fn kernel_matches_naive_on_fixture() {
-        let t = table();
-        for k in [1, 2, 3, 4, 8] {
-            let fast = anonymize_with(&input(&t, k), Counting::Kernel).unwrap();
-            let slow = anonymize_with(&input(&t, k), Counting::Naive).unwrap();
-            assert_eq!(fast.anon, slow.anon, "k={k}");
-        }
     }
 }

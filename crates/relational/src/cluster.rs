@@ -25,16 +25,12 @@
 //! itself stays sequential: one scan is microseconds of work, so
 //! splitting it over threads lost to the spawns (a 15k-row run took
 //! 1.13 s sequential against 1.62 s on two threads).
-//! [`anonymize_reference`] preserves the original implementation
-//! (parent-walk LCA, per-access table reads, on-demand NCP); tests
-//! assert both produce identical output, and `secreta bench` reports
-//! the speedup between them.
 
 use crate::common::{RelError, RelOutput, RelationalInput};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use secreta_data::hash::FxHashMap;
-use secreta_hierarchy::{Hierarchy, NodeId};
+use secreta_hierarchy::NodeId;
 use secreta_metrics::{AnonTable, GenEntry, PhaseTimer, RelColumn};
 
 /// A cluster under construction: member rows plus the running LCA per
@@ -87,7 +83,7 @@ pub fn anonymize(input: &RelationalInput, seed: u64) -> Result<RelOutput, RelErr
             for v in 0..h.n_leaves() as u32 {
                 let leaf = h.leaf(v);
                 // same expression and evaluation order as the
-                // reference delta, so the sums below are bit-identical
+                // oracle's delta, so the sums below are bit-identical
                 cost[off + leaf.index()] = h.ncp(h.lca(lca, leaf)) - base;
             }
         }
@@ -178,97 +174,9 @@ pub fn anonymize(input: &RelationalInput, seed: u64) -> Result<RelOutput, RelErr
     })
 }
 
-/// The pre-optimization implementation, retained verbatim as the
-/// benchmark baseline and the independent oracle for equivalence
-/// tests: parent-walk LCA, per-access `table.value()` reads, NCP
-/// recomputed from leaf counts, sequential argmin scans.
-pub fn anonymize_reference(input: &RelationalInput, seed: u64) -> Result<RelOutput, RelError> {
-    input.validate()?;
-    let mut timer = PhaseTimer::new();
-    let q = input.qi_attrs.len();
-    let n = input.table.n_rows();
-    let mut rng = StdRng::seed_from_u64(seed);
-
-    // row -> leaf nodes per attribute, resolved on every access
-    let leaf_of_row = |row: usize, pos: usize| -> NodeId {
-        input.hierarchies[pos].leaf(input.table.value(row, input.qi_attrs[pos]).0)
-    };
-    // the original on-demand NCP (the precomputed table did not exist)
-    let ncp_of = |h: &Hierarchy, node: NodeId| -> f64 {
-        let total = h.n_leaves();
-        if total <= 1 {
-            return 0.0;
-        }
-        (h.leaf_count(node) - 1) as f64 / (total - 1) as f64
-    };
-
-    let mut unassigned: Vec<usize> = (0..n).collect();
-    let mut clusters: Vec<Building> = Vec::new();
-    timer.phase("setup");
-
-    let delta = |lcas: &[NodeId], row: usize| -> f64 {
-        let mut d = 0.0;
-        for (pos, &lca) in lcas.iter().enumerate() {
-            let h = &input.hierarchies[pos];
-            let merged = h.lca_walk(lca, leaf_of_row(row, pos));
-            d += ncp_of(h, merged) - ncp_of(h, lca);
-        }
-        d
-    };
-
-    while unassigned.len() >= input.k {
-        let si = rng.gen_range(0..unassigned.len());
-        let seed_row = unassigned.swap_remove(si);
-        let mut cluster = Building {
-            rows: vec![seed_row],
-            lcas: (0..q).map(|pos| leaf_of_row(seed_row, pos)).collect(),
-        };
-        for _ in 1..input.k {
-            let (bi, _) = unassigned
-                .iter()
-                .enumerate()
-                .map(|(i, &row)| (i, delta(&cluster.lcas, row)))
-                .min_by(|a, b| a.1.partial_cmp(&b.1).expect("NCP finite"))
-                .expect("unassigned non-empty: len >= k");
-            let row = unassigned.swap_remove(bi);
-            for pos in 0..q {
-                let h = &input.hierarchies[pos];
-                cluster.lcas[pos] = h.lca_walk(cluster.lcas[pos], leaf_of_row(row, pos));
-            }
-            cluster.rows.push(row);
-        }
-        clusters.push(cluster);
-    }
-    timer.phase("clustering");
-
-    for row in unassigned.drain(..) {
-        let (ci, _) = clusters
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (i, delta(&c.lcas, row)))
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("NCP finite"))
-            .expect("k <= n guarantees at least one cluster");
-        let c = &mut clusters[ci];
-        for pos in 0..q {
-            let h = &input.hierarchies[pos];
-            c.lcas[pos] = h.lca_walk(c.lcas[pos], leaf_of_row(row, pos));
-        }
-        c.rows.push(row);
-    }
-    timer.phase("leftover assignment");
-
-    let anon = recode(input, &clusters, n, q);
-    timer.phase("recode");
-
-    Ok(RelOutput {
-        anon,
-        phases: timer.finish(),
-    })
-}
-
 /// The first index in `0..n` (`n >= 1`) of the minimal cost: a
 /// strict `<` scan keeps the earliest of tied minima, as `min_by`
-/// does in [`anonymize_reference`].
+/// does.
 fn first_min(n: usize, cost: impl Fn(usize) -> f64) -> usize {
     let mut best = (0, cost(0));
     for i in 1..n {
@@ -359,23 +267,6 @@ mod tests {
         t
     }
 
-    /// A table wide enough for many clusters and leftovers.
-    fn big_table(rows: usize) -> RtTable {
-        let schema = Schema::new(vec![
-            Attribute::numeric("Age"),
-            Attribute::categorical("Edu"),
-        ])
-        .unwrap();
-        let mut t = RtTable::new(schema);
-        let edus = ["BSc", "MSc", "PhD", "HS"];
-        for i in 0..rows {
-            let age = (18 + (i * 13) % 60).to_string();
-            t.push_row(&[&age, edus[(i * 7) % edus.len()]], &[])
-                .unwrap();
-        }
-        t
-    }
-
     fn input(t: &RtTable, k: usize) -> RelationalInput<'_> {
         RelationalInput {
             table: t,
@@ -405,26 +296,6 @@ mod tests {
         let a = anonymize(&input(&t, 3), 7).unwrap();
         let b = anonymize(&input(&t, 3), 7).unwrap();
         assert_eq!(a.anon, b.anon);
-    }
-
-    #[test]
-    fn optimized_matches_reference_implementation() {
-        let t = table();
-        for seed in 0..4 {
-            for k in [1, 2, 3, 5] {
-                let fast = anonymize(&input(&t, k), seed).unwrap();
-                let slow = anonymize_reference(&input(&t, k), seed).unwrap();
-                assert_eq!(fast.anon, slow.anon, "seed={seed} k={k}");
-            }
-        }
-    }
-
-    #[test]
-    fn optimized_matches_reference_on_large_input() {
-        let t = big_table(700);
-        let fast = anonymize(&input(&t, 10), 3).unwrap();
-        let slow = anonymize_reference(&input(&t, 10), 3).unwrap();
-        assert_eq!(fast.anon, slow.anon);
     }
 
     #[test]

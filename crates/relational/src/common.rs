@@ -1,6 +1,5 @@
 //! Shared types and helpers for the relational algorithms.
 
-use secreta_data::hash::FxHashMap;
 use secreta_data::RtTable;
 use secreta_hierarchy::{Hierarchy, NodeId};
 use secreta_metrics::{AnonTable, PhaseTimes};
@@ -274,9 +273,11 @@ impl fmt::Display for RelationalAlgorithm {
 }
 
 /// Minimum equivalence-class size when each QI attribute `a` recodes
-/// value `v` to `recode(a_pos, v)`. The workhorse k-anonymity check of
-/// Incognito/Top-down/Bottom-up.
-pub fn min_class_size(
+/// value `v` to `recode(a_pos, v)`, counted by a full row scan: the
+/// oracle of the kernel unit tests (`secreta-oracle` carries its own
+/// copy for the integration tests).
+#[cfg(test)]
+pub(crate) fn min_class_size(
     table: &RtTable,
     qi_attrs: &[usize],
     recode: impl Fn(usize, u32) -> NodeId,
@@ -294,21 +295,19 @@ pub fn min_class_size(
     min_class_size_matrix(&matrix, &domains, recode)
 }
 
-/// [`min_class_size`] over a prebuilt [`ValueMatrix`].
-///
-/// The lattice/specialization searches call the k-anonymity check once
-/// per candidate recoding; building the matrix once per run and
-/// passing it here removes the per-candidate `table.value()` pass.
+/// [`min_class_size`] over a prebuilt [`ValueMatrix`];
 /// `domains[pos]` is the domain size of `qi_attrs[pos]`.
 ///
 /// Rows are bucketed by a dense per-attribute group code folded into a
 /// single `u64` — no per-row allocation, and when the code space is
 /// small the counts live in a flat vector instead of a hash map.
-pub fn min_class_size_matrix(
+#[cfg(test)]
+pub(crate) fn min_class_size_matrix(
     matrix: &ValueMatrix,
     domains: &[usize],
     recode: impl Fn(usize, u32) -> NodeId,
 ) -> usize {
+    use secreta_data::hash::FxHashMap;
     let n = matrix.values.len().checked_div(matrix.width).unwrap_or(0);
     if n == 0 {
         return 0;

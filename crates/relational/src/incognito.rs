@@ -9,35 +9,26 @@
 //! every more general node is too. The original algorithm exploits it
 //! via levelwise candidate generation over QI *subsets*; this
 //! implementation runs the size-1 subset stage (per-attribute minimum
-//! feasible levels) and then applies the same property directly on the
-//! pruned full-QI lattice. The kernel counting path additionally runs
-//! the size-2 subset stage (`pair_subset_stage`): cheap 2-attribute
-//! projections whose failures discard the class-heavy bottom of the
-//! lattice before any full partition is materialized. Subset stages
+//! feasible levels) and the size-2 subset stage (`pair_subset_stage`:
+//! cheap 2-attribute projections whose failures discard the
+//! class-heavy bottom of the lattice before any full partition is
+//! materialized), then applies the same property directly on the
+//! pruned full-QI lattice. Subset stages
 //! only prune — the result set is identical to the original's: **all
 //! minimal k-anonymous full-domain generalizations**. Of those, the
 //! one with the lowest weighted GCP is published, matching how
 //! SECRETA's Evaluation mode reports a single anonymized dataset.
 
-use crate::common::{min_class_size_matrix, RelError, RelOutput, RelationalInput};
-use crate::kernel::{Counting, LevelTable, Partition, RecodeTables};
+use crate::common::{RelError, RelOutput, RelationalInput};
+use crate::kernel::{LevelTable, Partition, RecodeTables};
 use secreta_data::hash::{FxHashMap, FxHashSet};
 use secreta_metrics::anon::rel_column_from_value_map;
 use secreta_metrics::{AnonTable, GenEntry, PhaseTimer};
 
-/// Run Incognito on `input` with the kernel counting paths.
+/// Run Incognito on `input`: every minimal k-anonymous full-domain
+/// generalization is found, and the one with the lowest weighted GCP
+/// is published.
 pub fn anonymize(input: &RelationalInput) -> Result<RelOutput, RelError> {
-    anonymize_with(input, Counting::Kernel)
-}
-
-/// Run Incognito with the naive per-node row rescans — the reference
-/// oracle the kernel path is tested and benchmarked against.
-pub fn anonymize_reference(input: &RelationalInput) -> Result<RelOutput, RelError> {
-    anonymize_with(input, Counting::Naive)
-}
-
-/// Run Incognito on `input` with an explicit [`Counting`] selection.
-pub fn anonymize_with(input: &RelationalInput, counting: Counting) -> Result<RelOutput, RelError> {
     input.validate()?;
     let mut timer = PhaseTimer::new();
 
@@ -46,70 +37,39 @@ pub fn anonymize_with(input: &RelationalInput, counting: Counting) -> Result<Rel
 
     // per-attribute value counts, for GCP-weighted node selection
     let (counts, totals) = input.qi_value_counts();
-    // row-major QI values: every lattice-node anonymity check scans
-    // all rows, so table lookups must stay out of that loop
+    // row-major QI values: partitions are built from rows, so table
+    // lookups must stay out of that loop
     let matrix = input.value_matrix();
-    let domains: Vec<usize> = input
-        .qi_attrs
-        .iter()
-        .map(|&a| input.table.domain_size(a))
-        .collect();
-    // the kernel path recodes through precomputed per-level tables
-    // instead of re-deriving `generalize()` per domain value per check
-    let tables = match counting {
-        Counting::Kernel => Some(RecodeTables::build(&input.hierarchies)),
-        Counting::Naive => None,
-    };
+    // recode through precomputed per-level tables instead of
+    // re-deriving `generalize()` per domain value per check
+    let rt = RecodeTables::build(&input.hierarchies);
     timer.phase("setup");
 
     // Incognito's subset lattice, size-1 stage: an attribute that is
     // not k-anonymous *alone* at some level cannot be part of any
     // k-anonymous combination at that level (projections only merge
     // classes). Computing the per-attribute minimum feasible level
-    // first prunes the full lattice sharply.
-    let min_level: Vec<u32> = match &tables {
-        // kernel: partition the column once at level 0 and roll it up
-        // — each level after the first costs O(#groups), not O(n)
-        Some(rt) => (0..q)
-            .map(|pos| {
-                let mut part = Partition::build_column(&matrix, pos, rt.table(pos, 0));
-                let mut lvl = 0u32;
-                while part.min_size() < input.k {
-                    debug_assert!(lvl < heights[pos], "root level is k-anonymous for k <= n");
-                    part = part.rollup(0, rt.merge(pos, lvl), rt.table(pos, lvl + 1).n_groups);
-                    lvl += 1;
-                }
-                lvl
-            })
-            .collect(),
-        // naive: per-level full-column rescan, with the single-column
-        // matrix extracted once per attribute instead of once per
-        // candidate level
-        None => (0..q)
-            .map(|pos| {
-                let col = matrix.column(pos);
-                let dom = [domains[pos]];
-                (0..=heights[pos])
-                    .find(|&lvl| {
-                        min_class_size_matrix(&col, &dom, |_, v| {
-                            input.hierarchies[pos].generalize(v, lvl)
-                        }) >= input.k
-                    })
-                    // even the root alone is below k only when k > n,
-                    // which validate() has excluded
-                    .expect("root level is k-anonymous for k <= n")
-            })
-            .collect(),
-    };
+    // first prunes the full lattice sharply. Partition the column once
+    // at level 0 and roll it up — each level after the first costs
+    // O(#groups), not O(n).
+    let min_level: Vec<u32> = (0..q)
+        .map(|pos| {
+            let mut part = Partition::build_column(&matrix, pos, rt.table(pos, 0));
+            let mut lvl = 0u32;
+            while part.min_size() < input.k {
+                debug_assert!(lvl < heights[pos], "root level is k-anonymous for k <= n");
+                part = part.rollup(0, rt.merge(pos, lvl), rt.table(pos, lvl + 1).n_groups);
+                lvl += 1;
+            }
+            lvl
+        })
+        .collect();
     timer.phase("subset pruning");
 
     // Enumerate lattice nodes grouped by total level (levelwise,
     // bottom-up), applying the generalization property for pruning.
     let recorder = secreta_obsv::current();
-    let minimal = match &tables {
-        Some(rt) => kernel_lattice_search(input, &matrix, rt, &heights, &min_level, &recorder),
-        None => naive_lattice_search(input, &matrix, &domains, &heights, &min_level, &recorder),
-    };
+    let minimal = lattice_search(input, &matrix, &rt, &heights, &min_level, &recorder);
     recorder.count("incognito/minimal_nodes", minimal.len() as u64);
     timer.phase("lattice search");
 
@@ -178,83 +138,27 @@ pub fn anonymize_with(input: &RelationalInput, counting: Counting) -> Result<Rel
     })
 }
 
-/// The original levelwise search: one full-matrix rescan per checked
-/// node. Returns all minimal k-anonymous nodes, in enumeration order.
-fn naive_lattice_search(
-    input: &RelationalInput,
-    matrix: &crate::common::ValueMatrix,
-    domains: &[usize],
-    heights: &[u32],
-    min_level: &[u32],
-    recorder: &secreta_obsv::Recorder,
-) -> Vec<Vec<u32>> {
-    let q = input.qi_attrs.len();
-    let max_sum: u32 = heights.iter().sum();
-    let mut anonymous: FxHashSet<Vec<u32>> = FxHashSet::default();
-    let mut minimal: Vec<Vec<u32>> = Vec::new();
-    let mut checks = 0u64;
-    let mut visited = 0u64;
-
-    for s in 0..=max_sum {
-        for node in nodes_with_sum(heights, s) {
-            visited += 1;
-            // size-1 subset pruning
-            if node.iter().zip(min_level).any(|(&l, &ml)| l < ml) {
-                continue;
-            }
-            // predecessor anonymous => node anonymous and non-minimal
-            let mut implied = false;
-            for i in 0..q {
-                if node[i] > 0 {
-                    let mut pred = node.clone();
-                    pred[i] -= 1;
-                    if anonymous.contains(&pred) {
-                        implied = true;
-                        break;
-                    }
-                }
-            }
-            if implied {
-                anonymous.insert(node);
-                continue;
-            }
-            checks += 1;
-            let m = min_class_size_matrix(matrix, domains, |pos, v| {
-                input.hierarchies[pos].generalize(v, node[pos])
-            });
-            if m >= input.k {
-                minimal.push(node.clone());
-                anonymous.insert(node);
-            }
-        }
-    }
-    recorder.count("incognito/lattice_nodes", visited);
-    recorder.count("incognito/anonymity_checks", checks);
-    minimal
-}
-
-/// The kernel levelwise search. Same pruning and enumeration order as
-/// [`naive_lattice_search`], but each checked node's partition is
-/// *rolled up* from a failed predecessor's cached partition —
-/// O(#classes) instead of an O(n·q) row rescan.
+/// The levelwise search, bottom-up by total level with implication
+/// pruning. Each checked node's partition is *rolled up* from a failed
+/// predecessor's cached partition — O(#classes) instead of an O(n·q)
+/// row rescan.
 ///
-/// On top of the size-1 stage the kernel path runs Incognito's size-2
+/// On top of the size-1 stage the search runs Incognito's size-2
 /// subset stage: for every attribute pair it sweeps the pair's small
 /// 2-D level lattice (the full lattice with every other attribute at
 /// its root) and records the level combinations whose two-attribute
 /// projection alone is not k-anonymous. The subset property lifts each
 /// recorded failure to every full node sharing those two levels, so
 /// the deep, class-heavy region of the lattice is discarded without
-/// ever materializing its partitions. Pruned nodes are exactly the
-/// nodes the naive search checks and fails, so the result set is
-/// unchanged.
+/// ever materializing its partitions. Pruned nodes are exactly nodes
+/// a full check would fail, so the result set is unchanged.
 ///
 /// Caching only failed nodes is enough: a checked node at sum `s` can
 /// have no anonymous predecessor (it would have been pruned by
 /// implication), so every predecessor either failed its check at sum
 /// `s − 1` (partition cached) or was skipped by subset pruning (fall
 /// back to a fresh build from the rows).
-fn kernel_lattice_search(
+fn lattice_search(
     input: &RelationalInput,
     matrix: &crate::common::ValueMatrix,
     rt: &RecodeTables,
@@ -676,63 +580,6 @@ mod tests {
             (got - best_gcp).abs() < 1e-12,
             "published GCP {got} differs from optimum {best_gcp}"
         );
-    }
-
-    #[test]
-    fn equal_gcp_tie_resolves_to_lexicographically_smallest_node() {
-        // two perfectly symmetric attributes: at k=2 both [0,1] and
-        // [1,0] are minimal k-anonymous nodes with identical GCP, so
-        // selection must fall back to lexicographic node order
-        let schema = Schema::new(vec![
-            Attribute::categorical("A"),
-            Attribute::categorical("B"),
-        ])
-        .unwrap();
-        let mut t = RtTable::new(schema);
-        for (a, b) in [("a", "x"), ("a", "y"), ("b", "x"), ("b", "y")] {
-            t.push_row(&[a, b], &[]).unwrap();
-        }
-        let i = RelationalInput {
-            table: &t,
-            qi_attrs: vec![0, 1],
-            hierarchies: vec![
-                auto_hierarchy(t.pool(0), AttributeKind::Categorical, 2).unwrap(),
-                auto_hierarchy(t.pool(1), AttributeKind::Categorical, 2).unwrap(),
-            ],
-            k: 2,
-        };
-        let hs = &i.hierarchies;
-        // confirm the tie exists: both single-raise nodes are minimal
-        for node in [[0u32, 1], [1, 0]] {
-            let m = min_class_size(&t, &i.qi_attrs, |p, v| hs[p].generalize(v, node[p]));
-            assert!(m >= 2, "node {node:?} must be k-anonymous");
-        }
-        for counting in [Counting::Naive, Counting::Kernel] {
-            let out = anonymize_with(&i, counting).unwrap();
-            let levels: Vec<u32> = out
-                .anon
-                .rel
-                .iter()
-                .enumerate()
-                .map(|(pos, col)| {
-                    let GenEntry::Node(node) = &col.domain[0] else {
-                        panic!("Incognito emits Node entries");
-                    };
-                    hs[pos].height() - hs[pos].depth(*node)
-                })
-                .collect();
-            assert_eq!(levels, vec![0, 1], "{counting:?} must publish [0,1]");
-        }
-    }
-
-    #[test]
-    fn kernel_matches_naive_on_fixture() {
-        let t = table();
-        for k in [1, 2, 3, 4, 8] {
-            let fast = anonymize_with(&input(&t, k), Counting::Kernel).unwrap();
-            let slow = anonymize_with(&input(&t, k), Counting::Naive).unwrap();
-            assert_eq!(fast.anon, slow.anon, "k={k}");
-        }
     }
 
     #[test]

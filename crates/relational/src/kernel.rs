@@ -3,10 +3,9 @@
 //! The lattice/specialization searches of Incognito, Top-down and
 //! Bottom-up spend their time answering one question — *what is the
 //! smallest equivalence class under this recoding?* — and the naive
-//! implementations answer it by rescanning the full row matrix per
-//! candidate ([`crate::common::min_class_size_matrix`]). This module
-//! concentrates that work in three reusable structures that mirror the
-//! transaction side's `Counting::{Naive,Kernel}` split:
+//! answer rescans the full row matrix per candidate (the oracles in
+//! `secreta-oracle` still do). This module concentrates that work in
+//! three reusable structures:
 //!
 //! * [`RecodeTables`] — per-(attribute, level) dense recode tables
 //!   (value id → group id), precomputed once per run from each
@@ -26,14 +25,12 @@
 //!   instead of an O(n·q) regroup).
 //!
 //! Every kernel result is byte-identical to the corresponding naive
-//! computation; the `kernels` integration tests prove it on randomized
-//! inputs.
+//! computation; the `kernels` integration tests prove it against
+//! `secreta-oracle` on randomized inputs.
 
 use crate::common::ValueMatrix;
 use secreta_data::hash::FxHashMap;
 use secreta_hierarchy::{Hierarchy, NodeId};
-
-pub use secreta_data::Counting;
 
 /// One attribute's dense recode table at one full-domain level: value
 /// id → dense group id, where two values share a group exactly when
@@ -112,8 +109,8 @@ impl RecodeTables {
 
 /// Deterministic class-signature interner behind [`Partition`]: maps a
 /// `q`-component group signature to a dense class index, choosing its
-/// storage from the signature code space exactly like
-/// [`crate::common::min_class_size_matrix`] does (flat vector when the
+/// storage from the signature code space exactly like the naive class
+/// count does (flat vector when the
 /// space is small, `u64` codes in a hash map when it fits a word, full
 /// signatures when it overflows).
 enum Grouper {

@@ -23,5 +23,4 @@ pub mod topdown;
 pub mod verify;
 
 pub use common::{RelError, RelOutput, RelationalAlgorithm, RelationalInput};
-pub use kernel::Counting;
 pub use verify::is_k_anonymous;

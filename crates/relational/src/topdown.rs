@@ -11,27 +11,14 @@
 //! framework evaluates — the greedy structure, cut representation and
 //! stopping rule are Fung et al.'s.
 
-use crate::common::{min_class_size_matrix, RelError, RelOutput, RelationalInput};
-use crate::kernel::{Counting, RowPartition};
+use crate::common::{RelError, RelOutput, RelationalInput};
+use crate::kernel::RowPartition;
 use secreta_hierarchy::{Cut, Hierarchy, NodeId};
 use secreta_metrics::anon::rel_column_from_value_map;
 use secreta_metrics::{AnonTable, GenEntry, PhaseTimer};
 
-/// Run Top-down specialization on `input` with the kernel counting
-/// paths.
-pub fn anonymize(input: &RelationalInput) -> Result<RelOutput, RelError> {
-    anonymize_with(input, Counting::Kernel)
-}
-
-/// Run Top-down with the naive per-candidate full-table rescans — the
-/// reference oracle the kernel path is tested and benchmarked against.
-pub fn anonymize_reference(input: &RelationalInput) -> Result<RelOutput, RelError> {
-    anonymize_with(input, Counting::Naive)
-}
-
 /// NCP gain of splitting `cand` into its children, weighted by the
-/// records it covers. Shared by both counting paths so candidate
-/// ranking is identical by construction.
+/// records it covers.
 fn split_gain(h: &Hierarchy, cand: NodeId, counts: &[u64], total: u64) -> f64 {
     let mut gain = 0.0;
     for v in h.leaves_under(cand) {
@@ -50,9 +37,8 @@ fn split_gain(h: &Hierarchy, cand: NodeId, counts: &[u64], total: u64) -> f64 {
     gain / total as f64
 }
 
-/// Run Top-down specialization on `input` with an explicit
-/// [`Counting`] selection.
-pub fn anonymize_with(input: &RelationalInput, counting: Counting) -> Result<RelOutput, RelError> {
+/// Run Top-down specialization on `input`.
+pub fn anonymize(input: &RelationalInput) -> Result<RelOutput, RelError> {
     input.validate()?;
     let mut timer = PhaseTimer::new();
 
@@ -63,20 +49,9 @@ pub fn anonymize_with(input: &RelationalInput, counting: Counting) -> Result<Rel
     // once per candidate per round, so table lookups must not sit on
     // that path
     let matrix = input.value_matrix();
-    let domains: Vec<usize> = input
-        .qi_attrs
-        .iter()
-        .map(|&a| input.table.domain_size(a))
-        .collect();
-    // kernel: cut-resident partition with per-class row lists, so a
-    // candidate split only touches the rows of the classes it splits
-    let mut partition = match counting {
-        Counting::Kernel => Some(RowPartition::root_cut(
-            input.table.n_rows(),
-            &input.hierarchies,
-        )),
-        Counting::Naive => None,
-    };
+    // cut-resident partition with per-class row lists, so a candidate
+    // split only touches the rows of the classes it splits
+    let mut partition = RowPartition::root_cut(input.table.n_rows(), &input.hierarchies);
     timer.phase("setup");
 
     // Greedy specialization loop.
@@ -99,29 +74,12 @@ pub fn anonymize_with(input: &RelationalInput, counting: Counting) -> Result<Rel
                 // nodes (an interval with a single child covering the
                 // same leaves) must not block the descent — TDS stops
                 // on *validity*, the score only ranks candidates
-                // validity: still k-anonymous after the split
-                let valid = match &partition {
-                    // every class of the current (valid) cut has ≥ k
-                    // rows, so only the classes `cand` splits can
-                    // violate: bucket their rows by child
-                    Some(rp) => {
-                        let (ok, touched) = rp.split_is_valid(&matrix, pos, cand, h, input.k);
-                        rows_touched += touched;
-                        ok
-                    }
-                    None => {
-                        let mut trial = cuts[pos].clone();
-                        trial.specialize(h, cand);
-                        let m = min_class_size_matrix(&matrix, &domains, |p, v| {
-                            if p == pos {
-                                trial.node_of(v)
-                            } else {
-                                cuts[p].node_of(v)
-                            }
-                        });
-                        m >= input.k
-                    }
-                };
+                // validity: still k-anonymous after the split. Every
+                // class of the current (valid) cut has ≥ k rows, so
+                // only the classes `cand` splits can violate: bucket
+                // their rows by child
+                let (valid, touched) = partition.split_is_valid(&matrix, pos, cand, h, input.k);
+                rows_touched += touched;
                 if !valid {
                     continue;
                 }
@@ -133,9 +91,7 @@ pub fn anonymize_with(input: &RelationalInput, counting: Counting) -> Result<Rel
         match best {
             Some((pos, node, _)) => {
                 splits += 1;
-                if let Some(rp) = &mut partition {
-                    rp.apply_split(&matrix, pos, node, &input.hierarchies[pos]);
-                }
+                partition.apply_split(&matrix, pos, node, &input.hierarchies[pos]);
                 cuts[pos].specialize(&input.hierarchies[pos], node);
             }
             None => break,
@@ -280,15 +236,5 @@ mod tests {
         let out = anonymize(&input(&t, 2)).unwrap();
         assert!(out.phases.get("specialization").is_some());
         assert!(out.phases.get("recode").is_some());
-    }
-
-    #[test]
-    fn kernel_matches_naive_on_fixture() {
-        let t = table();
-        for k in [1, 2, 3, 4, 8] {
-            let fast = anonymize_with(&input(&t, k), Counting::Kernel).unwrap();
-            let slow = anonymize_with(&input(&t, k), Counting::Naive).unwrap();
-            assert_eq!(fast.anon, slow.anon, "k={k}");
-        }
     }
 }

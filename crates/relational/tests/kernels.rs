@@ -1,13 +1,14 @@
-//! Kernel-vs-naive identity tests for the relational counting kernels.
+//! Kernel-vs-oracle identity tests for the relational algorithms.
 //!
-//! Every algorithm's `Counting::Kernel` path must produce output
-//! byte-identical to its `Counting::Naive` oracle on arbitrary inputs.
+//! Every algorithm's production path must produce output byte-identical
+//! to its naive oracle in `secreta-oracle`, on arbitrary inputs and on
+//! the fixtures below.
 
 use proptest::prelude::*;
 use secreta_data::{Attribute, AttributeKind, RtTable, Schema};
 use secreta_hierarchy::auto_hierarchy;
-use secreta_relational::{bottomup, incognito, topdown};
-use secreta_relational::{Counting, RelationalInput};
+use secreta_oracle::relational as oracle;
+use secreta_relational::RelationalInput;
 
 fn build_table(rows: &[(usize, usize)], dom_a: usize, dom_b: usize) -> RtTable {
     let schema = Schema::new(vec![Attribute::numeric("A"), Attribute::categorical("B")]).unwrap();
@@ -55,8 +56,8 @@ proptest! {
         prop_assume!(rows.len() >= k);
         let t = build_table(&rows, dom_a, dom_b);
         let i = input(&t, k, fanout);
-        let fast = incognito::anonymize_with(&i, Counting::Kernel).expect("feasible");
-        let slow = incognito::anonymize_with(&i, Counting::Naive).expect("feasible");
+        let fast = secreta_relational::incognito::anonymize(&i).expect("feasible");
+        let slow = oracle::incognito::anonymize(&i).expect("feasible");
         prop_assert_eq!(fast.anon, slow.anon);
     }
 
@@ -71,8 +72,8 @@ proptest! {
         prop_assume!(rows.len() >= k);
         let t = build_table(&rows, dom_a, dom_b);
         let i = input(&t, k, fanout);
-        let fast = topdown::anonymize_with(&i, Counting::Kernel).expect("feasible");
-        let slow = topdown::anonymize_with(&i, Counting::Naive).expect("feasible");
+        let fast = secreta_relational::topdown::anonymize(&i).expect("feasible");
+        let slow = oracle::topdown::anonymize(&i).expect("feasible");
         prop_assert_eq!(fast.anon, slow.anon);
     }
 
@@ -87,8 +88,174 @@ proptest! {
         prop_assume!(rows.len() >= k);
         let t = build_table(&rows, dom_a, dom_b);
         let i = input(&t, k, fanout);
-        let fast = bottomup::anonymize_with(&i, Counting::Kernel).expect("feasible");
-        let slow = bottomup::anonymize_with(&i, Counting::Naive).expect("feasible");
+        let fast = secreta_relational::bottomup::anonymize(&i).expect("feasible");
+        let slow = oracle::bottomup::anonymize(&i).expect("feasible");
         prop_assert_eq!(fast.anon, slow.anon);
+    }
+}
+
+/// The eight-row Age × Edu table the lattice and cut searches share.
+fn fixture() -> RtTable {
+    let schema = Schema::new(vec![
+        Attribute::numeric("Age"),
+        Attribute::categorical("Edu"),
+    ])
+    .unwrap();
+    let mut t = RtTable::new(schema);
+    for (age, edu) in [
+        ("30", "BSc"),
+        ("31", "BSc"),
+        ("32", "MSc"),
+        ("33", "MSc"),
+        ("60", "BSc"),
+        ("61", "BSc"),
+        ("62", "MSc"),
+        ("63", "MSc"),
+    ] {
+        t.push_row(&[age, edu], &[]).unwrap();
+    }
+    t
+}
+
+mod incognito {
+    use super::*;
+    use secreta_metrics::GenEntry;
+    use secreta_relational::incognito::anonymize;
+
+    #[test]
+    fn equal_gcp_tie_resolves_to_lexicographically_smallest_node() {
+        // two perfectly symmetric attributes: at k=2 both [0,1] and
+        // [1,0] are minimal k-anonymous nodes with identical GCP, so
+        // selection must fall back to lexicographic node order
+        let schema = Schema::new(vec![
+            Attribute::categorical("A"),
+            Attribute::categorical("B"),
+        ])
+        .unwrap();
+        let mut t = RtTable::new(schema);
+        for (a, b) in [("a", "x"), ("a", "y"), ("b", "x"), ("b", "y")] {
+            t.push_row(&[a, b], &[]).unwrap();
+        }
+        let i = RelationalInput {
+            table: &t,
+            qi_attrs: vec![0, 1],
+            hierarchies: vec![
+                auto_hierarchy(t.pool(0), AttributeKind::Categorical, 2).unwrap(),
+                auto_hierarchy(t.pool(1), AttributeKind::Categorical, 2).unwrap(),
+            ],
+            k: 2,
+        };
+        let hs = &i.hierarchies;
+        // confirm the tie exists: both single-raise nodes are minimal
+        for node in [[0u32, 1], [1, 0]] {
+            let m = oracle::min_class_size(&i, |p, v| hs[p].generalize(v, node[p]));
+            assert!(m >= 2, "node {node:?} must be k-anonymous");
+        }
+        for (path, out) in [
+            ("oracle", oracle::incognito::anonymize(&i)),
+            ("kernel", anonymize(&i)),
+        ] {
+            let levels: Vec<u32> = out
+                .unwrap()
+                .anon
+                .rel
+                .iter()
+                .enumerate()
+                .map(|(pos, col)| {
+                    let GenEntry::Node(node) = &col.domain[0] else {
+                        panic!("Incognito emits Node entries");
+                    };
+                    hs[pos].height() - hs[pos].depth(*node)
+                })
+                .collect();
+            assert_eq!(levels, vec![0, 1], "{path} must publish [0,1]");
+        }
+    }
+
+    #[test]
+    fn kernel_matches_naive_on_fixture() {
+        let t = fixture();
+        for k in [1, 2, 3, 4, 8] {
+            let fast = anonymize(&input(&t, k, 2)).unwrap();
+            let slow = oracle::incognito::anonymize(&input(&t, k, 2)).unwrap();
+            assert_eq!(fast.anon, slow.anon, "k={k}");
+        }
+    }
+}
+
+mod topdown {
+    use super::*;
+
+    #[test]
+    fn kernel_matches_naive_on_fixture() {
+        let t = fixture();
+        for k in [1, 2, 3, 4, 8] {
+            let fast = secreta_relational::topdown::anonymize(&input(&t, k, 2)).unwrap();
+            let slow = oracle::topdown::anonymize(&input(&t, k, 2)).unwrap();
+            assert_eq!(fast.anon, slow.anon, "k={k}");
+        }
+    }
+}
+
+mod bottomup {
+    use super::*;
+
+    #[test]
+    fn kernel_matches_naive_on_fixture() {
+        let t = fixture();
+        for k in [1, 2, 3, 4, 8] {
+            let fast = secreta_relational::bottomup::anonymize(&input(&t, k, 2)).unwrap();
+            let slow = oracle::bottomup::anonymize(&input(&t, k, 2)).unwrap();
+            assert_eq!(fast.anon, slow.anon, "k={k}");
+        }
+    }
+}
+
+mod cluster {
+    use super::*;
+    use secreta_relational::cluster::anonymize;
+
+    /// The shared fixture plus one PhD row, so k = 4 leaves a leftover.
+    fn table() -> RtTable {
+        let mut t = fixture();
+        t.push_row(&["64", "PhD"], &[]).unwrap();
+        t
+    }
+
+    /// A table wide enough for many clusters and leftovers.
+    fn big_table(rows: usize) -> RtTable {
+        let schema = Schema::new(vec![
+            Attribute::numeric("Age"),
+            Attribute::categorical("Edu"),
+        ])
+        .unwrap();
+        let mut t = RtTable::new(schema);
+        let edus = ["BSc", "MSc", "PhD", "HS"];
+        for i in 0..rows {
+            let age = (18 + (i * 13) % 60).to_string();
+            t.push_row(&[&age, edus[(i * 7) % edus.len()]], &[])
+                .unwrap();
+        }
+        t
+    }
+
+    #[test]
+    fn optimized_matches_reference_implementation() {
+        let t = table();
+        for seed in 0..4 {
+            for k in [1, 2, 3, 5] {
+                let fast = anonymize(&input(&t, k, 2), seed).unwrap();
+                let slow = oracle::cluster::anonymize(&input(&t, k, 2), seed).unwrap();
+                assert_eq!(fast.anon, slow.anon, "seed={seed} k={k}");
+            }
+        }
+    }
+
+    #[test]
+    fn optimized_matches_reference_on_large_input() {
+        let t = big_table(700);
+        let fast = anonymize(&input(&t, 10, 2), 3).unwrap();
+        let slow = oracle::cluster::anonymize(&input(&t, 10, 2), 3).unwrap();
+        assert_eq!(fast.anon, slow.anon);
     }
 }

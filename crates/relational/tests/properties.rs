@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use secreta_data::{Attribute, AttributeKind, RtTable, Schema};
 use secreta_hierarchy::auto_hierarchy;
 use secreta_metrics::{gcp, GenEntry};
-use secreta_relational::common::min_class_size;
+use secreta_oracle::relational::min_class_size;
 use secreta_relational::{is_k_anonymous, RelationalAlgorithm, RelationalInput};
 
 fn build_table(rows: &[(usize, usize)], dom_a: usize, dom_b: usize) -> RtTable {
@@ -97,9 +97,7 @@ proptest! {
             }
             let mut reduced = levels.clone();
             reduced[pos] -= 1;
-            let m = min_class_size(&t, &i.qi_attrs, |p, v| {
-                hs[p].generalize(v, reduced[p])
-            });
+            let m = min_class_size(&i, |p, v| hs[p].generalize(v, reduced[p]));
             prop_assert!(
                 m < k,
                 "node {levels:?} is not minimal: {reduced:?} still k-anonymous"
@@ -148,7 +146,7 @@ proptest! {
         let t = build_table(&rows, dom_a, dom_b);
         let i = input(&t, k, 3);
         let fast = secreta_relational::cluster::anonymize(&i, seed).expect("feasible");
-        let slow = secreta_relational::cluster::anonymize_reference(&i, seed).expect("feasible");
+        let slow = secreta_oracle::relational::cluster::anonymize(&i, seed).expect("feasible");
         prop_assert_eq!(fast.anon, slow.anon);
     }
 

@@ -16,12 +16,13 @@
 //!   victim's original items. For each record the worst-case
 //!   *candidate set* (published rows consistent with the best m-item
 //!   background knowledge) is computed; a candidate set of size one is
-//!   a unique re-identification. The kernel path reads a
+//!   a unique re-identification. The attack reads a
 //!   [`CandidateIndex`] built on the tiered `InvertedIndex`/`RowSet`
 //!   machinery from `secreta-transaction`: candidate sets go dense at
 //!   1/64 of the published rows, and each record's subset walk stops
-//!   at a floor proven from its own published row. The naive path is a
-//!   brute-force O(n²) oracle the kernels are tested against.
+//!   at a floor proven from its own published row. The tests and
+//!   `secreta bench --suite risk` check it against the brute-force
+//!   O(n²) oracle in `secreta-oracle`.
 //! * [`audit`] — a **constraint-violation audit** that checks the
 //!   claimed guarantee (k-anonymity, k^m-anonymity, (k,k^m)-anonymity,
 //!   privacy policy, ρ-uncertainty) on the output and reports the
@@ -51,7 +52,6 @@ use secreta_data::RtTable;
 use secreta_hierarchy::Hierarchy;
 use secreta_metrics::{AnonTable, EquivalenceClasses, RiskIndicators};
 use secreta_policy::PrivacyPolicy;
-use secreta_transaction::Counting;
 
 /// Tunables of the adversary models.
 #[derive(Debug, Clone, PartialEq)]
@@ -127,10 +127,9 @@ pub enum Guarantee<'a> {
 ///
 /// `classes` are `anon`'s equivalence classes, which the relational
 /// risk and the audit share; `item_hierarchy` expands hierarchy-node
-/// generalized values. `counting` picks the kernel or the brute-force
-/// oracle for the m-item adversary — both produce byte-identical
-/// indicators. A published transaction table gets one
-/// [`CandidateIndex`], which the attack and the policy audit share.
+/// generalized values. A published transaction table gets one
+/// [`CandidateIndex`], which the m-item attack and the policy audit
+/// share.
 pub fn evaluate(
     table: &RtTable,
     anon: &AnonTable,
@@ -138,7 +137,6 @@ pub fn evaluate(
     item_hierarchy: Option<&Hierarchy>,
     guarantee: &Guarantee,
     params: &RiskParams,
-    counting: Counting,
 ) -> RiskIndicators {
     let recorder = secreta_obsv::current();
     let rel = relational_risk(anon, classes, params);
@@ -147,7 +145,7 @@ pub fn evaluate(
         .as_ref()
         .map(|tx| CandidateIndex::build(table, tx, item_hierarchy));
     let candidates = candidates.as_ref();
-    let (tx, work) = mitem::attack(table, anon, candidates, item_hierarchy, params, counting);
+    let (tx, work) = mitem::attack(table, anon, candidates, params);
     let audit = audit_guarantee(anon, classes, candidates, guarantee);
     if let Some(r) = &rel {
         recorder.count("risk/rel_classes", r.n_classes);

@@ -9,16 +9,15 @@
 //! worst case of zero means suppression broke every link (the
 //! adversary cannot even place the victim in the table).
 //!
-//! The kernel path reads a [`CandidateIndex`]: a tiered inverted index
+//! The attack reads a [`CandidateIndex`]: a tiered inverted index
 //! over the published gen-item ids ([`InvertedIndex::from_fn`]) turned
 //! into one [`RowSet`] per *distinct* candidate set (items with equal
 //! covering lists share one set), ranked by cardinality. It enumerates
 //! subsets of distinct sets only, smallest-first, with per-shard
-//! memoized intersection counts. The naive path re-scans the whole
-//! table per subset — the brute-force O(n²) oracle the kernel is tested
-//! against. Both paths aggregate integer minima/sums merged in fixed
-//! shard order, so results are byte-identical to each other and across
-//! thread counts.
+//! memoized intersection counts. It aggregates integer minima/sums
+//! merged in fixed shard order, so results are byte-identical across
+//! thread counts, and to the brute-force O(n²) oracle in
+//! `secreta-oracle`, which re-scans the whole table per subset.
 //!
 //! **The proven floor.** When a record's own published row lies in the
 //! candidate set of each of its items, that row is a candidate of every
@@ -48,7 +47,7 @@ use secreta_data::RtTable;
 use secreta_hierarchy::Hierarchy;
 use secreta_metrics::{AnonTable, AnonTransaction, GenEntry, MItemRisk, TransactionRisk};
 use secreta_transaction::support::{for_each_subset_u32, InvertedIndex, KernelStats};
-use secreta_transaction::{density_threshold, Bitset, Counting, RowSet};
+use secreta_transaction::{density_threshold, Bitset, RowSet};
 
 /// Rows per shard below which the parallel row walk stays sequential.
 const MIN_ROWS_PER_SHARD: usize = 128;
@@ -130,20 +129,12 @@ pub fn transaction_risk(
     anon: &AnonTable,
     item_hierarchy: Option<&Hierarchy>,
     params: &RiskParams,
-    counting: Counting,
 ) -> (Option<TransactionRisk>, RiskWork) {
     let candidates = anon
         .tx
         .as_ref()
         .map(|tx| CandidateIndex::build(table, tx, item_hierarchy));
-    attack(
-        table,
-        anon,
-        candidates.as_ref(),
-        item_hierarchy,
-        params,
-        counting,
-    )
+    attack(table, anon, candidates.as_ref(), params)
 }
 
 /// [`transaction_risk`] over an already built candidate index of
@@ -153,18 +144,13 @@ pub(crate) fn attack(
     table: &RtTable,
     anon: &AnonTable,
     candidates: Option<&CandidateIndex>,
-    item_hierarchy: Option<&Hierarchy>,
     params: &RiskParams,
-    counting: Counting,
 ) -> (Option<TransactionRisk>, RiskWork) {
     let (Some(tx), Some(candidates)) = (&anon.tx, candidates) else {
         return (None, RiskWork::default());
     };
     let max_m = params.max_m.max(1) as usize;
-    let acc = match counting {
-        Counting::Kernel => kernel_attack(table, tx, candidates, max_m),
-        Counting::Naive => naive_attack(table, tx, item_hierarchy, max_m),
-    };
+    let acc = kernel_attack(table, tx, candidates, max_m);
     let work = acc.work;
     (Some(acc.finish()), work)
 }
@@ -436,79 +422,4 @@ fn kernel_attack(
         global.absorb(&part);
     }
     global
-}
-
-/// The brute-force oracle: same enumeration, candidates counted by
-/// re-scanning every published row per subset via [`GenEntry::covers`].
-fn naive_attack(
-    table: &RtTable,
-    tx: &AnonTransaction,
-    item_hierarchy: Option<&Hierarchy>,
-    max_m: usize,
-) -> Acc {
-    let n = tx.n_rows();
-    let mut acc = Acc::new(max_m);
-    let mut worst_by_m: Vec<u64> = Vec::new();
-    for row in 0..n {
-        let items: Vec<u32> = table.transaction(row).iter().map(|it| it.0).collect();
-        if items.is_empty() {
-            continue;
-        }
-        worst_by_m.clear();
-        for m in 1..=max_m {
-            let m_eff = m.min(items.len());
-            if m_eff < m {
-                let prev = worst_by_m[m_eff - 1];
-                worst_by_m.push(prev);
-                continue;
-            }
-            let mut worst = u64::MAX;
-            for_each_subset_u32(&items, m_eff, &mut |s| {
-                if worst == 0 {
-                    return;
-                }
-                acc.work.subsets += 1;
-                let count = (0..n)
-                    .filter(|&r2| {
-                        s.iter().all(|&i| {
-                            tx.row_items(r2)
-                                .iter()
-                                .any(|&g| tx.domain[g as usize].covers(i, item_hierarchy))
-                        })
-                    })
-                    .count() as u64;
-                worst = worst.min(count);
-            });
-            worst_by_m.push(worst);
-        }
-        acc.record(&worst_by_m);
-    }
-    acc
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use secreta_data::{Attribute, Schema};
-
-    #[test]
-    fn max_m_zero_counts_as_one() {
-        let schema = Schema::new(vec![Attribute::transaction("Items")]).unwrap();
-        let mut t = RtTable::new(schema);
-        t.push_row(&[], &["a", "b"]).unwrap();
-        t.push_row(&[], &["a"]).unwrap();
-        let anon = AnonTable::identity(&t, &[]);
-        let with_max_m = |max_m, counting| {
-            let params = RiskParams {
-                max_m,
-                ..RiskParams::default()
-            };
-            transaction_risk(&t, &anon, None, &params, counting).0
-        };
-        for counting in [Counting::Kernel, Counting::Naive] {
-            let one = with_max_m(1, counting);
-            assert_eq!(one.as_ref().map(|r| r.per_m.len()), Some(1));
-            assert_eq!(with_max_m(0, counting), one, "{counting:?}");
-        }
-    }
 }

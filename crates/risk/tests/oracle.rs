@@ -1,6 +1,7 @@
 //! Kernel-vs-oracle agreement and thread invariance for the risk
 //! metrics: the tiered candidate-set kernel must produce byte-exact
-//! the same indicators as the brute-force O(n²) reference, on random
+//! the same indicators as the brute-force O(n²) oracle in
+//! `secreta-oracle`, on random
 //! tables (including empty and duplicate transactions), with both
 //! row-set tiers forced, and at any thread count. The privacy-policy
 //! audit, which counts supports from the same candidate index, must
@@ -15,12 +16,12 @@ use secreta_data::hash::FxHashMap;
 use secreta_data::{Attribute, AttributeKind, ItemId, RtTable, Schema};
 use secreta_hierarchy::{auto_hierarchy, Hierarchy};
 use secreta_metrics::{AnonTable, AnonTransaction, GenEntry};
+use secreta_oracle::risk as oracle;
 use secreta_policy::PrivacyPolicy;
 use secreta_relational::is_k_anonymous;
 use secreta_risk::{audit_guarantee, transaction_risk, CandidateIndex, Guarantee, RiskParams};
 use secreta_rt::is_k_km_anonymous;
 use secreta_transaction::support::for_each_subset_u32;
-use secreta_transaction::Counting::{Kernel, Naive};
 use secreta_transaction::{
     apriori, coat, is_km_anonymous, lra, satisfies_privacy, set_density_threshold, vpa,
     TransactionInput,
@@ -57,8 +58,8 @@ fn rows_strategy() -> impl Strategy<Value = Vec<Vec<usize>>> {
 }
 
 fn attack_both(t: &RtTable, anon: &AnonTable, params: &RiskParams) {
-    let (fast, _) = transaction_risk(t, anon, None, params, Kernel);
-    let (slow, _) = transaction_risk(t, anon, None, params, Naive);
+    let (fast, _) = transaction_risk(t, anon, None, params);
+    let (slow, _) = oracle::transaction_risk(t, anon, None, params);
     assert_eq!(fast, slow, "kernel diverged from the O(n²) oracle");
 }
 
@@ -88,8 +89,8 @@ proptest! {
         for (name, out) in generalized {
             if let Ok(out) = out {
                 // Node/Set entries both appear depending on the cut
-                let (fast, _) = transaction_risk(&t, &out.anon, Some(&h), &params, Kernel);
-                let (slow, _) = transaction_risk(&t, &out.anon, Some(&h), &params, Naive);
+                let (fast, _) = transaction_risk(&t, &out.anon, Some(&h), &params);
+                let (slow, _) = oracle::transaction_risk(&t, &out.anon, Some(&h), &params);
                 prop_assert_eq!(fast, slow, "{} output diverged", name);
             }
         }
@@ -117,9 +118,9 @@ proptest! {
         let anon = AnonTable::identity(&t, &[]);
         let params = RiskParams::default();
         set_density_threshold(Some(0.0));
-        let (fast, _) = transaction_risk(&t, &anon, None, &params, Kernel);
+        let (fast, _) = transaction_risk(&t, &anon, None, &params);
         set_density_threshold(None);
-        let (slow, _) = transaction_risk(&t, &anon, None, &params, Naive);
+        let (slow, _) = oracle::transaction_risk(&t, &anon, None, &params);
         prop_assert_eq!(fast, slow, "dense tier diverged from the oracle");
     }
 }
@@ -142,8 +143,8 @@ fn floor_is_zero_when_the_own_row_is_no_candidate() {
         n_rows: 3,
     };
     let params = RiskParams::default();
-    let (fast, _) = transaction_risk(&t, &anon, None, &params, Kernel);
-    let (slow, _) = transaction_risk(&t, &anon, None, &params, Naive);
+    let (fast, _) = transaction_risk(&t, &anon, None, &params);
+    let (slow, _) = oracle::transaction_risk(&t, &anon, None, &params);
     assert_eq!(fast, slow, "kernel diverged from the O(n²) oracle");
     // rows 1–2 keep both a-rows as candidates at every m, so only row 0
     // can bring a minimum below 2
@@ -495,17 +496,45 @@ fn risk_invariant_under_thread_count() {
     let anon = AnonTable::identity(&t, &[]);
     let params = RiskParams::default();
 
-    let (sequential, _) = transaction_risk(&t, &anon, None, &params, Kernel);
+    let (sequential, _) = transaction_risk(&t, &anon, None, &params);
     for threads in [2, 8] {
-        let (parallel, _) = secreta_parallel::with_threads(threads, || {
-            transaction_risk(&t, &anon, None, &params, Kernel)
-        });
+        let (parallel, _) =
+            secreta_parallel::with_threads(threads, || transaction_risk(&t, &anon, None, &params));
         assert_eq!(
             parallel, sequential,
             "risk indicators differ at {threads} threads"
         );
     }
     // and the sharded walk agrees with the oracle on this table too
-    let (slow, _) = transaction_risk(&t, &anon, None, &params, Naive);
+    let (slow, _) = oracle::transaction_risk(&t, &anon, None, &params);
     assert_eq!(sequential, slow);
+}
+
+mod mitem {
+    use super::*;
+
+    #[test]
+    fn max_m_zero_counts_as_one() {
+        let schema = Schema::new(vec![Attribute::transaction("Items")]).unwrap();
+        let mut t = RtTable::new(schema);
+        t.push_row(&[], &["a", "b"]).unwrap();
+        t.push_row(&[], &["a"]).unwrap();
+        let anon = AnonTable::identity(&t, &[]);
+        let with_max_m = |max_m, naive: bool| {
+            let params = RiskParams {
+                max_m,
+                ..RiskParams::default()
+            };
+            if naive {
+                oracle::transaction_risk(&t, &anon, None, &params).0
+            } else {
+                transaction_risk(&t, &anon, None, &params).0
+            }
+        };
+        for naive in [false, true] {
+            let one = with_max_m(1, naive);
+            assert_eq!(one.as_ref().map(|r| r.per_m.len()), Some(1));
+            assert_eq!(with_max_m(0, naive), one, "naive={naive}");
+        }
+    }
 }

@@ -16,7 +16,7 @@
 //! heuristic of the original.
 
 use crate::common::{TransactionInput, TxError, TxOutput};
-use crate::support::{Counting, InvertedIndex, KernelStats, RowSupport};
+use crate::support::{InvertedIndex, KernelStats, RowSupport};
 use secreta_data::hash::FxHashMap;
 use secreta_data::ItemId;
 use secreta_hierarchy::{Cut, Hierarchy, NodeId};
@@ -128,7 +128,6 @@ pub(crate) fn anonymize_rows(
     allowed: impl Fn(NodeId) -> bool,
     relevant: impl Fn(ItemId) -> bool + Sync,
     allow_suppression: bool,
-    counting: Counting,
 ) -> Result<AaState, TxError> {
     let non_empty = rows
         .iter()
@@ -147,27 +146,15 @@ pub(crate) fn anonymize_rows(
     let recorder = secreta_obsv::current();
     let mut c = AaCounters::default();
 
-    match counting {
-        Counting::Naive => {
-            for i in 1..=m {
-                aa_level_naive(
-                    table, rows, k, i, h, &allowed, &relevant, &mut state, &mut c,
-                );
-            }
-        }
-        Counting::Kernel => {
-            let index = InvertedIndex::build(table, rows, h.n_leaves(), &relevant);
-            let mut stats = KernelStats::default();
-            stats.record_index(&index);
-            for i in 1..=m {
-                aa_level_kernel(
-                    table, rows, k, i, h, &allowed, &relevant, &index, &mut state, &mut c,
-                    &mut stats,
-                );
-            }
-            stats.flush(&recorder);
-        }
+    let index = InvertedIndex::build(table, rows, h.n_leaves(), &relevant);
+    let mut stats = KernelStats::default();
+    stats.record_index(&index);
+    for i in 1..=m {
+        aa_level(
+            table, rows, k, i, h, &allowed, &relevant, &index, &mut state, &mut c, &mut stats,
+        );
     }
+    stats.flush(&recorder);
 
     recorder.count("apriori/support_rounds", c.rounds);
     recorder.count("apriori/violations", c.violations);
@@ -196,69 +183,12 @@ fn apply_repair(h: &Hierarchy, state: &mut AaState, repair: Repair, c: &mut AaCo
     }
 }
 
-/// One `i`-level of the naive (recount-everything) AA loop — the
-/// reference implementation the kernels are checked against.
+/// One `i`-level of the AA loop: the level's subset supports are built
+/// once (sharded across threads), then each repair re-enumerates only
+/// the rows containing a leaf whose published node changed — found
+/// through the inverted index.
 #[allow(clippy::too_many_arguments)]
-fn aa_level_naive(
-    table: &secreta_data::RtTable,
-    rows: &[usize],
-    k: usize,
-    i: usize,
-    h: &Hierarchy,
-    allowed: &impl Fn(NodeId) -> bool,
-    relevant: &impl Fn(ItemId) -> bool,
-    state: &mut AaState,
-    c: &mut AaCounters,
-) {
-    loop {
-        c.rounds += 1;
-        // published transactions: distinct, sorted live cut nodes
-        let mut sup: FxHashMap<Vec<NodeId>, u32> = FxHashMap::default();
-        let mut nodes_buf: Vec<NodeId> = Vec::new();
-        for &r in rows {
-            nodes_buf.clear();
-            for &it in table.transaction(r) {
-                if relevant(it) && !state.suppressed[it.index()] {
-                    nodes_buf.push(state.cut.node_of(it.0));
-                }
-            }
-            nodes_buf.sort_unstable();
-            nodes_buf.dedup();
-            if nodes_buf.len() < i {
-                continue;
-            }
-            for_each_subset(&nodes_buf, i, &mut |subset| {
-                *sup.entry(subset.to_vec()).or_insert(0) += 1;
-            });
-        }
-
-        // violations: support strictly below k
-        let mut involvement: FxHashMap<NodeId, u64> = FxHashMap::default();
-        let mut any = false;
-        for (subset, &count) in &sup {
-            if (count as usize) < k {
-                any = true;
-                c.violations += 1;
-                for &n in subset {
-                    *involvement.entry(n).or_insert(0) += (k as u64) - count as u64;
-                }
-            }
-        }
-        if !any {
-            break;
-        }
-
-        let repair = select_repair(h, allowed, &involvement);
-        apply_repair(h, state, repair, c);
-    }
-}
-
-/// One `i`-level of the kernelized AA loop: the level's subset
-/// supports are built once (sharded across threads), then each repair
-/// re-enumerates only the rows containing a leaf whose published node
-/// changed — found through the inverted index.
-#[allow(clippy::too_many_arguments)]
-fn aa_level_kernel(
+fn aa_level(
     table: &secreta_data::RtTable,
     rows: &[usize],
     k: usize,
@@ -312,49 +242,8 @@ fn aa_level_kernel(
     stats.absorb(&rs.stats);
 }
 
-/// Invoke `f` on every `i`-sized subset of `items` (which is sorted
-/// and duplicate-free).
-pub(crate) fn for_each_subset(items: &[NodeId], i: usize, f: &mut impl FnMut(&[NodeId])) {
-    fn rec(
-        items: &[NodeId],
-        i: usize,
-        start: usize,
-        cur: &mut Vec<NodeId>,
-        f: &mut impl FnMut(&[NodeId]),
-    ) {
-        if cur.len() == i {
-            f(cur);
-            return;
-        }
-        let need = i - cur.len();
-        // prune: not enough items left
-        for idx in start..=items.len().saturating_sub(need) {
-            cur.push(items[idx]);
-            rec(items, i, idx + 1, cur, f);
-            cur.pop();
-        }
-    }
-    if i == 0 || i > items.len() {
-        return;
-    }
-    let mut cur = Vec::with_capacity(i);
-    rec(items, i, 0, &mut cur, f);
-}
-
-/// Run plain AA on `input` (global recoding, all rows) with the
-/// kernelized support counters.
+/// Run plain AA on `input` (global recoding, all rows).
 pub fn anonymize(input: &TransactionInput) -> Result<TxOutput, TxError> {
-    anonymize_with(input, Counting::Kernel)
-}
-
-/// Run plain AA with the naive reference counters (the oracle for
-/// `bench --suite tx` and the kernel-agreement tests).
-pub fn anonymize_reference(input: &TransactionInput) -> Result<TxOutput, TxError> {
-    anonymize_with(input, Counting::Naive)
-}
-
-/// Run plain AA with an explicit counting implementation.
-pub fn anonymize_with(input: &TransactionInput, counting: Counting) -> Result<TxOutput, TxError> {
     input.validate()?;
     let h = input
         .hierarchy
@@ -372,7 +261,6 @@ pub fn anonymize_with(input: &TransactionInput, counting: Counting) -> Result<Tx
         |_| true,
         |_| true,
         false,
-        counting,
     )?;
     timer.phase("apriori recoding");
 
@@ -412,6 +300,36 @@ pub(crate) fn build_anon(
         tx: Some(tx),
         n_rows: table.n_rows(),
     }
+}
+
+/// Invoke `f` on every `i`-sized subset of `items` (which is sorted
+/// and duplicate-free); the tests' subset enumerator.
+#[cfg(test)]
+pub(crate) fn for_each_subset(items: &[NodeId], i: usize, f: &mut impl FnMut(&[NodeId])) {
+    fn rec(
+        items: &[NodeId],
+        i: usize,
+        start: usize,
+        cur: &mut Vec<NodeId>,
+        f: &mut impl FnMut(&[NodeId]),
+    ) {
+        if cur.len() == i {
+            f(cur);
+            return;
+        }
+        let need = i - cur.len();
+        // prune: not enough items left
+        for idx in start..=items.len().saturating_sub(need) {
+            cur.push(items[idx]);
+            rec(items, i, idx + 1, cur, f);
+            cur.pop();
+        }
+    }
+    if i == 0 || i > items.len() {
+        return;
+    }
+    let mut cur = Vec::with_capacity(i);
+    rec(items, i, 0, &mut cur, f);
 }
 
 #[cfg(test)]
@@ -532,53 +450,6 @@ mod tests {
         assert_eq!(none, 0);
         for_each_subset(&items, 0, &mut |_| none += 1);
         assert_eq!(none, 0);
-    }
-
-    #[test]
-    fn tie_break_on_equal_ncp_is_total_and_deterministic() {
-        // a balanced universe of 4 leaves under a fanout-2 hierarchy:
-        // both internal parents have *identical* NCP, so the old
-        // epsilon comparison hit its tie window. The fixed order must
-        // pick by (involvement desc, ncp total_cmp asc, NodeId asc) —
-        // and must do so identically however the involvement map is
-        // iterated, which kernel vs. naive counting exercises.
-        let schema = Schema::new(vec![Attribute::transaction("Items")]).unwrap();
-        let mut t = RtTable::new(schema);
-        // p, q, r, s each appear once => every singleton violates k=2,
-        // with equal involvement and equal parent NCP
-        for items in [["p"], ["q"], ["r"], ["s"]] {
-            t.push_row(&[], &items).unwrap();
-        }
-        let h = hierarchy(&t);
-        // verify the tie premise: both parents share one NCP value
-        let l0 = h.leaf(0);
-        let l2 = h.leaf(2);
-        let p0 = h.parent(l0).unwrap();
-        let p2 = h.parent(l2).unwrap();
-        assert_ne!(p0, p2);
-        assert_eq!(h.ncp(p0).to_bits(), h.ncp(p2).to_bits(), "tie premise");
-
-        let naive = anonymize_reference(&TransactionInput::km(&t, 2, 1, &h)).unwrap();
-        let kernel = anonymize(&TransactionInput::km(&t, 2, 1, &h)).unwrap();
-        assert_eq!(naive.anon, kernel.anon, "tie resolution must agree");
-        assert!(is_km_anonymous(&kernel.anon, 2, 1, Some(&h)));
-
-        // and selection is reproducible run-to-run
-        let again = anonymize(&TransactionInput::km(&t, 2, 1, &h)).unwrap();
-        assert_eq!(kernel.anon, again.anon);
-    }
-
-    #[test]
-    fn kernel_and_reference_agree_on_fixture() {
-        let t = table();
-        let h = hierarchy(&t);
-        for k in [2, 3, 4] {
-            for m in [1, 2, 3] {
-                let a = anonymize_reference(&TransactionInput::km(&t, k, m, &h)).unwrap();
-                let b = anonymize(&TransactionInput::km(&t, k, m, &h)).unwrap();
-                assert_eq!(a.anon, b.anon, "k={k} m={m}");
-            }
-        }
     }
 
     #[test]

@@ -22,8 +22,7 @@
 //! The tier boundary is the **density threshold**: a row set whose
 //! (estimated) cardinality is at least `threshold × n_rows` goes
 //! dense. [`density_threshold`] resolves it from
-//! [`set_density_threshold`] (tests, benchmarks), else the
-//! `SECRETA_BITMAP_THRESHOLD` environment variable, else
+//! [`set_density_threshold`] (tests, benchmarks), else
 //! [`DEFAULT_DENSITY_THRESHOLD`]. Setting a threshold above `1.0`
 //! disables the dense tier entirely (no set can be that dense), which
 //! is how `secreta bench --suite tiered` resurrects the pure-CSR
@@ -68,21 +67,13 @@ pub fn set_density_threshold(t: Option<f64>) {
 }
 
 /// The density threshold newly built indexes will snapshot: the
-/// [`set_density_threshold`] override, else `SECRETA_BITMAP_THRESHOLD`,
-/// else [`DEFAULT_DENSITY_THRESHOLD`].
+/// [`set_density_threshold`] override, else
+/// [`DEFAULT_DENSITY_THRESHOLD`].
 pub fn density_threshold() -> f64 {
-    let bits = THRESHOLD_OVERRIDE.load(Ordering::SeqCst);
-    if bits != NO_OVERRIDE {
-        return f64::from_bits(bits);
+    match THRESHOLD_OVERRIDE.load(Ordering::SeqCst) {
+        NO_OVERRIDE => DEFAULT_DENSITY_THRESHOLD,
+        bits => f64::from_bits(bits),
     }
-    if let Ok(v) = std::env::var("SECRETA_BITMAP_THRESHOLD") {
-        if let Ok(t) = v.trim().parse::<f64>() {
-            if t >= 0.0 {
-                return t;
-            }
-        }
-    }
-    DEFAULT_DENSITY_THRESHOLD
 }
 
 /// A fixed-universe bit set over row positions `0..n_bits`.

@@ -14,7 +14,7 @@
 
 use crate::common::{TransactionInput, TxError, TxOutput};
 use crate::groups::ItemGroups;
-use crate::support::{Counting, GroupSupportOracle};
+use crate::support::GroupSupportOracle;
 use secreta_data::hash::FxHashMap;
 use secreta_data::{ItemId, RtTable};
 use secreta_metrics::anon::AnonTransaction;
@@ -30,155 +30,6 @@ pub(crate) fn pow2m1(n: usize) -> f64 {
     }
 }
 
-/// Published transactions (sorted, duplicate-free group roots per
-/// row) — computed once per repair round and shared by every support
-/// query of that round.
-pub(crate) fn published_rows(
-    table: &RtTable,
-    groups: &mut ItemGroups,
-    rows: &[usize],
-) -> Vec<Vec<u32>> {
-    rows.iter()
-        .map(|&r| {
-            let mut buf: Vec<u32> = table
-                .transaction(r)
-                .iter()
-                .filter_map(|&it| groups.map(it))
-                .collect();
-            buf.sort_unstable();
-            buf.dedup();
-            buf
-        })
-        .collect()
-}
-
-/// Published support of each group root.
-pub(crate) fn group_supports(rows_pub: &[Vec<u32>]) -> FxHashMap<u32, u32> {
-    let mut sup: FxHashMap<u32, u32> = FxHashMap::default();
-    for row in rows_pub {
-        for &g in row {
-            *sup.entry(g).or_insert(0) += 1;
-        }
-    }
-    sup
-}
-
-/// Published support of one privacy constraint against precomputed
-/// published transactions.
-pub(crate) fn constraint_support(
-    rows_pub: &[Vec<u32>],
-    groups: &mut ItemGroups,
-    constraint: &[ItemId],
-) -> u32 {
-    // a suppressed item can never be matched -> support 0
-    let mut image: Vec<u32> = Vec::with_capacity(constraint.len());
-    for it in constraint {
-        match groups.map(*it) {
-            Some(g) => image.push(g),
-            None => return 0,
-        }
-    }
-    image.sort_unstable();
-    image.dedup();
-    rows_pub
-        .iter()
-        .filter(|buf| image.iter().all(|g| buf.binary_search(g).is_ok()))
-        .count() as u32
-}
-
-/// Per-round support provider shared by COAT and PCTA: either the
-/// naive recount (published rows rebuilt and scanned from scratch
-/// every round) or the [`GroupSupportOracle`] answering the same
-/// queries from memoized posting-list unions and intersections.
-// exactly one RoundSupport exists per anonymization round, so the
-// size gap between the variants never multiplies across a collection
-#[allow(clippy::large_enum_variant)]
-pub(crate) enum RoundSupport {
-    /// Rebuild-and-scan (the reference implementation).
-    Naive {
-        /// This round's published transactions.
-        rows_pub: Vec<Vec<u32>>,
-        /// This round's per-root supports.
-        sup: FxHashMap<u32, u32>,
-    },
-    /// Inverted-index oracle, memoized per round.
-    Kernel(GroupSupportOracle),
-}
-
-impl RoundSupport {
-    pub(crate) fn new(counting: Counting, table: &RtTable, rows: &[usize]) -> RoundSupport {
-        match counting {
-            Counting::Naive => RoundSupport::Naive {
-                rows_pub: Vec::new(),
-                sup: FxHashMap::default(),
-            },
-            Counting::Kernel => RoundSupport::Kernel(GroupSupportOracle::new(table, rows)),
-        }
-    }
-
-    /// Refresh for a new repair round (the recoding changed). The
-    /// oracle keeps its memo across rounds — mutations invalidate
-    /// selectively through [`RoundSupport::note_merge`] /
-    /// [`RoundSupport::note_suppress`] instead.
-    pub(crate) fn begin_round(&mut self, table: &RtTable, rows: &[usize], groups: &mut ItemGroups) {
-        match self {
-            RoundSupport::Naive { rows_pub, sup } => {
-                *rows_pub = published_rows(table, groups, rows);
-                *sup = group_supports(rows_pub);
-            }
-            RoundSupport::Kernel(_) => {}
-        }
-    }
-
-    /// The groups rooted at `ra` and `rb` were merged: drop both
-    /// memoized row sets (either root may survive as the union root;
-    /// every other group's member set — and therefore row set — is
-    /// unchanged).
-    pub(crate) fn note_merge(&mut self, ra: u32, rb: u32) {
-        if let RoundSupport::Kernel(oracle) = self {
-            oracle.invalidate_root(ra);
-            oracle.invalidate_root(rb);
-        }
-    }
-
-    /// An item of the group rooted at `root` was suppressed: drop that
-    /// group's memoized row set.
-    pub(crate) fn note_suppress(&mut self, root: u32) {
-        if let RoundSupport::Kernel(oracle) = self {
-            oracle.invalidate_root(root);
-        }
-    }
-
-    /// Published support of `constraint` this round.
-    pub(crate) fn constraint_support(
-        &mut self,
-        groups: &mut ItemGroups,
-        constraint: &[ItemId],
-    ) -> u32 {
-        match self {
-            RoundSupport::Naive { rows_pub, .. } => {
-                constraint_support(rows_pub, groups, constraint)
-            }
-            RoundSupport::Kernel(oracle) => oracle.constraint_support(groups, constraint),
-        }
-    }
-
-    /// Published support of the group rooted at `root` this round.
-    pub(crate) fn sup_of(&mut self, groups: &mut ItemGroups, root: u32) -> u32 {
-        match self {
-            RoundSupport::Naive { sup, .. } => sup.get(&root).copied().unwrap_or(0),
-            RoundSupport::Kernel(oracle) => oracle.group_support(groups, root),
-        }
-    }
-
-    /// Flush kernel work counters (no-op for the naive provider).
-    pub(crate) fn flush(&self, recorder: &secreta_obsv::Recorder) {
-        if let RoundSupport::Kernel(oracle) = self {
-            oracle.stats.flush(recorder);
-        }
-    }
-}
-
 /// The COAT core, shared with PCTA (which plugs a different merge
 /// selector): repeatedly repair the most-violated constraint until
 /// the policy holds over `rows`.
@@ -189,11 +40,12 @@ pub(crate) fn constrain(
     privacy: &PrivacyPolicy,
     utility: &UtilityPolicy,
     global_partner_pool: bool,
-    counting: Counting,
 ) -> ItemGroups {
     let universe = table.item_universe();
     let mut groups = ItemGroups::new(universe);
-    let mut support = RoundSupport::new(counting, table, rows);
+    // support queries answered from memoized posting-list unions and
+    // intersections; merges and suppressions invalidate per root
+    let mut support = GroupSupportOracle::new(table, rows);
 
     let recorder = secreta_obsv::current();
     let mut rounds = 0u64;
@@ -201,7 +53,6 @@ pub(crate) fn constrain(
     let mut suppressions = 0u64;
     loop {
         rounds += 1;
-        support.begin_round(table, rows, &mut groups);
         // most-violated constraint (smallest positive support < k)
         let mut worst: Option<(usize, u32)> = None;
         for (ci, c) in privacy.constraints.iter().enumerate() {
@@ -225,7 +76,7 @@ pub(crate) fn constrain(
             }
             let ga = groups.find(it.0);
             let members_a = groups.group_members(it.0);
-            let sup_a = support.sup_of(&mut groups, ga) as f64;
+            let sup_a = support.group_support(&mut groups, ga) as f64;
             let partner_items: Vec<u32> = if global_partner_pool {
                 (0..universe as u32).collect()
             } else {
@@ -260,7 +111,7 @@ pub(crate) fn constrain(
                 // bound of its support
                 let sa = members_a.len();
                 let sb = members_b.len();
-                let sup_b = support.sup_of(&mut groups, gb) as f64;
+                let sup_b = support.group_support(&mut groups, gb) as f64;
                 let cost =
                     pow2m1(sa + sb) * (sup_a + sup_b) - pow2m1(sa) * sup_a - pow2m1(sb) * sup_b;
                 if best.as_ref().is_none_or(|&(_, _, c)| cost < c) {
@@ -273,7 +124,11 @@ pub(crate) fn constrain(
             Some((a, b, _)) => {
                 merges += 1;
                 groups.union(a, b);
-                support.note_merge(a, b);
+                // either root may survive as the union root; every
+                // other group's member set, and so row set, is
+                // unchanged
+                support.invalidate_root(a);
+                support.invalidate_root(b);
             }
             None => {
                 // no admissible merge anywhere in the constraint:
@@ -285,7 +140,7 @@ pub(crate) fn constrain(
                         continue;
                     }
                     let g = groups.find(it.0);
-                    let key = (support.sup_of(&mut groups, g), it.0);
+                    let key = (support.group_support(&mut groups, g), it.0);
                     if victim.is_none_or(|v| key < v) {
                         victim = Some(key);
                     }
@@ -299,7 +154,7 @@ pub(crate) fn constrain(
                     // so the root is the same before and after
                     let root = groups.find(item);
                     groups.suppress(item);
-                    support.note_suppress(root);
+                    support.invalidate_root(root);
                 }
             }
         }
@@ -307,7 +162,7 @@ pub(crate) fn constrain(
     recorder.count("coat/repair_rounds", rounds);
     recorder.count("coat/merges", merges);
     recorder.count("coat/suppressions", suppressions);
-    support.flush(&recorder);
+    support.stats.flush(&recorder);
     groups
 }
 
@@ -341,18 +196,8 @@ pub(crate) fn publish(table: &RtTable, groups: &mut ItemGroups) -> AnonTable {
     }
 }
 
-/// Run COAT on `input` with the kernelized support oracle.
+/// Run COAT on `input`.
 pub fn anonymize(input: &TransactionInput) -> Result<TxOutput, TxError> {
-    anonymize_with(input, Counting::Kernel)
-}
-
-/// Run COAT with the naive reference counters.
-pub fn anonymize_reference(input: &TransactionInput) -> Result<TxOutput, TxError> {
-    anonymize_with(input, Counting::Naive)
-}
-
-/// Run COAT with an explicit counting implementation.
-pub fn anonymize_with(input: &TransactionInput, counting: Counting) -> Result<TxOutput, TxError> {
     input.validate()?;
     let mut timer = PhaseTimer::new();
     let default_privacy;
@@ -376,15 +221,7 @@ pub fn anonymize_with(input: &TransactionInput, counting: Counting) -> Result<Tx
     let rows = input.non_empty_rows();
     timer.phase("setup");
 
-    let mut groups = constrain(
-        input.table,
-        &rows,
-        input.k,
-        privacy,
-        utility,
-        false,
-        counting,
-    );
+    let mut groups = constrain(input.table, &rows, input.k, privacy, utility, false);
     timer.phase("constraint repair");
 
     let anon = publish(input.table, &mut groups);

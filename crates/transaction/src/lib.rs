@@ -17,11 +17,10 @@
 //!
 //! Support counting — the shared hot path of every algorithm here —
 //! runs on the kernels in [`support`] (interned itemset keys, inverted
-//! indexes, incremental rounds, deterministic sharded counting). Each
-//! algorithm also keeps its original recount-everything implementation
-//! behind [`support::Counting::Naive`], reachable through the
-//! `anonymize_reference` entry points, as the oracle for equivalence
-//! tests and `secreta bench --suite tx`.
+//! indexes, incremental rounds, deterministic sharded counting); it is
+//! each algorithm's one path. The original recount-everything
+//! implementations live on in `secreta-oracle`, as the oracle for
+//! equivalence tests and `secreta bench --suite tx`.
 
 #![deny(missing_docs)]
 
@@ -44,5 +43,4 @@ pub use common::{TransactionAlgorithm, TransactionInput, TxError, TxOutput};
 pub use rho::{is_rho_uncertain, RhoParams};
 pub use rho_td::is_rho_uncertain_published;
 pub use scoped::{anonymize_scoped, ClusterTx, ItemMap};
-pub use support::Counting;
 pub use verify::{is_km_anonymous, satisfies_privacy};

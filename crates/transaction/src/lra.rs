@@ -11,29 +11,10 @@
 
 use crate::apriori::{anonymize_rows, build_anon};
 use crate::common::{TransactionInput, TxError, TxOutput};
-use crate::support::Counting;
 use secreta_metrics::PhaseTimer;
 
-/// Run LRA with `partitions` horizontal partitions (kernelized
-/// support counting).
+/// Run LRA with `partitions` horizontal partitions.
 pub fn anonymize(input: &TransactionInput, partitions: usize) -> Result<TxOutput, TxError> {
-    anonymize_with(input, partitions, Counting::Kernel)
-}
-
-/// Run LRA with the naive reference counters.
-pub fn anonymize_reference(
-    input: &TransactionInput,
-    partitions: usize,
-) -> Result<TxOutput, TxError> {
-    anonymize_with(input, partitions, Counting::Naive)
-}
-
-/// Run LRA with an explicit counting implementation.
-pub fn anonymize_with(
-    input: &TransactionInput,
-    partitions: usize,
-    counting: Counting,
-) -> Result<TxOutput, TxError> {
     input.validate()?;
     let h = input
         .hierarchy
@@ -84,7 +65,6 @@ pub fn anonymize_with(
             |_| true,
             |_| true,
             false,
-            counting,
         )?;
         for &r in chunk {
             row_state[r] = Some(ci);

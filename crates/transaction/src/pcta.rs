@@ -11,10 +11,10 @@
 //! constraints — is applied. The hierarchy-free recoding and the UL
 //! guidance are the signature properties of the original.
 
-use crate::coat::{pow2m1, publish, RoundSupport};
+use crate::coat::{pow2m1, publish};
 use crate::common::{TransactionInput, TxError, TxOutput};
 use crate::groups::ItemGroups;
-use crate::support::Counting;
+use crate::support::GroupSupportOracle;
 use secreta_data::ItemId;
 use secreta_metrics::PhaseTimer;
 use secreta_policy::{PrivacyPolicy, UtilityPolicy};
@@ -27,11 +27,10 @@ pub(crate) fn cluster_items(
     k: usize,
     privacy: &PrivacyPolicy,
     utility: &UtilityPolicy,
-    counting: Counting,
 ) -> ItemGroups {
     let universe = table.item_universe();
     let mut groups = ItemGroups::new(universe);
-    let mut support = RoundSupport::new(counting, table, rows);
+    let mut support = GroupSupportOracle::new(table, rows);
 
     let recorder = secreta_obsv::current();
     let mut rounds = 0u64;
@@ -39,7 +38,6 @@ pub(crate) fn cluster_items(
     let mut suppressions = 0u64;
     loop {
         rounds += 1;
-        support.begin_round(table, rows, &mut groups);
         // all violated constraints this round
         let mut violated: Vec<usize> = Vec::new();
         for (ci, c) in privacy.constraints.iter().enumerate() {
@@ -67,7 +65,7 @@ pub(crate) fn cluster_items(
                 }
                 considered.push(ga);
                 let members_a = groups.group_members(it.0);
-                let sup_a = support.sup_of(&mut groups, ga) as f64;
+                let sup_a = support.group_support(&mut groups, ga) as f64;
                 let mut seen: Vec<u32> = Vec::new();
                 for j in 0..universe as u32 {
                     if groups.is_suppressed(j) {
@@ -89,7 +87,7 @@ pub(crate) fn cluster_items(
                         continue;
                     }
                     let (sa, sb) = (members_a.len(), members_b.len());
-                    let sup_b = support.sup_of(&mut groups, gb) as f64;
+                    let sup_b = support.group_support(&mut groups, gb) as f64;
                     let cost =
                         pow2m1(sa + sb) * (sup_a + sup_b) - pow2m1(sa) * sup_a - pow2m1(sb) * sup_b;
                     if best.as_ref().is_none_or(|&(_, _, c)| cost < c) {
@@ -103,7 +101,8 @@ pub(crate) fn cluster_items(
             Some((a, b, _)) => {
                 merges += 1;
                 groups.union(a, b);
-                support.note_merge(a, b);
+                support.invalidate_root(a);
+                support.invalidate_root(b);
             }
             None => {
                 // no admissible merge: suppress the rarest live item of
@@ -118,7 +117,7 @@ pub(crate) fn cluster_items(
                         continue;
                     }
                     let g = groups.find(it.0);
-                    let key = (support.sup_of(&mut groups, g), it.0);
+                    let key = (support.group_support(&mut groups, g), it.0);
                     if victim.is_none_or(|v| key < v) {
                         victim = Some(key);
                     }
@@ -130,7 +129,7 @@ pub(crate) fn cluster_items(
                         // untouched, so the root is stable
                         let root = groups.find(item);
                         groups.suppress(item);
-                        support.note_suppress(root);
+                        support.invalidate_root(root);
                     }
                     None => break, // everything relevant suppressed
                 }
@@ -140,22 +139,12 @@ pub(crate) fn cluster_items(
     recorder.count("pcta/clustering_rounds", rounds);
     recorder.count("pcta/merges", merges);
     recorder.count("pcta/suppressions", suppressions);
-    support.flush(&recorder);
+    support.stats.flush(&recorder);
     groups
 }
 
-/// Run PCTA on `input` with the kernelized support oracle.
+/// Run PCTA on `input`.
 pub fn anonymize(input: &TransactionInput) -> Result<TxOutput, TxError> {
-    anonymize_with(input, Counting::Kernel)
-}
-
-/// Run PCTA with the naive reference counters.
-pub fn anonymize_reference(input: &TransactionInput) -> Result<TxOutput, TxError> {
-    anonymize_with(input, Counting::Naive)
-}
-
-/// Run PCTA with an explicit counting implementation.
-pub fn anonymize_with(input: &TransactionInput, counting: Counting) -> Result<TxOutput, TxError> {
     input.validate()?;
     let mut timer = PhaseTimer::new();
     let default_privacy;
@@ -179,7 +168,7 @@ pub fn anonymize_with(input: &TransactionInput, counting: Counting) -> Result<Tx
     let rows = input.non_empty_rows();
     timer.phase("setup");
 
-    let mut groups = cluster_items(input.table, &rows, input.k, privacy, utility, counting);
+    let mut groups = cluster_items(input.table, &rows, input.k, privacy, utility);
     timer.phase("ul-guided clustering");
 
     let anon = publish(input.table, &mut groups);

@@ -25,7 +25,7 @@
 //! baseline configuration.
 
 use crate::common::{TransactionInput, TxError, TxOutput};
-use crate::support::{Counting, InvertedIndex, RuleCounts};
+use crate::support::{InvertedIndex, RuleCounts};
 use secreta_data::hash::{FxHashMap, FxHashSet};
 use secreta_data::{stats::item_supports, ItemId, RtTable};
 use secreta_metrics::anon::AnonTransaction;
@@ -180,28 +180,10 @@ fn select_victim(kill_count: &FxHashMap<u32, usize>, base_supports: &[u64]) -> u
     victim
 }
 
-/// Run SuppressControl on `input` with `params` and the kernelized
-/// (incremental, sharded) rule counters. `input.k`/`input.m` are
-/// unused — ρ-uncertainty has its own parameters.
+/// Run SuppressControl on `input` with `params`, on incremental,
+/// sharded rule counters. `input.k`/`input.m` are unused —
+/// ρ-uncertainty has its own parameters.
 pub fn anonymize(input: &TransactionInput, params: &RhoParams) -> Result<TxOutput, TxError> {
-    anonymize_with(input, params, Counting::Kernel)
-}
-
-/// Run SuppressControl with the naive reference counters (full rule
-/// re-mining every round).
-pub fn anonymize_reference(
-    input: &TransactionInput,
-    params: &RhoParams,
-) -> Result<TxOutput, TxError> {
-    anonymize_with(input, params, Counting::Naive)
-}
-
-/// Run SuppressControl with an explicit counting implementation.
-pub fn anonymize_with(
-    input: &TransactionInput,
-    params: &RhoParams,
-    counting: Counting,
-) -> Result<TxOutput, TxError> {
     input.validate()?;
     if !(params.rho > 0.0 && params.rho <= 1.0) {
         return Err(TxError::BadInput(format!(
@@ -228,95 +210,73 @@ pub fn anonymize_with(
     let mut mining_rounds = 0u64;
     let mut rules_checked = 0u64;
     let mut n_suppressed = 0u64;
-    match counting {
-        Counting::Naive => loop {
-            mining_rounds += 1;
-            let viols = violations(input.table, &rows, &suppressed, params);
-            rules_checked += viols.len() as u64;
-            if viols.is_empty() {
-                break;
-            }
-            let mut kill_count: FxHashMap<u32, usize> = FxHashMap::default();
-            for v in &viols {
-                for &q in &v.antecedent {
-                    *kill_count.entry(q).or_insert(0) += 1;
-                }
-                *kill_count.entry(v.sensitive).or_insert(0) += 1;
-            }
-            let victim = select_victim(&kill_count, &base_supports);
-            suppressed[victim as usize] = true;
-            n_suppressed += 1;
-        },
-        Counting::Kernel => {
-            let sensitive: FxHashSet<u32> = params.sensitive.iter().map(|s| s.0).collect();
-            // rho >= 1.0 (or no sensitive items) is vacuous — mirror
-            // the reference miner's short-circuit without counting
-            let vacuous = sensitive.is_empty() || params.rho >= 1.0;
-            let table = input.table;
-            // transactions are stored sorted+deduped, so the filtered
-            // live list is sorted too
-            let fill_row = |sup: &[bool], pos: usize, buf: &mut Vec<u32>| {
-                buf.extend(
-                    table
-                        .transaction(rows[pos])
-                        .iter()
-                        .filter(|it| !sup[it.index()])
-                        .map(|it| it.0),
-                );
-            };
-            let is_target = |t: u32| sensitive.contains(&t);
-            let index = InvertedIndex::build(table, &rows, universe, |_| true);
-            let mut rc = if vacuous {
-                RuleCounts::default()
-            } else {
-                let mut rc = RuleCounts::build(
-                    rows.len(),
-                    params.max_antecedent,
-                    true,
-                    |pos, buf| fill_row(&suppressed, pos, buf),
-                    is_target,
-                );
-                rc.stats.record_index(&index);
-                rc
-            };
-            loop {
-                mining_rounds += 1;
-                let mut kill_count: FxHashMap<u32, usize> = FxHashMap::default();
-                let mut viols = 0u64;
-                if !vacuous {
-                    for (q, s, qs, q_sup) in rc.rules() {
-                        let confidence = qs as f64 / q_sup as f64;
-                        if confidence >= params.rho {
-                            viols += 1;
-                            for &v in q {
-                                *kill_count.entry(v).or_insert(0) += 1;
-                            }
-                            *kill_count.entry(s).or_insert(0) += 1;
-                        }
+    let sensitive: FxHashSet<u32> = params.sensitive.iter().map(|s| s.0).collect();
+    // rho >= 1.0 (or no sensitive items) is vacuous: the miner's
+    // short-circuit, without counting
+    let vacuous = sensitive.is_empty() || params.rho >= 1.0;
+    let table = input.table;
+    // transactions are stored sorted+deduped, so the filtered
+    // live list is sorted too
+    let fill_row = |sup: &[bool], pos: usize, buf: &mut Vec<u32>| {
+        buf.extend(
+            table
+                .transaction(rows[pos])
+                .iter()
+                .filter(|it| !sup[it.index()])
+                .map(|it| it.0),
+        );
+    };
+    let is_target = |t: u32| sensitive.contains(&t);
+    let index = InvertedIndex::build(table, &rows, universe, |_| true);
+    let mut rc = if vacuous {
+        RuleCounts::default()
+    } else {
+        let mut rc = RuleCounts::build(
+            rows.len(),
+            params.max_antecedent,
+            true,
+            |pos, buf| fill_row(&suppressed, pos, buf),
+            is_target,
+        );
+        rc.stats.record_index(&index);
+        rc
+    };
+    loop {
+        mining_rounds += 1;
+        let mut kill_count: FxHashMap<u32, usize> = FxHashMap::default();
+        let mut viols = 0u64;
+        if !vacuous {
+            for (q, s, qs, q_sup) in rc.rules() {
+                let confidence = qs as f64 / q_sup as f64;
+                if confidence >= params.rho {
+                    viols += 1;
+                    for &v in q {
+                        *kill_count.entry(v).or_insert(0) += 1;
                     }
+                    *kill_count.entry(s).or_insert(0) += 1;
                 }
-                rules_checked += viols;
-                if viols == 0 {
-                    break;
-                }
-                let victim = select_victim(&kill_count, &base_supports);
-                suppressed[victim as usize] = true;
-                n_suppressed += 1;
-                // only rows containing the victim change their live
-                // lists — everything else keeps its counts; the dirty
-                // set rides the tiered RowSet path (dense bitmap when
-                // the victim is a hot item)
-                let dirty = index.union_rowset(std::iter::once(victim), &mut rc.stats);
-                rc.stats.posting_unions += 1;
-                rc.update_rowset(
-                    &dirty,
-                    |pos, buf| fill_row(&suppressed, pos, buf),
-                    is_target,
-                );
             }
-            rc.stats.flush(&recorder);
         }
+        rules_checked += viols;
+        if viols == 0 {
+            break;
+        }
+        let victim = select_victim(&kill_count, &base_supports);
+        suppressed[victim as usize] = true;
+        n_suppressed += 1;
+        // only rows containing the victim change their live
+        // lists — everything else keeps its counts; the dirty
+        // set rides the tiered RowSet path (dense bitmap when
+        // the victim is a hot item)
+        let dirty = index.union_rowset(std::iter::once(victim), &mut rc.stats);
+        rc.stats.posting_unions += 1;
+        rc.update_rowset(
+            &dirty,
+            |pos, buf| fill_row(&suppressed, pos, buf),
+            is_target,
+        );
     }
+    rc.stats.flush(&recorder);
     recorder.count("rho/mining_rounds", mining_rounds);
     recorder.count("rho/violating_rules", rules_checked);
     recorder.count("rho/suppressions", n_suppressed);

@@ -18,7 +18,7 @@
 
 use crate::common::{TransactionInput, TxError, TxOutput};
 use crate::rho::RhoParams;
-use crate::support::{Counting, InvertedIndex, KernelStats, RuleCounts};
+use crate::support::{InvertedIndex, KernelStats, RuleCounts};
 use secreta_data::hash::{FxHashMap, FxHashSet};
 use secreta_data::{ItemId, RtTable};
 use secreta_hierarchy::{Cut, NodeId};
@@ -27,8 +27,8 @@ use secreta_metrics::{AnonTable, GenEntry, PhaseTimer};
 
 /// Kernel token encoding: sensitive tokens carry the high bit so they
 /// sort after every generalized-node token, mirroring the
-/// `Gen < Sensitive` order of the naive [`Token`] enum. Node and item
-/// ids stay well below 2^31 in practice (they index in-memory arrays).
+/// `Gen < Sensitive` order of the [`Token`] enum. Node and item ids
+/// stay well below 2^31 in practice (they index in-memory arrays).
 const SENSITIVE_BIT: u32 = 0x8000_0000;
 
 /// The published state during the search: a cut for non-sensitive
@@ -69,142 +69,11 @@ impl State {
             Some(self.cut.node_of(it.0).0)
         }
     }
-
-    /// [`State::has_violation`] with an explicit counting
-    /// implementation. The kernel arm here is a one-shot from-scratch
-    /// count (parallel shards, zero per-subset allocation); the main
-    /// search in [`anonymize_with`] instead maintains one incremental
-    /// [`RuleCounts`] across rounds, re-enumerating only the rows a
-    /// suppression or cut move dirtied via the tiered
-    /// [`InvertedIndex::union_rowset`] path.
-    fn has_violation_with(
-        &self,
-        table: &RtTable,
-        rows: &[usize],
-        params: &RhoParams,
-        counting: Counting,
-        stats: &mut KernelStats,
-    ) -> bool {
-        match counting {
-            Counting::Naive => self.has_violation(table, rows, params),
-            Counting::Kernel => {
-                if params.rho >= 1.0 {
-                    return false;
-                }
-                let fill = |pos: usize, buf: &mut Vec<u32>| {
-                    buf.extend(
-                        table
-                            .transaction(rows[pos])
-                            .iter()
-                            .filter_map(|&it| self.token_u32(it)),
-                    );
-                    buf.sort_unstable();
-                    buf.dedup();
-                };
-                let rc =
-                    RuleCounts::build(rows.len(), params.max_antecedent, false, fill, |t: u32| {
-                        t & SENSITIVE_BIT != 0
-                    });
-                stats.absorb(&rc.stats);
-                rc.any_violation(params.rho)
-            }
-        }
-    }
-
-    /// Mine sensitive rules `q → s` (|q| ≤ max_antecedent) over the
-    /// published tokens of `rows`; true iff some rule reaches ρ.
-    fn has_violation(&self, table: &RtTable, rows: &[usize], params: &RhoParams) -> bool {
-        if params.rho >= 1.0 {
-            return false;
-        }
-        let mut sup_q: FxHashMap<Vec<Token>, u32> = FxHashMap::default();
-        let mut sup_qs: FxHashMap<(Vec<Token>, u32), u32> = FxHashMap::default();
-        let mut toks: Vec<Token> = Vec::new();
-        for &r in rows {
-            toks.clear();
-            toks.extend(
-                table
-                    .transaction(r)
-                    .iter()
-                    .filter_map(|&it| self.token_of(it)),
-            );
-            toks.sort_unstable();
-            toks.dedup();
-            if toks.is_empty() {
-                continue;
-            }
-            let present_sensitive: Vec<u32> = toks
-                .iter()
-                .filter_map(|t| match t {
-                    Token::Sensitive(s) => Some(*s),
-                    Token::Gen(_) => None,
-                })
-                .collect();
-            for size in 0..=params.max_antecedent.min(toks.len()) {
-                subsets(&toks, size, &mut |q| {
-                    *sup_q.entry(q.to_vec()).or_insert(0) += 1;
-                    for &s in &present_sensitive {
-                        if !q.contains(&Token::Sensitive(s)) {
-                            *sup_qs.entry((q.to_vec(), s)).or_insert(0) += 1;
-                        }
-                    }
-                });
-            }
-        }
-        sup_qs.iter().any(|((q, _), &qs)| {
-            let q_sup = *sup_q.get(q).expect("antecedent counted");
-            qs as f64 / q_sup as f64 >= params.rho
-        })
-    }
 }
 
-fn subsets(items: &[Token], size: usize, f: &mut impl FnMut(&[Token])) {
-    fn rec(
-        items: &[Token],
-        size: usize,
-        start: usize,
-        cur: &mut Vec<Token>,
-        f: &mut impl FnMut(&[Token]),
-    ) {
-        if cur.len() == size {
-            f(cur);
-            return;
-        }
-        let need = size - cur.len();
-        for i in start..=items.len().saturating_sub(need) {
-            cur.push(items[i]);
-            rec(items, size, i + 1, cur, f);
-            cur.pop();
-        }
-    }
-    if size > items.len() {
-        return;
-    }
-    rec(items, size, 0, &mut Vec::with_capacity(size), f);
-}
-
-/// Run TDControl on `input` with `params` using the kernelized
-/// counters. Requires the item hierarchy; `input.k`/`input.m` are
-/// unused.
+/// Run TDControl on `input` with `params`. Requires the item
+/// hierarchy; `input.k`/`input.m` are unused.
 pub fn anonymize(input: &TransactionInput, params: &RhoParams) -> Result<TxOutput, TxError> {
-    anonymize_with(input, params, Counting::Kernel)
-}
-
-/// Run TDControl with the naive reference counters (the oracle the
-/// kernel path is tested against).
-pub fn anonymize_reference(
-    input: &TransactionInput,
-    params: &RhoParams,
-) -> Result<TxOutput, TxError> {
-    anonymize_with(input, params, Counting::Naive)
-}
-
-/// Run TDControl with an explicit counting implementation.
-pub fn anonymize_with(
-    input: &TransactionInput,
-    params: &RhoParams,
-    counting: Counting,
-) -> Result<TxOutput, TxError> {
     input.validate()?;
     let h = input
         .hierarchy
@@ -235,18 +104,13 @@ pub fn anonymize_with(
     let mut stats = KernelStats::default();
     // Raw supports never change under recoding, so the index answers
     // every prior-victim scan for the whole run.
-    let index = match counting {
-        Counting::Kernel => Some(InvertedIndex::build(input.table, &rows, universe, |_| true)),
-        Counting::Naive => None,
-    };
-    if let Some(ix) = &index {
-        stats.record_index(ix);
-    }
-    // The incremental kernel counter: built once at the fully general
+    let index = InvertedIndex::build(input.table, &rows, universe, |_| true);
+    stats.record_index(&index);
+    // The incremental rule counter: built once at the fully general
     // cut with per-row token lists retained, then maintained across
     // every suppression and cut move by re-enumerating only the dirty
-    // rows, delivered as tiered [`RowSet`]s from the index. `None` on
-    // the naive path and when ρ ≥ 1.0 makes every rule vacuous.
+    // rows, delivered as tiered [`RowSet`]s from the index. `None`
+    // when ρ ≥ 1.0 makes every rule vacuous: nothing ever violates.
     let fill_tokens = |state: &State, pos: usize, buf: &mut Vec<u32>| {
         buf.extend(
             input
@@ -259,16 +123,15 @@ pub fn anonymize_with(
         buf.dedup();
     };
     let is_target = |t: u32| t & SENSITIVE_BIT != 0;
-    let mut rc = match (&index, params.rho < 1.0) {
-        (Some(_), true) => Some(RuleCounts::build(
+    let mut rc = (params.rho < 1.0).then(|| {
+        RuleCounts::build(
             rows.len(),
             params.max_antecedent,
             true,
             |pos, buf| fill_tokens(&state, pos, buf),
             is_target,
-        )),
-        _ => None,
-    };
+        )
+    });
     timer.phase("setup");
 
     // Priors first: a sensitive item violating at the fully general
@@ -276,36 +139,21 @@ pub fn anonymize_with(
     // other sensitive items feeding its rules).
     let recorder = secreta_obsv::current();
     let mut prior_suppressions = 0u64;
-    loop {
-        let violating = match &rc {
-            Some(rc) => rc.any_violation(params.rho),
-            None => state.has_violation_with(input.table, &rows, params, counting, &mut stats),
-        };
-        if !violating {
-            break;
-        }
+    while let Some(rc) = rc.as_mut().filter(|rc| rc.any_violation(params.rho)) {
         // suppress the most exposed sensitive item (highest prior)
         let victim = params
             .sensitive
             .iter()
             .filter(|s| !state.suppressed[s.index()])
-            .max_by_key(|s| match &index {
-                Some(ix) => ix.support(s.0),
-                None => rows
-                    .iter()
-                    .filter(|&&r| input.table.transaction(r).binary_search(s).is_ok())
-                    .count(),
-            });
+            .max_by_key(|s| index.support(s.0));
         match victim {
             Some(s) => {
                 let s = *s;
                 prior_suppressions += 1;
                 state.suppressed[s.index()] = true;
-                if let (Some(rc), Some(ix)) = (rc.as_mut(), index.as_ref()) {
-                    let dirty = ix.union_rowset(std::iter::once(s.0), &mut rc.stats);
-                    rc.stats.posting_unions += 1;
-                    rc.update_rowset(&dirty, |pos, buf| fill_tokens(&state, pos, buf), is_target);
-                }
+                let dirty = index.union_rowset(std::iter::once(s.0), &mut rc.stats);
+                rc.stats.posting_unions += 1;
+                rc.update_rowset(&dirty, |pos, buf| fill_tokens(&state, pos, buf), is_target);
             }
             None => {
                 // no sensitive item left, yet still violating: cannot
@@ -339,39 +187,27 @@ pub fn anonymize_with(
             if affected.is_empty() {
                 continue;
             }
-            match (rc.as_mut(), index.as_ref()) {
-                (Some(rc), Some(ix)) => {
-                    // only rows holding a live leaf under `cand` change
-                    // tokens under this split (and under its revert)
-                    let dirty = ix.union_rowset(affected.iter().copied(), &mut rc.stats);
-                    rc.stats.posting_unions += 1;
-                    state.cut.specialize(h, cand);
-                    rc.update_rowset(&dirty, |pos, buf| fill_tokens(&state, pos, buf), is_target);
-                    if rc.any_violation(params.rho) {
-                        // revert: re-generalize the whole subtree
-                        reverts += 1;
-                        state.cut.generalize_to(h, cand);
-                        rc.update_rowset(
-                            &dirty,
-                            |pos, buf| fill_tokens(&state, pos, buf),
-                            is_target,
-                        );
-                    } else {
-                        specializations += 1;
-                        accepted = true;
-                    }
-                }
-                _ => {
-                    state.cut.specialize(h, cand);
-                    if state.has_violation_with(input.table, &rows, params, counting, &mut stats) {
-                        // revert: re-generalize the whole subtree
-                        reverts += 1;
-                        state.cut.generalize_to(h, cand);
-                    } else {
-                        specializations += 1;
-                        accepted = true;
-                    }
-                }
+            let Some(rc) = rc.as_mut() else {
+                // vacuous rules: every split is kept
+                state.cut.specialize(h, cand);
+                specializations += 1;
+                accepted = true;
+                continue;
+            };
+            // only rows holding a live leaf under `cand` change tokens
+            // under this split (and under its revert)
+            let dirty = index.union_rowset(affected.iter().copied(), &mut rc.stats);
+            rc.stats.posting_unions += 1;
+            state.cut.specialize(h, cand);
+            rc.update_rowset(&dirty, |pos, buf| fill_tokens(&state, pos, buf), is_target);
+            if rc.any_violation(params.rho) {
+                // revert: re-generalize the whole subtree
+                reverts += 1;
+                state.cut.generalize_to(h, cand);
+                rc.update_rowset(&dirty, |pos, buf| fill_tokens(&state, pos, buf), is_target);
+            } else {
+                specializations += 1;
+                accepted = true;
             }
         }
         if !accepted {
@@ -643,24 +479,6 @@ mod tests {
             anonymize(&input(&t, &h), &RhoParams::new(0.0, vec![hiv])),
             Err(TxError::BadInput(_))
         ));
-    }
-
-    #[test]
-    fn kernel_and_reference_agree_on_fixture() {
-        let t = table();
-        let (h, hiv) = setup(&t);
-        for rho in [0.25, 0.5, 0.6, 0.95, 1.0] {
-            for max_antecedent in [1, 2] {
-                let params = RhoParams {
-                    rho,
-                    sensitive: vec![hiv],
-                    max_antecedent,
-                };
-                let fast = anonymize(&input(&t, &h), &params).unwrap();
-                let base = anonymize_reference(&input(&t, &h), &params).unwrap();
-                assert_eq!(fast.anon, base.anon, "rho={rho} m={max_antecedent}");
-            }
-        }
     }
 
     #[test]

@@ -12,7 +12,6 @@ use crate::coat::constrain;
 use crate::common::{TransactionAlgorithm, TxError};
 use crate::groups::ItemGroups;
 use crate::pcta::cluster_items;
-use crate::support::Counting;
 use secreta_data::{ItemId, RtTable};
 use secreta_hierarchy::{Hierarchy, NodeId};
 use secreta_metrics::GenEntry;
@@ -108,17 +107,7 @@ pub fn anonymize_scoped(
     match algo {
         TransactionAlgorithm::Apriori => {
             let h = need_h()?;
-            let state = anonymize_rows(
-                table,
-                rows,
-                k,
-                m,
-                h,
-                |_| true,
-                |_| true,
-                false,
-                Counting::Kernel,
-            )?;
+            let state = anonymize_rows(table, rows, k, m, h, |_| true, |_| true, false)?;
             let map = (0..h.n_leaves() as u32)
                 .map(|v| state.map(ItemId(v)))
                 .collect();
@@ -159,17 +148,7 @@ pub fn anonymize_scoped(
                 }
                 for positions in chunk_rows {
                     let abs: Vec<usize> = positions.iter().map(|&p| rows[p]).collect();
-                    let state = anonymize_rows(
-                        table,
-                        &abs,
-                        k,
-                        m,
-                        h,
-                        |_| true,
-                        |_| true,
-                        false,
-                        Counting::Kernel,
-                    )?;
+                    let state = anonymize_rows(table, &abs, k, m, h, |_| true, |_| true, false)?;
                     let ci = chunks.len() as u32;
                     for &p in &positions {
                         chunk_of_row[p] = ci;
@@ -207,7 +186,6 @@ pub fn anonymize_scoped(
                     |node| h.leaves_under(node).all(|v| part_of[v as usize] == p),
                     |it| part_of[it.index()] == p,
                     true,
-                    Counting::Kernel,
                 )?;
                 for v in 0..h.n_leaves() as u32 {
                     if part_of[v as usize] == p {
@@ -222,7 +200,7 @@ pub fn anonymize_scoped(
             })
         }
         TransactionAlgorithm::Coat => {
-            let groups = constrain(table, rows, k, privacy, utility, false, Counting::Kernel);
+            let groups = constrain(table, rows, k, privacy, utility, false);
             Ok(ClusterTx {
                 rows: rows.to_vec(),
                 chunk_of_row: vec![0; rows.len()],
@@ -230,7 +208,7 @@ pub fn anonymize_scoped(
             })
         }
         TransactionAlgorithm::Pcta => {
-            let groups = cluster_items(table, rows, k, privacy, utility, Counting::Kernel);
+            let groups = cluster_items(table, rows, k, privacy, utility);
             Ok(ClusterTx {
                 rows: rows.to_vec(),
                 chunk_of_row: vec![0; rows.len()],

@@ -4,9 +4,10 @@
 //! of *support queries* — "in how many published transactions does
 //! this itemset appear?" — interleaved with small recoding steps
 //! (generalize one node, merge two groups, suppress one item). The
-//! naive implementations recount the whole table from scratch on every
-//! round, allocating a fresh `Vec` key per enumerated subset. This
-//! module replaces that with three reusable kernels:
+//! naive way recounts the whole table from scratch on every round,
+//! allocating a fresh `Vec` key per enumerated subset (the oracles in
+//! `secreta-oracle` still do). This module replaces that with three
+//! reusable kernels:
 //!
 //! * [`SupportMap`] — an **interned itemset counter**: sorted `u32`
 //!   keys live in one flat arena, looked up by hashing the candidate
@@ -36,12 +37,10 @@
 //! counts key-for-key. Iteration *order* over a merged map may depend
 //! on the thread count, so algorithm selection logic must be
 //! order-independent (the crate's greedy selectors all use strict
-//! total orders — see `apriori`'s move selection).
-//!
-//! The [`Counting`] switch keeps the naive implementations alive as
-//! reference oracles: `anonymize_reference` entry points run them for
-//! benchmarking (`secreta bench --suite tx`) and for the agreement
-//! proptests in `tests/kernels.rs`.
+//! total orders — see `apriori`'s move selection). The naive oracles
+//! in `secreta-oracle` pin that contract: `tests/kernels.rs` checks
+//! every algorithm against them, and `secreta bench --suite tx` times
+//! the difference.
 
 use crate::bitmap::{Bitset, RowSet};
 use crate::groups::ItemGroups;
@@ -49,8 +48,6 @@ use secreta_data::hash::{FxHashMap, FxHasher};
 use secreta_data::{ChunkedTable, ItemId, RowChunk, RtTable, TxChunk};
 use secreta_metrics::AnonTransaction;
 use std::hash::Hasher;
-
-pub use secreta_data::Counting;
 
 /// Rows per shard below which sharded counting stays sequential;
 /// subset enumeration is cheap enough that tiny shards would be pure

@@ -14,25 +14,10 @@
 
 use crate::apriori::{anonymize_rows, build_anon};
 use crate::common::{TransactionInput, TxError, TxOutput};
-use crate::support::Counting;
 use secreta_metrics::PhaseTimer;
 
-/// Run VPA with `parts` vertical parts (kernelized support counting).
+/// Run VPA with `parts` vertical parts.
 pub fn anonymize(input: &TransactionInput, parts: usize) -> Result<TxOutput, TxError> {
-    anonymize_with(input, parts, Counting::Kernel)
-}
-
-/// Run VPA with the naive reference counters.
-pub fn anonymize_reference(input: &TransactionInput, parts: usize) -> Result<TxOutput, TxError> {
-    anonymize_with(input, parts, Counting::Naive)
-}
-
-/// Run VPA with an explicit counting implementation.
-pub fn anonymize_with(
-    input: &TransactionInput,
-    parts: usize,
-    counting: Counting,
-) -> Result<TxOutput, TxError> {
     input.validate()?;
     let h = input
         .hierarchy
@@ -65,7 +50,6 @@ pub fn anonymize_with(
             |node| h.leaves_under(node).all(|v| part_of[v as usize] == p),
             |it| part_of[it.index()] == p,
             true,
-            counting,
         )?;
         states.push(state);
     }

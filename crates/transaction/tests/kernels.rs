@@ -1,15 +1,15 @@
 //! Cross-checks of the interned/sharded support kernels: every
-//! ported algorithm must produce byte-identical output to its naive
-//! reference counter on random RT-tables (random universes, duplicate
+//! algorithm must produce byte-identical output to its naive oracle in
+//! `secreta-oracle` on random RT-tables (random universes, duplicate
 //! items, empty transactions) and at any thread budget.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use secreta_data::{Attribute, AttributeKind, ItemId, RtTable, Schema};
 use secreta_hierarchy::auto_hierarchy;
+use secreta_oracle::transaction as oracle;
 use secreta_transaction::{
-    apriori, coat, lra, pcta, rho, rho_td, set_density_threshold, vpa, RhoParams, TransactionInput,
-    TxError, TxOutput,
+    self as tx, set_density_threshold, RhoParams, TransactionInput, TxError, TxOutput,
 };
 use std::sync::Mutex;
 
@@ -32,7 +32,7 @@ fn build_table(rows: &[Vec<usize>], universe: usize) -> RtTable {
 }
 
 /// Transactions may be empty and may repeat items — both must be
-/// handled identically by the naive and kernel counters.
+/// handled identically by the oracles and the kernels.
 fn rows_strategy() -> impl Strategy<Value = Vec<Vec<usize>>> {
     prop::collection::vec(prop::collection::vec(0usize..32, 0..6), 4..40)
 }
@@ -58,7 +58,7 @@ fn agree(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// Every algorithm, kernel counters vs the naive reference, on the
+    /// Every algorithm, kernel counters vs the naive oracle, on the
     /// same random table: identical published output (or identical
     /// failure).
     #[test]
@@ -69,25 +69,24 @@ proptest! {
         m in 1usize..3,
         fanout in 2usize..4,
     ) {
-        use secreta_transaction::Counting::{Kernel, Naive};
         let t = build_table(&rows, universe);
         let h = auto_hierarchy(t.item_pool().unwrap(), AttributeKind::Categorical, fanout)
             .unwrap();
         let km = TransactionInput::km(&t, k, m, &h);
         agree(
             "apriori",
-            apriori::anonymize_with(&km, Kernel),
-            apriori::anonymize_with(&km, Naive),
+            tx::apriori::anonymize(&km),
+            oracle::apriori::anonymize(&km),
         )?;
         agree(
             "lra",
-            lra::anonymize_with(&km, 2, Kernel),
-            lra::anonymize_with(&km, 2, Naive),
+            tx::lra::anonymize(&km, 2),
+            oracle::lra::anonymize(&km, 2),
         )?;
         agree(
             "vpa",
-            vpa::anonymize_with(&km, 3, Kernel),
-            vpa::anonymize_with(&km, 3, Naive),
+            tx::vpa::anonymize(&km, 3),
+            oracle::vpa::anonymize(&km, 3),
         )?;
         let plain = TransactionInput {
             table: &t,
@@ -99,13 +98,13 @@ proptest! {
         };
         agree(
             "coat",
-            coat::anonymize_with(&plain, Kernel),
-            coat::anonymize_with(&plain, Naive),
+            tx::coat::anonymize(&plain),
+            oracle::coat::anonymize(&plain),
         )?;
         agree(
             "pcta",
-            pcta::anonymize_with(&plain, Kernel),
-            pcta::anonymize_with(&plain, Naive),
+            tx::pcta::anonymize(&plain),
+            oracle::pcta::anonymize(&plain),
         )?;
         let params = RhoParams {
             rho: k as f64 / 10.0,
@@ -122,14 +121,14 @@ proptest! {
         };
         agree(
             "rho",
-            rho::anonymize_with(&rho_in, &params, Kernel),
-            rho::anonymize_with(&rho_in, &params, Naive),
+            tx::rho::anonymize(&rho_in, &params),
+            oracle::rho::anonymize(&rho_in, &params),
         )?;
         let td = TransactionInput::km(&t, 1, 1, &h);
         agree(
             "rho_td",
-            rho_td::anonymize_with(&td, &params, Kernel),
-            rho_td::anonymize_with(&td, &params, Naive),
+            tx::rho_td::anonymize(&td, &params),
+            oracle::rho_td::anonymize(&td, &params),
         )?;
     }
 }
@@ -163,7 +162,6 @@ proptest! {
         tail in prop::collection::vec(prop::collection::vec(0usize..24, 0..5), 8..40),
         k in 2usize..5,
     ) {
-        use secreta_transaction::Counting::{Kernel, Naive};
         let _serial = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
         let rows = both_tier_rows(&tail);
         let t = build_table(&rows, 26);
@@ -196,15 +194,15 @@ proptest! {
         };
         let td = TransactionInput::km(&t, 1, 1, &h);
         let checks = [
-            ("apriori", apriori::anonymize_with(&km, Kernel), apriori::anonymize_with(&km, Naive)),
-            ("lra", lra::anonymize_with(&km, 2, Kernel), lra::anonymize_with(&km, 2, Naive)),
-            ("vpa", vpa::anonymize_with(&km, 3, Kernel), vpa::anonymize_with(&km, 3, Naive)),
-            ("coat", coat::anonymize_with(&plain, Kernel), coat::anonymize_with(&plain, Naive)),
-            ("pcta", pcta::anonymize_with(&plain, Kernel), pcta::anonymize_with(&plain, Naive)),
-            ("rho", rho::anonymize_with(&rho_in, &params, Kernel),
-                rho::anonymize_with(&rho_in, &params, Naive)),
-            ("rho_td", rho_td::anonymize_with(&td, &params, Kernel),
-                rho_td::anonymize_with(&td, &params, Naive)),
+            ("apriori", tx::apriori::anonymize(&km), oracle::apriori::anonymize(&km)),
+            ("lra", tx::lra::anonymize(&km, 2), oracle::lra::anonymize(&km, 2)),
+            ("vpa", tx::vpa::anonymize(&km, 3), oracle::vpa::anonymize(&km, 3)),
+            ("coat", tx::coat::anonymize(&plain), oracle::coat::anonymize(&plain)),
+            ("pcta", tx::pcta::anonymize(&plain), oracle::pcta::anonymize(&plain)),
+            ("rho", tx::rho::anonymize(&rho_in, &params),
+                oracle::rho::anonymize(&rho_in, &params)),
+            ("rho_td", tx::rho_td::anonymize(&td, &params),
+                oracle::rho_td::anonymize(&td, &params)),
         ];
         set_density_threshold(None);
         for (label, fast, base) in checks {
@@ -279,19 +277,25 @@ fn outputs_invariant_under_thread_count() {
     let algos: Vec<Run> = vec![
         (
             "apriori",
-            Box::new(|| apriori::anonymize(&km).unwrap().anon),
+            Box::new(|| tx::apriori::anonymize(&km).unwrap().anon),
         ),
-        ("lra", Box::new(|| lra::anonymize(&km, 2).unwrap().anon)),
-        ("vpa", Box::new(|| vpa::anonymize(&km, 4).unwrap().anon)),
-        ("coat", Box::new(|| coat::anonymize(&plain).unwrap().anon)),
-        ("pcta", Box::new(|| pcta::anonymize(&plain).unwrap().anon)),
+        ("lra", Box::new(|| tx::lra::anonymize(&km, 2).unwrap().anon)),
+        ("vpa", Box::new(|| tx::vpa::anonymize(&km, 4).unwrap().anon)),
+        (
+            "coat",
+            Box::new(|| tx::coat::anonymize(&plain).unwrap().anon),
+        ),
+        (
+            "pcta",
+            Box::new(|| tx::pcta::anonymize(&plain).unwrap().anon),
+        ),
         (
             "rho",
-            Box::new(|| rho::anonymize(&rho_in, &params).unwrap().anon),
+            Box::new(|| tx::rho::anonymize(&rho_in, &params).unwrap().anon),
         ),
         (
             "rho_td",
-            Box::new(|| rho_td::anonymize(&td_in, &params).unwrap().anon),
+            Box::new(|| tx::rho_td::anonymize(&td_in, &params).unwrap().anon),
         ),
     ];
     for (name, run) in &algos {
@@ -326,10 +330,16 @@ fn tiered_outputs_invariant_under_thread_count() {
     let algos: Vec<Run> = vec![
         (
             "apriori",
-            Box::new(|| apriori::anonymize(&km).unwrap().anon),
+            Box::new(|| tx::apriori::anonymize(&km).unwrap().anon),
         ),
-        ("coat", Box::new(|| coat::anonymize(&plain).unwrap().anon)),
-        ("pcta", Box::new(|| pcta::anonymize(&plain).unwrap().anon)),
+        (
+            "coat",
+            Box::new(|| tx::coat::anonymize(&plain).unwrap().anon),
+        ),
+        (
+            "pcta",
+            Box::new(|| tx::pcta::anonymize(&plain).unwrap().anon),
+        ),
     ];
     for (name, run) in &algos {
         let sequential = run();
@@ -351,7 +361,6 @@ fn tiered_outputs_invariant_under_thread_count() {
 /// the naive recount-everything oracle exactly.
 #[test]
 fn rule_counts_dense_dirty_sets_match_naive() {
-    use secreta_transaction::Counting::{Kernel, Naive};
     let _serial = GLOBALS.lock().unwrap_or_else(|e| e.into_inner());
     let t = demo_table(300, 30, 5);
     let h = auto_hierarchy(t.item_pool().unwrap(), AttributeKind::Categorical, 2).unwrap();
@@ -372,11 +381,11 @@ fn rule_counts_dense_dirty_sets_match_naive() {
         max_antecedent: 2,
     };
     set_density_threshold(Some(0.0));
-    let rho_fast = rho::anonymize_with(&rho_in, &params, Kernel);
-    let td_fast = rho_td::anonymize_with(&td_in, &params, Kernel);
+    let rho_fast = tx::rho::anonymize(&rho_in, &params);
+    let td_fast = tx::rho_td::anonymize(&td_in, &params);
     set_density_threshold(None);
-    let rho_base = rho::anonymize_with(&rho_in, &params, Naive);
-    let td_base = rho_td::anonymize_with(&td_in, &params, Naive);
+    let rho_base = oracle::rho::anonymize(&rho_in, &params);
+    let td_base = oracle::rho_td::anonymize(&td_in, &params);
     assert_eq!(
         rho_fast.unwrap().anon,
         rho_base.unwrap().anon,
@@ -387,4 +396,135 @@ fn rule_counts_dense_dirty_sets_match_naive() {
         td_base.unwrap().anon,
         "rho_td dense dirty sets diverged from the naive oracle"
     );
+}
+
+mod apriori {
+    use super::*;
+    use secreta_hierarchy::Hierarchy;
+    use secreta_transaction::apriori::anonymize;
+    use secreta_transaction::is_km_anonymous;
+
+    fn table() -> RtTable {
+        let schema = Schema::new(vec![Attribute::transaction("Items")]).unwrap();
+        let mut t = RtTable::new(schema);
+        for tx in [
+            vec!["a", "b"],
+            vec!["a", "b"],
+            vec!["a", "c"],
+            vec!["b", "c"],
+            vec!["a", "b", "c"],
+            vec!["d"],
+            vec!["a", "d"],
+            vec!["b", "d"],
+        ] {
+            t.push_row(&[], &tx).unwrap();
+        }
+        t
+    }
+
+    fn hierarchy(t: &RtTable) -> Hierarchy {
+        auto_hierarchy(t.item_pool().unwrap(), AttributeKind::Categorical, 2).unwrap()
+    }
+
+    #[test]
+    fn tie_break_on_equal_ncp_is_total_and_deterministic() {
+        // a balanced universe of 4 leaves under a fanout-2 hierarchy:
+        // both internal parents have *identical* NCP, so the old
+        // epsilon comparison hit its tie window. The fixed order must
+        // pick by (involvement desc, ncp total_cmp asc, NodeId asc) —
+        // and must do so identically however the involvement map is
+        // iterated, which kernel vs. naive counting exercises.
+        let schema = Schema::new(vec![Attribute::transaction("Items")]).unwrap();
+        let mut t = RtTable::new(schema);
+        // p, q, r, s each appear once => every singleton violates k=2,
+        // with equal involvement and equal parent NCP
+        for items in [["p"], ["q"], ["r"], ["s"]] {
+            t.push_row(&[], &items).unwrap();
+        }
+        let h = hierarchy(&t);
+        // verify the tie premise: both parents share one NCP value
+        let l0 = h.leaf(0);
+        let l2 = h.leaf(2);
+        let p0 = h.parent(l0).unwrap();
+        let p2 = h.parent(l2).unwrap();
+        assert_ne!(p0, p2);
+        assert_eq!(h.ncp(p0).to_bits(), h.ncp(p2).to_bits(), "tie premise");
+
+        let naive = oracle::apriori::anonymize(&TransactionInput::km(&t, 2, 1, &h)).unwrap();
+        let kernel = anonymize(&TransactionInput::km(&t, 2, 1, &h)).unwrap();
+        assert_eq!(naive.anon, kernel.anon, "tie resolution must agree");
+        assert!(is_km_anonymous(&kernel.anon, 2, 1, Some(&h)));
+
+        // and selection is reproducible run-to-run
+        let again = anonymize(&TransactionInput::km(&t, 2, 1, &h)).unwrap();
+        assert_eq!(kernel.anon, again.anon);
+    }
+
+    #[test]
+    fn kernel_and_reference_agree_on_fixture() {
+        let t = table();
+        let h = hierarchy(&t);
+        for k in [2, 3, 4] {
+            for m in [1, 2, 3] {
+                let a = oracle::apriori::anonymize(&TransactionInput::km(&t, k, m, &h)).unwrap();
+                let b = anonymize(&TransactionInput::km(&t, k, m, &h)).unwrap();
+                assert_eq!(a.anon, b.anon, "k={k} m={m}");
+            }
+        }
+    }
+}
+
+mod rho_td {
+    use super::*;
+    use secreta_hierarchy::Hierarchy;
+    use secreta_transaction::rho_td::anonymize;
+
+    /// "marker" perfectly predicts "hiv"; plenty of benign traffic.
+    fn table() -> RtTable {
+        let schema = Schema::new(vec![Attribute::transaction("Items")]).unwrap();
+        let mut t = RtTable::new(schema);
+        for tx in [
+            vec!["marker", "hiv"],
+            vec!["marker", "hiv", "flu"],
+            vec!["marker", "hiv"],
+            vec!["flu", "cold"],
+            vec!["flu", "cold"],
+            vec!["flu"],
+            vec!["cold"],
+            vec!["flu", "cold"],
+            vec!["cold", "flu"],
+            vec!["flu"],
+        ] {
+            t.push_row(&[], &tx).unwrap();
+        }
+        t
+    }
+
+    fn setup(t: &RtTable) -> (Hierarchy, ItemId) {
+        let h = auto_hierarchy(t.item_pool().unwrap(), AttributeKind::Categorical, 2).unwrap();
+        let hiv = ItemId(t.item_pool().unwrap().get("hiv").unwrap());
+        (h, hiv)
+    }
+
+    fn input<'a>(t: &'a RtTable, h: &'a Hierarchy) -> TransactionInput<'a> {
+        TransactionInput::km(t, 1, 1, h)
+    }
+
+    #[test]
+    fn kernel_and_reference_agree_on_fixture() {
+        let t = table();
+        let (h, hiv) = setup(&t);
+        for rho in [0.25, 0.5, 0.6, 0.95, 1.0] {
+            for max_antecedent in [1, 2] {
+                let params = RhoParams {
+                    rho,
+                    sensitive: vec![hiv],
+                    max_antecedent,
+                };
+                let fast = anonymize(&input(&t, &h), &params).unwrap();
+                let base = oracle::rho_td::anonymize(&input(&t, &h), &params).unwrap();
+                assert_eq!(fast.anon, base.anon, "rho={rho} m={max_antecedent}");
+            }
+        }
+    }
 }
