@@ -20,7 +20,10 @@
 //! hand-built RT table whose values all need quoting. A change to the
 //! CSV render or to the hash that moved these would turn every stored
 //! run into a miss without failing any other test, so the fix for a
-//! mismatch there is in the code, not in the file.
+//! mismatch there is in the code, not in the file. Its `table` lines
+//! pin the stored bytes themselves: the SHA-256 of the `anon.json`
+//! payload the store writes for each (spec, seed), so a store filled
+//! by an older binary keeps verifying and decoding under a newer one.
 
 mod common;
 
@@ -102,17 +105,23 @@ fn quoting_session() -> SessionContext {
 
 fn keys() -> String {
     let mut out = String::new();
+    let mut tables = String::new();
     for seed in SEEDS {
-        let digest = context_digest(&session(seed));
+        let ctx = session(seed);
+        let digest = context_digest(&ctx);
         writeln!(out, "context\t{seed}\t{digest}").expect("write to String");
         for spec in every_method() {
             let key = job_key(&digest, &spec, seed, None);
             writeln!(out, "job\t{}\t{seed}\t{}", spec.label(), key.0).expect("write to String");
+            let run = anonymizer::run(&ctx, &spec, seed).expect("feasible on this dataset");
+            let payload = serde_json::to_string(&run.anon).expect("table serializes");
+            let sha = sha256_hex(payload.as_bytes());
+            writeln!(tables, "table\t{}\t{seed}\t{sha}", spec.label()).expect("write to String");
         }
     }
     let digest = context_digest(&quoting_session());
     writeln!(out, "quoting\t{digest}").expect("write to String");
-    out
+    out + &tables
 }
 
 /// Fail with the first differing line and the regenerated file.
