@@ -18,6 +18,8 @@
 //!   through JSON;
 //! * [`store`] — the on-disk layout ([`RunStore`]): crash-atomic puts
 //!   via staging + rename, listing, prefix resolution, gc;
+//! * [`anon_json`] — the direct `anon.json` encoder behind every put:
+//!   the anonymized table as compact JSON in one exactly sized buffer;
 //! * [`journal`] — the JSONL write-ahead journal ([`Journal`]): intent
 //!   records written before a sweep runs (making `runs resume`
 //!   possible after a crash) and per-job observability events;
@@ -41,6 +43,7 @@
 
 #![deny(missing_docs)]
 
+pub mod anon_json;
 pub mod journal;
 pub mod key;
 pub mod lease;

@@ -34,6 +34,7 @@
 //! runs the same verification store-wide on demand, and also decodes
 //! every table.
 
+use crate::anon_json;
 use crate::journal::{Journal, JournalEvent};
 use crate::key::RunKey;
 use crate::lock::StoreLock;
@@ -321,8 +322,9 @@ impl RunStore {
     /// the same key is left untouched (first write wins; contents are
     /// deterministic in the key, so any duplicate is identical).
     ///
-    /// The stored manifest gains an `anon_sha256` checksum over the
-    /// `anon.json` bytes, verified by every later [`RunStore::get`].
+    /// The table is written by [`anon_json::encode`], and the stored
+    /// manifest gains an `anon_sha256` checksum over those `anon.json`
+    /// bytes, verified by every later [`RunStore::get`].
     /// Transient I/O failures are retried with bounded deterministic
     /// backoff; each attempt stages into a fresh directory, so a
     /// failed attempt never pollutes the next.
@@ -425,14 +427,13 @@ impl RunStore {
         if self.contains(&key) {
             return Ok(true);
         }
-        let anon_text = serde_json::to_string(anon)
-            .map_err(|e| StoreError::Corrupt(self.root.clone(), e.to_string()))?;
+        let anon_json = anon_json::encode(anon);
         let mut manifest = manifest.clone();
-        manifest.anon_sha256 = Some(sha256_hex(anon_text.as_bytes()));
+        manifest.anon_sha256 = Some(sha256_hex(&anon_json));
         let manifest_text = serde_json::to_string_pretty(&manifest)
             .map_err(|e| StoreError::Corrupt(self.root.clone(), e.to_string()))?;
         RetryPolicy::store_default().run(
-            || self.commit_once(&key, &manifest_text, &anon_text, fence),
+            || self.commit_once(&key, manifest_text.as_bytes(), &anon_json, fence),
             StoreError::is_transient,
         )
     }
@@ -441,8 +442,8 @@ impl RunStore {
     fn commit_once(
         &self,
         key: &RunKey,
-        manifest_text: &str,
-        anon_text: &str,
+        manifest_json: &[u8],
+        anon_json: &[u8],
         fence: Option<(u64, &dyn Fn() -> bool)>,
     ) -> Result<bool, StoreError> {
         // fault-injection points: before any bytes touch disk, so a
@@ -462,9 +463,9 @@ impl RunStore {
         ));
         let staged = (|| -> Result<(), StoreError> {
             fs::create_dir_all(&stage).map_err(io_err(&stage))?;
-            for (name, text) in [("manifest.json", manifest_text), ("anon.json", anon_text)] {
+            for (name, bytes) in [("manifest.json", manifest_json), ("anon.json", anon_json)] {
                 let path = stage.join(name);
-                fs::write(&path, text).map_err(io_err(&path))?;
+                fs::write(&path, bytes).map_err(io_err(&path))?;
             }
             Ok(())
         })();

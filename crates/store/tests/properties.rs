@@ -1,9 +1,11 @@
 //! Property tests of the store's serialization and key derivation.
 
 use proptest::prelude::*;
-use secreta_metrics::{Indicators, PhaseTimes};
+use secreta_data::ItemId;
+use secreta_hierarchy::NodeId;
+use secreta_metrics::{AnonTable, AnonTransaction, GenEntry, Indicators, PhaseTimes, RelColumn};
 use secreta_obsv::{ProfileSpan, RunProfile};
-use secreta_store::{canonicalize, run_key, RunManifest, STORE_SCHEMA_VERSION};
+use secreta_store::{anon_json, canonicalize, run_key, RunManifest, STORE_SCHEMA_VERSION};
 use serde::Value;
 use std::time::Duration;
 
@@ -126,6 +128,141 @@ fn manifest_strategy() -> impl Strategy<Value = RunManifest> {
         )
 }
 
+/// A `u32` that is often at an edge: 0, a single digit, or `u32::MAX`.
+fn edgy_u32() -> impl Strategy<Value = u32> {
+    (0u8..4, any::<u32>()).prop_map(|(edge, n)| match edge {
+        0 => 0,
+        1 => n % 10,
+        2 => u32::MAX,
+        _ => n,
+    })
+}
+
+/// A `usize` that is often 0 or small, sometimes anything.
+fn edgy_usize() -> impl Strategy<Value = usize> {
+    (0u8..3, any::<usize>()).prop_map(|(edge, n)| match edge {
+        0 => 0,
+        1 => n % 100,
+        _ => n,
+    })
+}
+
+/// Every `GenEntry` variant, an empty `Set` included.
+fn entry_strategy() -> impl Strategy<Value = GenEntry> {
+    (0u8..4, edgy_u32(), prop::collection::vec(edgy_u32(), 0..4)).prop_map(
+        |(variant, n, values)| match variant {
+            0 => GenEntry::Node(NodeId(n)),
+            1 => GenEntry::Set(values),
+            2 => GenEntry::Set(Vec::new()),
+            _ => GenEntry::Suppressed,
+        },
+    )
+}
+
+fn column_strategy() -> impl Strategy<Value = RelColumn> {
+    (
+        edgy_usize(),
+        prop::collection::vec(entry_strategy(), 0..4),
+        prop::collection::vec(edgy_u32(), 0..6),
+    )
+        .prop_map(|(attr, domain, cells)| RelColumn {
+            attr,
+            domain,
+            cells,
+        })
+}
+
+/// A CSR transaction attribute built from per-row (item, multiplicity)
+/// lists, so empty rows occur, with multiplicities up to `u16::MAX`.
+fn transaction_strategy() -> impl Strategy<Value = AnonTransaction> {
+    let occurrence = (edgy_u32(), (0u8..3, any::<u16>())).prop_map(|(item, (edge, m))| {
+        let m = match edge {
+            0 => 1,
+            1 => u16::MAX,
+            _ => m,
+        };
+        (item, m)
+    });
+    (
+        prop::collection::vec(entry_strategy(), 0..4),
+        prop::collection::vec(prop::collection::vec(occurrence, 0..3), 0..4),
+        prop::collection::vec(edgy_u32(), 0..3),
+    )
+        .prop_map(|(domain, rows, suppressed)| {
+            let mut offsets = vec![0u32];
+            let (mut items, mut multiplicity) = (Vec::new(), Vec::new());
+            for row in rows {
+                for (item, m) in row {
+                    items.push(item);
+                    multiplicity.push(m);
+                }
+                offsets.push(items.len() as u32);
+            }
+            AnonTransaction {
+                domain,
+                offsets,
+                items,
+                multiplicity,
+                suppressed: suppressed.into_iter().map(ItemId).collect(),
+            }
+        })
+}
+
+/// 0–3 relational columns, a transaction attribute or none, and a row
+/// count that is often 0.
+fn anon_strategy() -> impl Strategy<Value = AnonTable> {
+    (
+        prop::collection::vec(column_strategy(), 0..4),
+        any::<bool>(),
+        transaction_strategy(),
+        edgy_usize(),
+    )
+        .prop_map(|(rel, has_tx, tx, n_rows)| AnonTable {
+            rel,
+            tx: has_tx.then_some(tx),
+            n_rows,
+        })
+}
+
+#[test]
+fn anon_json_writes_the_documented_format() {
+    let anon = AnonTable {
+        rel: vec![RelColumn {
+            attr: 2,
+            domain: vec![
+                GenEntry::Node(NodeId(7)),
+                GenEntry::Set(vec![0, 41]),
+                GenEntry::Set(Vec::new()),
+                GenEntry::Suppressed,
+            ],
+            cells: vec![3, 0, 1],
+        }],
+        tx: Some(AnonTransaction {
+            domain: vec![GenEntry::Set(vec![u32::MAX])],
+            offsets: vec![0, 1, 1, 2],
+            items: vec![0, 0],
+            multiplicity: vec![1, u16::MAX],
+            suppressed: vec![ItemId(5)],
+        }),
+        n_rows: 3,
+    };
+    let want = concat!(
+        r#"{"rel":[{"attr":2,"domain":[{"Node":7},{"Set":[0,41]},{"Set":[]},"Suppressed"],"#,
+        r#""cells":[3,0,1]}],"tx":{"domain":[{"Set":[4294967295]}],"offsets":[0,1,1,2],"#,
+        r#""items":[0,0],"multiplicity":[1,65535],"suppressed":[5]},"n_rows":3}"#,
+    );
+    assert_eq!(String::from_utf8(anon_json::encode(&anon)).unwrap(), want);
+    let empty = AnonTable {
+        rel: Vec::new(),
+        tx: None,
+        n_rows: 0,
+    };
+    assert_eq!(
+        anon_json::encode(&empty),
+        br#"{"rel":[],"tx":null,"n_rows":0}"#
+    );
+}
+
 /// Shuffle an object's fields (and, recursively, nested objects) by
 /// rotating them, producing a semantically identical value.
 fn rotate_fields(v: &Value, by: usize) -> Value {
@@ -140,6 +277,22 @@ fn rotate_fields(v: &Value, by: usize) -> Value {
         }
         Value::Arr(items) => Value::Arr(items.iter().map(|x| rotate_fields(x, by)).collect()),
         other => other.clone(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The encoder against the derived `Serialize` printed by
+    /// `serde_json`, which shares no code with it, and the decoder
+    /// reading the bytes back.
+    #[test]
+    fn anon_json_matches_the_serde_oracle(anon in anon_strategy()) {
+        let bytes = anon_json::encode(&anon);
+        let oracle = serde_json::to_string(&anon).unwrap();
+        prop_assert_eq!(std::str::from_utf8(&bytes).unwrap(), oracle.as_str());
+        let back: AnonTable = serde_json::from_str(&oracle).unwrap();
+        prop_assert_eq!(&back, &anon);
     }
 }
 

@@ -30,7 +30,7 @@ mod common;
 use common::every_method;
 use secreta::core::data::{Attribute, AttributeKind, RtTable, Schema};
 use secreta::core::orchestrator::job_key;
-use secreta::core::store::sha256_hex;
+use secreta::core::store::{anon_json, sha256_hex};
 use secreta::core::{anonymizer, context_digest, export, SessionContext};
 use secreta::gen::{DatasetSpec, WorkloadSpec};
 use std::fmt::Write;
@@ -114,8 +114,7 @@ fn keys() -> String {
             let key = job_key(&digest, &spec, seed, None);
             writeln!(out, "job\t{}\t{seed}\t{}", spec.label(), key.0).expect("write to String");
             let run = anonymizer::run(&ctx, &spec, seed).expect("feasible on this dataset");
-            let payload = serde_json::to_string(&run.anon).expect("table serializes");
-            let sha = sha256_hex(payload.as_bytes());
+            let sha = sha256_hex(&anon_json::encode(&run.anon));
             writeln!(tables, "table\t{}\t{seed}\t{sha}", spec.label()).expect("write to String");
         }
     }
