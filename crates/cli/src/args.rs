@@ -350,17 +350,19 @@ impl Verb {
 
 /// `secreta help`: every verb with its summary.
 fn help(_: &Args) -> Result<i32, String> {
-    println!("secreta — evaluate and compare relational & transaction anonymization algorithms\n");
-    println!("usage: secreta VERB [ARG] [--flag value ...]");
-    println!("       secreta VERB --help     that verb's flags\n");
+    outln!("secreta — evaluate and compare relational & transaction anonymization algorithms\n");
+    outln!("usage: secreta VERB [ARG] [--flag value ...]");
+    outln!("       secreta VERB --help     that verb's flags\n");
     for verb in VERBS {
-        println!(
+        outln!(
             "  {:<12} {:<13} {}",
-            verb.name, verb.positional, verb.summary
+            verb.name,
+            verb.positional,
+            verb.summary
         );
     }
-    println!("\nExit codes: 0 success, 1 fatal error, 2 malformed command line, 3 degraded.");
-    println!("See docs/GUIDE.md for every verb and flag in full.");
+    outln!("\nExit codes: 0 success, 1 fatal error, 2 malformed command line, 3 degraded.");
+    outln!("See docs/GUIDE.md for every verb and flag in full.");
     Ok(cmd::EXIT_OK)
 }
 
@@ -447,7 +449,7 @@ impl Args {
     /// Run the verb, or print its declaration for `--help`.
     pub fn run(&self) -> Result<i32, String> {
         if self.help {
-            print!("{}", self.verb.usage());
+            out!("{}", self.verb.usage());
             return Ok(cmd::EXIT_OK);
         }
         (self.verb.run)(self)

@@ -221,7 +221,7 @@ pub(crate) fn cmd_generate(args: &Args) -> Result<i32, String> {
     let table = spec.generate();
     let opts = csv_opts_for(&table);
     dcsv::write_table_path(&table, out, &opts).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "wrote {} rows × {} attributes to {}",
         table.n_rows(),
         table.schema().len(),
@@ -240,7 +240,7 @@ fn csv_opts_for(table: &RtTable) -> CsvOptions {
 
 pub(crate) fn cmd_info(args: &Args) -> Result<i32, String> {
     let (table, _) = load(args)?;
-    println!(
+    outln!(
         "{} rows, {} relational attributes, transaction attribute: {}",
         table.n_rows(),
         table.schema().relational_indices().len(),
@@ -251,13 +251,18 @@ pub(crate) fn cmd_info(args: &Args) -> Result<i32, String> {
             .map(|a| a.name.as_str())
             .unwrap_or("(none)")
     );
-    println!(
+    outln!(
         "{:<16} {:>9} {:>9} {:>9} {:>9} {:>9}",
-        "attribute", "distinct", "populated", "min", "max", "mean"
+        "attribute",
+        "distinct",
+        "populated",
+        "min",
+        "max",
+        "mean"
     );
     for s in stats::summarize(&table) {
         let fmt = |v: Option<f64>| v.map(|x| format!("{x:.1}")).unwrap_or_else(|| "-".into());
-        println!(
+        outln!(
             "{:<16} {:>9} {:>9} {:>9} {:>9} {:>9}",
             s.name,
             s.distinct,
@@ -268,7 +273,7 @@ pub(crate) fn cmd_info(args: &Args) -> Result<i32, String> {
         );
     }
     if table.schema().transaction_index().is_some() {
-        println!(
+        outln!(
             "item universe: {}, avg transaction length: {:.2}",
             table.item_universe(),
             table.avg_transaction_len()
@@ -318,7 +323,7 @@ pub(crate) fn cmd_hierarchy(args: &Args) -> Result<i32, String> {
     } else {
         ctx.hierarchy_of(idx).ok_or("attribute is not relational")?
     };
-    println!(
+    outln!(
         "hierarchy for {attr:?}: {} leaves, {} nodes, height {}",
         h.n_leaves(),
         h.n_nodes(),
@@ -327,12 +332,12 @@ pub(crate) fn cmd_hierarchy(args: &Args) -> Result<i32, String> {
     match args.text("out") {
         Some(path) => {
             hio::write_hierarchy_path(h, path, ';').map_err(|e| e.to_string())?;
-            println!("wrote {path}");
+            outln!("wrote {path}");
         }
         None => {
             let mut buf = Vec::new();
             hio::write_hierarchy(h, &mut buf, ';').map_err(|e| e.to_string())?;
-            print!("{}", String::from_utf8_lossy(&buf));
+            out!("{}", String::from_utf8_lossy(&buf));
         }
     }
     Ok(EXIT_OK)
@@ -349,7 +354,7 @@ pub(crate) fn cmd_workload(args: &Args) -> Result<i32, String> {
     let out = args.text("out").expect("--out is required");
     let mut file = std::io::BufWriter::new(std::fs::File::create(out).map_err(|e| e.to_string())?);
     q::write_workload(&w, &table, &mut file).map_err(|e| e.to_string())?;
-    println!("wrote {} queries to {}", w.len(), out);
+    outln!("wrote {} queries to {}", w.len(), out);
     Ok(EXIT_OK)
 }
 
@@ -370,7 +375,7 @@ pub(crate) fn cmd_policy(args: &Args) -> Result<i32, String> {
         };
         let p = generate_privacy(&table, &strat);
         pio::write_privacy(&p, &table, &mut file).map_err(|e| e.to_string())?;
-        println!("wrote {} privacy constraints to {}", p.len(), out);
+        outln!("wrote {} privacy constraints to {}", p.len(), out);
     } else {
         let strat = match args.text("utility") {
             Some("unconstrained") => UtilityStrategy::Unconstrained,
@@ -381,7 +386,7 @@ pub(crate) fn cmd_policy(args: &Args) -> Result<i32, String> {
         };
         let u = generate_utility(&table, &strat, None);
         pio::write_utility(&u, &table, &mut file).map_err(|e| e.to_string())?;
-        println!("wrote {} utility groups to {}", u.len(), out);
+        outln!("wrote {} utility groups to {}", u.len(), out);
     }
     Ok(EXIT_OK)
 }
@@ -444,7 +449,7 @@ pub(crate) fn parse_sweep(args: &Args) -> Option<Sweep> {
 }
 
 pub(crate) fn print_indicators(label: &str, ind: &secreta_core::Indicators) {
-    println!(
+    outln!(
         "{label}: GCP={:.4} txGCP={:.4} UL={:.4} ARE={:.4} freqErr={:.4} \
          disc={} avgClass={:.2} runtime={:.1}ms verified={}",
         ind.gcp,
@@ -482,7 +487,7 @@ pub(crate) fn print_indicators(label: &str, ind: &secreta_core::Indicators) {
                 format!("FAIL({} violations)", risk.audit.violations)
             }
         ));
-        println!("{label} risk: {}", parts.join(" "));
+        outln!("{label} risk: {}", parts.join(" "));
     }
 }
 
@@ -508,12 +513,12 @@ pub(crate) fn emit_chart(
     export: impl FnOnce(&Path) -> std::io::Result<(PathBuf, PathBuf)>,
 ) -> Result<(), String> {
     if let Some(text) = shown {
-        print!("{text}");
+        out!("{text}");
     }
     if let Some(dir) = args.text("out-dir") {
         std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
         let (svg, csv) = export(&Path::new(dir).join(stem)).map_err(|e| e.to_string())?;
-        println!("wrote {} and {}", svg.display(), csv.display());
+        outln!("wrote {} and {}", svg.display(), csv.display());
     }
     Ok(())
 }
@@ -522,13 +527,13 @@ pub(crate) fn emit_chart(
 /// print them.
 pub(crate) fn print_comparison(result: &ComparisonResult) {
     for (label, pts) in result.labels.iter().zip(&result.points) {
-        println!("== {label}");
+        outln!("== {label}");
         for (v, r) in pts {
             match r {
                 Ok(p) => {
                     print_indicators(&format!("  {}={v}", result.param.label()), &p.indicators)
                 }
-                Err(e) => println!("  {}={v}: failed: {e}", result.param.label()),
+                Err(e) => outln!("  {}={v}: failed: {e}", result.param.label()),
             }
         }
     }
@@ -637,7 +642,7 @@ pub(crate) fn invocation_of(command: &str, args: &Args, configs: &[Configuration
 
 fn print_cache_stats(orch: &Orchestrator, out: &secreta_core::Orchestrated) {
     if let Some(store) = orch.store() {
-        println!(
+        outln!(
             "cache: {} hits, {} misses, {} failures (sweep {}, store {})",
             out.stats.hits,
             out.stats.misses,
@@ -653,7 +658,7 @@ fn print_cache_stats(orch: &Orchestrator, out: &secreta_core::Orchestrated) {
 /// recorded outcome (exit 3), not a fatal error.
 fn budget_degraded(what: &str, msg: &str) {
     eprintln!("error: {msg}");
-    println!(
+    outln!(
         "{what} completed degraded: the memory budget was exceeded; \
          raise --memory-budget or shrink the dataset"
     );
@@ -700,9 +705,9 @@ fn single_run(
         }
         Err(e) => return Err(e.to_string()),
     };
-    println!("method: {}", spec.label());
+    outln!("method: {}", spec.label());
     if cache_hit {
-        println!("(replayed from the run store — {replayed})");
+        outln!("(replayed from the run store — {replayed})");
     }
     print_indicators("result", &out.indicators);
     Ok(Some(out))
@@ -718,15 +723,15 @@ pub(crate) fn cmd_evaluate(args: &Args) -> Result<i32, String> {
         let Some(out) = single_run(args, &orch, &ctx, "evaluate", replayed)? else {
             return Ok(EXIT_DEGRADED);
         };
-        println!("phases:");
+        outln!("phases:");
         for (name, d) in &out.phases.phases {
-            println!("  {:<32} {:>10.2}ms", name, d.as_secs_f64() * 1e3);
+            outln!("  {:<32} {:>10.2}ms", name, d.as_secs_f64() * 1e3);
         }
         if let Some(path) = args.text("export-anon") {
             let mut file =
                 std::io::BufWriter::new(std::fs::File::create(path).map_err(|e| e.to_string())?);
             export::write_anonymized(&ctx, &out.anon, &mut file).map_err(|e| e.to_string())?;
-            println!("anonymized dataset written to {path}");
+            outln!("anonymized dataset written to {path}");
         }
         return Ok(EXIT_OK);
     };
@@ -736,11 +741,11 @@ pub(crate) fn cmd_evaluate(args: &Args) -> Result<i32, String> {
     let out = crate::worker::run_sweep(args, &ctx, &orch, std::slice::from_ref(&cfg), invocation)?;
     print_cache_stats(&orch, &out);
     let points = out.result.points.into_iter().next().unwrap_or_default();
-    println!("method: {} varying {}", spec.label(), sweep.param.label());
+    outln!("method: {} varying {}", spec.label(), sweep.param.label());
     for (v, r) in &points {
         match r {
             Ok(p) => print_indicators(&format!("{}={v}", sweep.param.label()), &p.indicators),
-            Err(e) => println!("{}={v}: failed: {e}", sweep.param.label()),
+            Err(e) => outln!("{}={v}: failed: {e}", sweep.param.label()),
         }
     }
     for (_, ylabel, key) in SWEEP_CHARTS {
@@ -765,7 +770,7 @@ fn degraded_code(what: &str, failures: u64) -> i32 {
     if failures == 0 {
         EXIT_OK
     } else {
-        println!(
+        outln!(
             "{what} completed degraded: {failures} job(s) failed; \
              completed points were kept (resume with `secreta runs resume`)"
         );
@@ -787,13 +792,13 @@ pub(crate) fn cmd_profile(args: &Args) -> Result<i32, String> {
     };
     match &out.profile {
         Some(profile) => {
-            println!("profile:");
-            print!("{}", profile.render_table());
+            outln!("profile:");
+            out!("{}", profile.render_table());
         }
-        None => println!("(no profile was recorded for this run)"),
+        None => outln!("(no profile was recorded for this run)"),
     }
     if let Some(path) = args.text("trace-out") {
-        println!("trace written to {path}");
+        outln!("trace written to {path}");
     }
     Ok(EXIT_OK)
 }
@@ -841,7 +846,7 @@ pub(crate) fn cmd_edit(args: &Args) -> Result<i32, String> {
     let out = args.text("out").expect("--out is required");
     let opts = csv_opts_for(&table);
     dcsv::write_table_path(&table, out, &opts).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "applied {} edit commands; wrote {} rows to {}",
         session.applied(),
         table.n_rows(),
@@ -856,7 +861,7 @@ pub(crate) fn cmd_session(args: &Args) -> Result<i32, String> {
     let spec = SessionSpec::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
     let base = Path::new(path).parent().unwrap_or(Path::new("."));
     let ctx = spec.load(base).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "session {path}: {} rows, {} QI attributes, {} items, {} queries, privacy: {}, utility: {}",
         ctx.table.n_rows(),
         ctx.qi_attrs.len(),
@@ -868,7 +873,7 @@ pub(crate) fn cmd_session(args: &Args) -> Result<i32, String> {
     for (pos, &attr) in ctx.qi_attrs.iter().enumerate() {
         let name = &ctx.table.schema().attribute(attr).expect("attr").name;
         let h = &ctx.hierarchies[pos];
-        println!(
+        outln!(
             "  hierarchy {name}: {} leaves, height {}",
             h.n_leaves(),
             h.height()

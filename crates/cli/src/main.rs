@@ -7,7 +7,11 @@
 //!
 //! Exit codes: `0` success, `1` fatal error, `2` usage error,
 //! `3` degraded (a sweep or fsck completed with failures on record).
+//! A closed stdout changes none of them: output stops, the work does
+//! not (see `out`).
 
+#[macro_use]
+mod out;
 mod args;
 mod bench;
 mod commands;

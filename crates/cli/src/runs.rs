@@ -30,18 +30,23 @@ pub(crate) fn cmd_list(args: &Args) -> Result<i32, String> {
     let store = store_of(args)?;
     let manifests = store.list().map_err(|e| e.to_string())?;
     if manifests.is_empty() {
-        println!("store {} holds no runs", store.root().display());
+        outln!("store {} holds no runs", store.root().display());
     } else {
-        println!(
+        outln!(
             "{:<18} {:<28} {:>8} {:>10} {:>12} {:>10}",
-            "key", "method", "sweep", "gcp", "runtime(ms)", "created"
+            "key",
+            "method",
+            "sweep",
+            "gcp",
+            "runtime(ms)",
+            "created"
         );
         for m in &manifests {
             let sweep = match (&m.sweep_param, m.sweep_value) {
                 (Some(p), Some(v)) => format!("{p}={v}"),
                 _ => "-".to_owned(),
             };
-            println!(
+            outln!(
                 "{:<18} {:<28} {:>8} {:>10.4} {:>12.1} {:>10}",
                 &m.key[..16.min(m.key.len())],
                 m.label,
@@ -51,12 +56,12 @@ pub(crate) fn cmd_list(args: &Args) -> Result<i32, String> {
                 m.created_unix_ms / 1000,
             );
         }
-        println!("{} runs in {}", manifests.len(), store.root().display());
+        outln!("{} runs in {}", manifests.len(), store.root().display());
     }
     let events = store.read_journal().map_err(|e| e.to_string())?;
     let open = resumable_sweeps(&events);
     if !open.is_empty() {
-        println!("open or degraded sweeps (resume with `secreta runs resume <id>`):");
+        outln!("open or degraded sweeps (resume with `secreta runs resume <id>`):");
         for rec in &open {
             let total: usize = rec.jobs.iter().map(Vec::len).sum();
             let done = events
@@ -65,7 +70,7 @@ pub(crate) fn cmd_list(args: &Args) -> Result<i32, String> {
                     |e| matches!(e, JournalEvent::JobFinished { sweep, .. } if *sweep == rec.id),
                 )
                 .count();
-            println!(
+            outln!(
                 "  {}  {}  {}/{} jobs done",
                 rec.id,
                 rec.labels.join(" vs "),
@@ -82,7 +87,7 @@ pub(crate) fn cmd_list(args: &Args) -> Result<i32, String> {
                 } = e
                 {
                     if *sweep == rec.id {
-                        println!("    failed: {label} @ {value}: {error}");
+                        outln!("    failed: {label} @ {value}: {error}");
                     }
                 }
             }
@@ -108,27 +113,27 @@ pub(crate) fn cmd_show(args: &Args) -> Result<i32, String> {
         )
     })?;
     let m = &run.manifest;
-    println!("key:      {}", m.key);
-    println!("method:   {}", m.label);
-    println!("context:  {}", m.context);
-    println!("seed:     {}", m.seed);
+    outln!("key:      {}", m.key);
+    outln!("method:   {}", m.label);
+    outln!("context:  {}", m.context);
+    outln!("seed:     {}", m.seed);
     if let (Some(p), Some(v)) = (&m.sweep_param, m.sweep_value) {
-        println!("sweep:    {p}={v}");
+        outln!("sweep:    {p}={v}");
     }
-    println!("schema:   v{}", m.schema_version);
-    println!("created:  {}s (unix)", m.created_unix_ms / 1000);
-    println!(
+    outln!("schema:   v{}", m.schema_version);
+    outln!("created:  {}s (unix)", m.created_unix_ms / 1000);
+    outln!(
         "config:   {}",
         serde_json::to_string(&m.config).map_err(|e| e.to_string())?
     );
     print_indicators("indicators", &m.indicators);
-    println!("phases:");
+    outln!("phases:");
     for (name, d) in &m.phases.phases {
-        println!("  {:<32} {:>10.2}ms", name, d.as_secs_f64() * 1e3);
+        outln!("  {:<32} {:>10.2}ms", name, d.as_secs_f64() * 1e3);
     }
     if let Some(profile) = &m.profile {
-        println!("profile:");
-        print!("{}", profile.render_table());
+        outln!("profile:");
+        out!("{}", profile.render_table());
     }
     let anon = run.anon().map_err(|e| {
         format!(
@@ -136,7 +141,7 @@ pub(crate) fn cmd_show(args: &Args) -> Result<i32, String> {
              `secreta runs fsck --repair` quarantines it"
         )
     })?;
-    println!(
+    outln!(
         "anonymized table: {} rows, {} relational columns, transactions: {}",
         anon.n_rows,
         anon.rel.len(),
@@ -184,14 +189,14 @@ pub(crate) fn cmd_gc(args: &Args) -> Result<i32, String> {
     let store = store_of(args)?;
     if args.given("all") {
         let removed = store.gc_all().map_err(|e| e.to_string())?;
-        println!(
+        outln!(
             "removed {} entries; {} is empty",
             removed,
             store.root().display()
         );
     } else {
         let removed = store.gc_incomplete().map_err(|e| e.to_string())?;
-        println!("removed {removed} incomplete entries");
+        outln!("removed {removed} incomplete entries");
     }
     Ok(EXIT_OK)
 }
@@ -209,7 +214,7 @@ pub(crate) fn cmd_resume(args: &Args) -> Result<i32, String> {
             .ok_or_else(|| format!("no resumable sweep matches {id:?}"))?,
         None => match open.len() {
             0 => {
-                println!("nothing to resume: the journal has no open or degraded sweep");
+                outln!("nothing to resume: the journal has no open or degraded sweep");
                 return Ok(EXIT_OK);
             }
             1 => open[0].clone(),
@@ -236,7 +241,7 @@ fn resume_sweep(
     let (rebuilt, configs) = decode_invocation(&record.invocation)?;
     let ctx = with_limits(args, load_context(&rebuilt).map_err(String::from)?);
     let orch = Orchestrator::new(threads).with_store(store.clone());
-    println!(
+    outln!(
         "resuming sweep {} ({}) from {}",
         record.id,
         record.labels.join(" vs "),
@@ -256,9 +261,12 @@ fn resume_sweep(
         ));
     }
     print_comparison(&out.result);
-    println!(
+    outln!(
         "sweep {} complete: {} replayed, {} executed, {} failed",
-        out.sweep_id, out.stats.hits, out.stats.misses, out.stats.failures
+        out.sweep_id,
+        out.stats.hits,
+        out.stats.misses,
+        out.stats.failures
     );
     Ok(if out.stats.failures == 0 {
         EXIT_OK
@@ -276,7 +284,7 @@ pub(crate) fn cmd_fsck(args: &Args) -> Result<i32, String> {
     let store = store_of(args)?;
     let repair = args.given("repair");
     let report = store.fsck(repair).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "fsck {}: {} scanned, {} ok, {} corrupt, {} incomplete, {} staging leftover(s)",
         store.root().display(),
         report.scanned,
@@ -287,21 +295,21 @@ pub(crate) fn cmd_fsck(args: &Args) -> Result<i32, String> {
     );
     for (key, reason) in &report.corrupt {
         let action = if repair { " (quarantined)" } else { "" };
-        println!("  corrupt {key}: {reason}{action}");
+        outln!("  corrupt {key}: {reason}{action}");
     }
     if let Some(err) = &report.journal_error {
-        println!("  journal: {err} — not auto-repaired; `runs gc --all` resets the store");
+        outln!("  journal: {err} — not auto-repaired; `runs gc --all` resets the store");
     }
     if report.is_clean() {
-        println!("store is clean");
+        outln!("store is clean");
         Ok(EXIT_OK)
     } else if repair && report.journal_error.is_none() {
-        println!("issues repaired: corrupt entries quarantined, leftovers removed");
+        outln!("issues repaired: corrupt entries quarantined, leftovers removed");
         Ok(EXIT_OK)
     } else if repair {
         Ok(EXIT_DEGRADED)
     } else {
-        println!("store has issues; `secreta runs fsck --repair` fixes what it can");
+        outln!("store has issues; `secreta runs fsck --repair` fixes what it can");
         Ok(EXIT_DEGRADED)
     }
 }

@@ -111,14 +111,14 @@ pub(crate) fn cmd_worker(args: &Args) -> Result<i32, String> {
                 .id
         }
     };
-    println!(
+    outln!(
         "worker {} attaching to sweep {} in {}",
         std::process::id(),
         sweep,
         store.root().display()
     );
     let report = worker_loop(&ctx, &store, &sweep, &opts).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "worker {} done: {} claimed, {} executed, {} failed, {} reclaimed, \
          {} conflicts, {} fenced, {} backoffs",
         std::process::id(),

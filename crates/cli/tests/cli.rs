@@ -1022,6 +1022,41 @@ fn manifests_in(store: &std::path::Path) -> Vec<PathBuf> {
     found
 }
 
+/// A closed stdout is the reader leaving, not a crash: `help` and a
+/// stored `evaluate` with stdout on a pipe whose reader is gone each
+/// exit 0 without a panic, and the run still lands in the store.
+#[test]
+fn closed_stdout_is_not_a_panic() {
+    let _machine = shared_machine();
+    let dir = tmpdir("closed-stdout");
+    let data = generate_dataset(&dir);
+    let store = dir.join("store");
+    let data_arg = data.to_str().unwrap();
+    let store_arg = store.to_str().unwrap();
+    let evaluate = [
+        "evaluate",
+        data_arg,
+        "--mode",
+        "rel",
+        "--rel-algo",
+        "cluster",
+        "--k",
+        "4",
+        "--store-dir",
+        store_arg,
+    ];
+    for line in [&["help"][..], &evaluate[..]] {
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = secreta().args(line).stdout(writer).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{line:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{line:?}: {stderr}");
+    }
+    assert_eq!(manifests_in(&store).len(), 1, "the run is stored");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The full failure lifecycle through the binary: an injected panic
 /// degrades a sweep (exit 3) without aborting it, the failure is
 /// journaled and listed, fsck finds and quarantines a corrupt entry,
