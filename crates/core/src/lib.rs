@@ -30,6 +30,9 @@ pub mod distributed;
 pub mod evaluator;
 pub mod export;
 pub mod orchestrator;
+#[cfg(test)]
+#[path = "../../store/tests/support/scratch.rs"]
+mod scratch;
 pub mod session;
 pub mod sweep;
 

@@ -615,6 +615,7 @@ mod tests {
     use super::*;
     use crate::anonymizer::run;
     use crate::config::RelAlgo;
+    use crate::scratch::Scratch;
     use crate::sweep::Sweep;
     use secreta_gen::{DatasetSpec, WorkloadSpec};
 
@@ -645,11 +646,8 @@ mod tests {
         )]
     }
 
-    fn tmp_store(name: &str) -> RunStore {
-        let dir =
-            std::env::temp_dir().join(format!("secreta-orch-{}-{}", std::process::id(), name));
-        let _ = std::fs::remove_dir_all(&dir);
-        RunStore::open(dir).unwrap()
+    fn tmp_store(name: &str) -> Scratch<RunStore> {
+        Scratch::new(&format!("orch-{name}"), |dir| RunStore::open(dir).unwrap())
     }
 
     #[test]
@@ -723,7 +721,7 @@ mod tests {
     fn bypass_cache_reruns_everything() {
         let ctx = ctx();
         let store = tmp_store("bypass");
-        let orch = Orchestrator::new(2).with_store(store);
+        let orch = Orchestrator::new(2).with_store(store.clone());
         orch.compare(&ctx, &configs(), Value::Null).unwrap();
         let again = orch
             .clone()
@@ -738,7 +736,7 @@ mod tests {
     fn run_one_caches_single_runs() {
         let ctx = ctx();
         let store = tmp_store("one");
-        let orch = Orchestrator::new(1).with_store(store);
+        let orch = Orchestrator::new(1).with_store(store.clone());
         let spec = MethodSpec::Relational {
             algo: RelAlgo::Cluster,
             k: 4,

@@ -5,6 +5,7 @@
 //! lives in the CLI's test suite; these tests drive `worker_loop` from
 //! threads, which exercises the identical lease/fence code paths.)
 
+use scratch::Scratch;
 use secreta_core::config::RelAlgo;
 use secreta_core::distributed::{run_distributed, worker_loop, DistOptions, WorkerError};
 use secreta_core::sweep::{Sweep, VaryingParam};
@@ -12,6 +13,9 @@ use secreta_core::{Configuration, MethodSpec, Orchestrator, SessionContext};
 use secreta_gen::{DatasetSpec, WorkloadSpec};
 use secreta_store::{JournalEvent, RunStore, SweepRecord};
 use serde::Value;
+
+#[path = "../../store/tests/support/scratch.rs"]
+mod scratch;
 
 fn ctx() -> SessionContext {
     let t = DatasetSpec::adult_like(60, 3).generate();
@@ -40,10 +44,8 @@ fn configs(start: usize, end: usize) -> Vec<Configuration> {
     )]
 }
 
-fn tmp_store(name: &str) -> RunStore {
-    let dir = std::env::temp_dir().join(format!("secreta-dist-{}-{}", std::process::id(), name));
-    let _ = std::fs::remove_dir_all(&dir);
-    RunStore::open(dir).unwrap()
+fn tmp_store(name: &str) -> Scratch<RunStore> {
+    Scratch::new(&format!("dist-{name}"), |dir| RunStore::open(dir).unwrap())
 }
 
 fn opts() -> DistOptions {

@@ -10,6 +10,7 @@
 //!   record with no `SweepFinished`) resumes to results byte-identical
 //!   to an uninterrupted run.
 
+use scratch::Scratch;
 use secreta_core::store::{unfinished_sweeps, JournalEvent, RunKey, RunStore};
 use secreta_core::{
     Configuration, MethodSpec, Orchestrator, RelAlgo, SessionContext, Sweep, VaryingParam,
@@ -17,6 +18,9 @@ use secreta_core::{
 use secreta_gen::{DatasetSpec, WorkloadSpec};
 use serde::Value;
 use std::path::PathBuf;
+
+#[path = "../../store/tests/support/scratch.rs"]
+mod scratch;
 
 fn ctx() -> SessionContext {
     let t = DatasetSpec::adult_like(60, 3).generate();
@@ -56,10 +60,10 @@ fn configs() -> Vec<Configuration> {
     ]
 }
 
-fn tmp_store(name: &str) -> RunStore {
-    let dir = std::env::temp_dir().join(format!("secreta-orch-it-{}-{}", std::process::id(), name));
-    let _ = std::fs::remove_dir_all(&dir);
-    RunStore::open(dir).unwrap()
+fn tmp_store(name: &str) -> Scratch<RunStore> {
+    Scratch::new(&format!("orch-it-{name}"), |dir| {
+        RunStore::open(dir).unwrap()
+    })
 }
 
 /// Path of a stored run's anonymized table (mirrors the store layout).

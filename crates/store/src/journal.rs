@@ -331,6 +331,7 @@ pub fn resumable_sweeps(events: &[JournalEvent]) -> Vec<SweepRecord> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch::Scratch;
 
     fn record(id: &str) -> SweepRecord {
         SweepRecord {
@@ -346,12 +347,8 @@ mod tests {
         }
     }
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("secreta-journal-{}-{}", std::process::id(), name));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join("journal.jsonl")
+    fn tmp(name: &str) -> Scratch<PathBuf> {
+        Scratch::new(&format!("journal-{name}"), |dir| dir.join("journal.jsonl"))
     }
 
     #[test]

@@ -387,13 +387,10 @@ pub fn backoff_ms(attempt: u32, token: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch::Scratch;
 
-    fn tmp_root(name: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("secreta-lease-{}-{}", std::process::id(), name));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        dir
+    fn tmp_root(name: &str) -> Scratch<PathBuf> {
+        Scratch::new(&format!("lease-{name}"), Path::to_path_buf)
     }
 
     #[test]

@@ -51,6 +51,9 @@ pub mod lock;
 pub mod manifest;
 mod procinfo;
 pub mod retry;
+#[cfg(test)]
+#[path = "../tests/support/scratch.rs"]
+mod scratch;
 pub mod sha;
 pub mod store;
 

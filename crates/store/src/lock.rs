@@ -127,13 +127,10 @@ impl Drop for StoreLock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch::Scratch;
 
-    fn tmp_root(name: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("secreta-lock-{}-{}", std::process::id(), name));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        dir
+    fn tmp_root(name: &str) -> Scratch<PathBuf> {
+        Scratch::new(&format!("lock-{name}"), Path::to_path_buf)
     }
 
     #[test]

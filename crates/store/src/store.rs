@@ -730,15 +730,13 @@ fn read_dir_sorted(dir: &Path) -> Result<Vec<PathBuf>, StoreError> {
 mod tests {
     use super::*;
     use crate::key::STORE_SCHEMA_VERSION;
+    use crate::scratch::Scratch;
     use secreta_metrics::Indicators;
     use serde::Value;
     use std::time::Duration;
 
-    fn tmp_store(name: &str) -> RunStore {
-        let dir =
-            std::env::temp_dir().join(format!("secreta-store-{}-{}", std::process::id(), name));
-        let _ = fs::remove_dir_all(&dir);
-        RunStore::open(dir).unwrap()
+    fn tmp_store(name: &str) -> Scratch<RunStore> {
+        Scratch::new(&format!("store-{name}"), |dir| RunStore::open(dir).unwrap())
     }
 
     fn manifest(key: &str, created: u64) -> RunManifest {

@@ -11,15 +11,13 @@ use secreta_store::{RunKey, RunStore};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
 
-fn tmp_root(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "secreta-lease-race-{}-{}",
-        std::process::id(),
-        name
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+#[path = "support/scratch.rs"]
+mod scratch;
+
+use scratch::Scratch;
+
+fn tmp_root(name: &str) -> Scratch<std::path::PathBuf> {
+    Scratch::new(&format!("lease-race-{name}"), std::path::Path::to_path_buf)
 }
 
 fn key64(c: char) -> String {
