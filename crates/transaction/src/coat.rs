@@ -30,19 +30,16 @@ pub(crate) fn pow2m1(n: usize) -> f64 {
     }
 }
 
-/// The COAT core, shared with PCTA (which plugs a different merge
-/// selector): repeatedly repair the most-violated constraint until
-/// the policy holds over `rows`.
+/// The COAT core: repeatedly repair the most-violated constraint
+/// until the policy holds over `rows`.
 pub(crate) fn constrain(
     table: &RtTable,
     rows: &[usize],
     k: usize,
     privacy: &PrivacyPolicy,
     utility: &UtilityPolicy,
-    global_partner_pool: bool,
 ) -> ItemGroups {
-    let universe = table.item_universe();
-    let mut groups = ItemGroups::new(universe);
+    let mut groups = ItemGroups::new(table.item_universe());
     // support queries answered from memoized posting-list unions and
     // intersections; merges and suppressions invalidate per root
     let mut support = GroupSupportOracle::new(table, rows);
@@ -67,8 +64,7 @@ pub(crate) fn constrain(
         let constraint = privacy.constraints[ci].clone();
 
         // candidate merges: for each live item of the constraint,
-        // partners from its utility groups (COAT) or every live group
-        // (PCTA's global pool), filtered by admissibility
+        // partners from its utility groups, filtered by admissibility
         let mut best: Option<(u32, u32, f64)> = None; // (a, b, cost)
         for it in &constraint {
             if groups.is_suppressed(it.0) {
@@ -77,17 +73,8 @@ pub(crate) fn constrain(
             let ga = groups.find(it.0);
             let members_a = groups.group_members(it.0);
             let sup_a = support.group_support(&mut groups, ga) as f64;
-            let partner_items: Vec<u32> = if global_partner_pool {
-                (0..universe as u32).collect()
-            } else {
-                utility
-                    .mergeable_with(*it)
-                    .into_iter()
-                    .map(|j| j.0)
-                    .collect()
-            };
             let mut seen_roots: Vec<u32> = Vec::new();
-            for j in partner_items {
+            for j in utility.mergeable_with(*it).into_iter().map(|j| j.0) {
                 if groups.is_suppressed(j) {
                     continue;
                 }
@@ -221,7 +208,7 @@ pub fn anonymize(input: &TransactionInput) -> Result<TxOutput, TxError> {
     let rows = input.non_empty_rows();
     timer.phase("setup");
 
-    let mut groups = constrain(input.table, &rows, input.k, privacy, utility, false);
+    let mut groups = constrain(input.table, &rows, input.k, privacy, utility);
     timer.phase("constraint repair");
 
     let anon = publish(input.table, &mut groups);

@@ -200,7 +200,7 @@ pub fn anonymize_scoped(
             })
         }
         TransactionAlgorithm::Coat => {
-            let groups = constrain(table, rows, k, privacy, utility, false);
+            let groups = constrain(table, rows, k, privacy, utility);
             Ok(ClusterTx {
                 rows: rows.to_vec(),
                 chunk_of_row: vec![0; rows.len()],
