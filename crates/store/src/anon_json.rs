@@ -5,7 +5,8 @@
 //! as bare numbers, and a [`GenEntry`] as `{"Node":N}`, `{"Set":[…]}`
 //! or `"Suppressed"`. That is byte for byte what `serde_json::to_string`
 //! prints through the derived `Serialize` impls, which stay only as the
-//! tests' oracle and as the decoder's counterpart ([`StoredRun::anon`]).
+//! tests' oracle. Reading a table back still goes through the derived
+//! `Deserialize` ([`StoredRun::anon`]).
 //!
 //! The derived path renders the whole table into a `serde::Value` tree
 //! first, 32 bytes per cell plus a `String` per printed number, and on

@@ -289,9 +289,10 @@ proptest! {
     #[test]
     fn anon_json_matches_the_serde_oracle(anon in anon_strategy()) {
         let bytes = anon_json::encode(&anon);
+        let text = std::str::from_utf8(&bytes).unwrap();
         let oracle = serde_json::to_string(&anon).unwrap();
-        prop_assert_eq!(std::str::from_utf8(&bytes).unwrap(), oracle.as_str());
-        let back: AnonTable = serde_json::from_str(&oracle).unwrap();
+        prop_assert_eq!(text, oracle.as_str());
+        let back: AnonTable = serde_json::from_str(text).unwrap();
         prop_assert_eq!(&back, &anon);
     }
 }
