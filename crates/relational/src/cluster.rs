@@ -18,15 +18,33 @@
 //! The greedy insertion scan is the hot path: every added member costs
 //! an argmin over all unassigned rows, each evaluating an
 //! `ncp(lca(cluster, row))` delta per QI attribute. [`anonymize`] runs
-//! that kernel on two accelerations — a precomputed row-major leaf
-//! matrix (no `table.value()` lookups in the loop) and O(1) Euler-tour
-//! LCA with precomputed NCP, tabulated per leaf once per cluster
-//! change so a candidate costs one lookup per attribute. The scan
-//! itself stays sequential: one scan is microseconds of work, so
+//! that kernel on these accelerations:
+//!
+//! - O(1) Euler-tour LCA with precomputed NCP, tabulated per leaf once
+//!   per cluster change, so a candidate costs one lookup per
+//!   attribute.
+//! - A compact candidate array: each unassigned row's `q` flat cost
+//!   indices, kept in the order of the unassigned rows (every
+//!   `swap_remove`, the seed pick's included, moves them too). The
+//!   gather is monomorphised over QI widths 1 to 8, so it unrolls.
+//! - Kept costs: the summed costs stay in a buffer aligned with that
+//!   array. A step whose previous member moved no LCA left the
+//!   tabulated costs as they were, so it scans the buffer instead of
+//!   gathering again (`cluster/cost_sums` counts the costs actually
+//!   gathered; `cluster/ncp_evals` still counts every cost compared).
+//! - A zero-cost exit: NCP never falls toward the root, so every cost
+//!   is `>= +0.0`, and a scan stops at the first 0.0, the earliest of
+//!   the minima.
+//!
+//! Every cost is the oracle's f64 expression (0.0, then the attributes
+//! in `qi_attrs` order) under the same earliest-index tie rule, so the
+//! output is byte-identical to `secreta_oracle::relational::cluster`.
+//! The scan stays sequential: one scan is microseconds of work, so
 //! splitting it over threads lost to the spawns (a 15k-row run took
-//! 1.13 s sequential against 1.62 s on two threads).
+//! 1.13 s sequential against 1.62 s on two threads, before the
+//! candidate array).
 
-use crate::common::{RelError, RelOutput, RelationalInput};
+use crate::common::{LeafMatrix, RelError, RelOutput, RelationalInput};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use secreta_data::hash::FxHashMap;
@@ -55,7 +73,6 @@ pub fn anonymize(input: &RelationalInput, seed: u64) -> Result<RelOutput, RelErr
     let leaves = input.leaf_matrix();
     let hierarchies = &input.hierarchies;
 
-    let mut unassigned: Vec<usize> = (0..n).collect();
     let mut clusters: Vec<Building> = Vec::new();
 
     // The absorption cost of a row depends only on its *leaf tuple*,
@@ -88,6 +105,7 @@ pub fn anonymize(input: &RelationalInput, seed: u64) -> Result<RelOutput, RelErr
             }
         }
     };
+    let mut unassigned = Unassigned::new(&leaves, n, &offsets);
     timer.phase("setup");
 
     // Generic absorption cost (used on the sparse leftover path where
@@ -107,6 +125,7 @@ pub fn anonymize(input: &RelationalInput, seed: u64) -> Result<RelOutput, RelErr
     // counters batch in locals and flush once per phase — the hot
     // loops never touch the recorder's lock
     let mut ncp_evals = 0u64;
+    let mut cost_sums = 0u64;
     let mut cost_rebuilds = 0u64;
 
     while unassigned.len() >= input.k {
@@ -119,28 +138,26 @@ pub fn anonymize(input: &RelationalInput, seed: u64) -> Result<RelOutput, RelErr
         };
         rebuild(&mut cost, &cluster.lcas);
         cost_rebuilds += 1;
+        // whether `cost` changed since the candidates' sums were taken
+        let mut stale = true;
         // greedily add the k-1 cheapest records
         for _ in 1..input.k {
             ncp_evals += unassigned.len() as u64;
-            let bi = first_min(unassigned.len(), |i| {
-                let row_leaves = leaves.row(unassigned[i]);
-                let mut d = 0.0;
-                for pos in 0..q {
-                    d += cost[offsets[pos] + row_leaves[pos].index()];
-                }
-                d
-            });
-            let row = unassigned.swap_remove(bi);
-            let mut changed = false;
+            if stale {
+                cost_sums += unassigned.len() as u64;
+                unassigned.sum_costs(&cost);
+            }
+            let row = unassigned.swap_remove(first_min(unassigned.sums.iter().copied()));
+            stale = false;
             for (pos, h) in hierarchies.iter().enumerate() {
                 let merged = h.lca(cluster.lcas[pos], leaves.row(row)[pos]);
                 if merged != cluster.lcas[pos] {
                     cluster.lcas[pos] = merged;
-                    changed = true;
+                    stale = true;
                 }
             }
             cluster.rows.push(row);
-            if changed {
+            if stale {
                 rebuild(&mut cost, &cluster.lcas);
                 cost_rebuilds += 1;
             }
@@ -149,13 +166,14 @@ pub fn anonymize(input: &RelationalInput, seed: u64) -> Result<RelOutput, RelErr
     }
     recorder.count("cluster/clusters", clusters.len() as u64);
     recorder.count("cluster/cost_rebuilds", cost_rebuilds);
+    recorder.count("cluster/cost_sums", cost_sums);
     timer.phase("clustering");
 
     // leftovers (fewer than k) each join the cheapest cluster
     recorder.count("cluster/leftovers", unassigned.len() as u64);
-    for row in unassigned.drain(..) {
+    for &row in &unassigned.rows {
         ncp_evals += clusters.len() as u64;
-        let ci = first_min(clusters.len(), |i| delta(&clusters[i].lcas, row));
+        let ci = first_min(clusters.iter().map(|c| delta(&c.lcas, row)));
         let c = &mut clusters[ci];
         for (pos, h) in hierarchies.iter().enumerate() {
             c.lcas[pos] = h.lca(c.lcas[pos], leaves.row(row)[pos]);
@@ -174,15 +192,99 @@ pub fn anonymize(input: &RelationalInput, seed: u64) -> Result<RelOutput, RelErr
     })
 }
 
-/// The first index in `0..n` (`n >= 1`) of the minimal cost: a
-/// strict `<` scan keeps the earliest of tied minima, as `min_by`
-/// does.
-fn first_min(n: usize, cost: impl Fn(usize) -> f64) -> usize {
-    let mut best = (0, cost(0));
-    for i in 1..n {
-        let c = cost(i);
+/// The unassigned rows as one compact candidate array: each row's `q`
+/// flat cost indices (`offsets[pos] + leaf`) and its summed cost, all
+/// three kept in the same order by [`Unassigned::swap_remove`], so a
+/// scan reads contiguous memory instead of `leaves.row(rows[i])`.
+struct Unassigned {
+    rows: Vec<usize>,
+    /// `q` indices into the flat cost table per row.
+    idx: Vec<u32>,
+    /// Each row's cost as of the last [`Unassigned::sum_costs`].
+    sums: Vec<f64>,
+    q: usize,
+}
+
+impl Unassigned {
+    /// Every row of `leaves` (`n` rows), in row order.
+    fn new(leaves: &LeafMatrix, n: usize, offsets: &[usize]) -> Unassigned {
+        let q = leaves.width();
+        let mut idx = Vec::with_capacity(n * q);
+        for row in 0..n {
+            for (&off, leaf) in offsets.iter().zip(leaves.row(row)) {
+                idx.push(u32::try_from(off + leaf.index()).expect("cost table fits u32 indices"));
+            }
+        }
+        Unassigned {
+            rows: (0..n).collect(),
+            idx,
+            sums: vec![0.0; n],
+            q,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Take out candidate `i` and return its row; the last candidate
+    /// takes its place in every array, as `Vec::swap_remove` does.
+    fn swap_remove(&mut self, i: usize) -> usize {
+        let last = self.idx.len() - self.q;
+        self.idx.copy_within(last.., i * self.q);
+        self.idx.truncate(last);
+        self.sums.swap_remove(i);
+        self.rows.swap_remove(i)
+    }
+
+    /// Sum every candidate's costs from the flat `cost` table into
+    /// `sums`: 0.0, then the attributes in `qi_attrs` order, the same
+    /// expression as the oracle's delta. Widths up to 8 get a loop of
+    /// constant trip count, which the compiler unrolls.
+    fn sum_costs(&mut self, cost: &[f64]) {
+        fn fixed<const Q: usize>(idx: &[u32], cost: &[f64], sums: &mut [f64]) {
+            for (row, sum) in idx.chunks_exact(Q).zip(sums) {
+                let row: &[u32; Q] = row.try_into().expect("chunks of Q indices");
+                *sum = row_cost(row, cost);
+            }
+        }
+        let (idx, sums) = (&self.idx, &mut self.sums);
+        match self.q {
+            1 => fixed::<1>(idx, cost, sums),
+            2 => fixed::<2>(idx, cost, sums),
+            3 => fixed::<3>(idx, cost, sums),
+            4 => fixed::<4>(idx, cost, sums),
+            5 => fixed::<5>(idx, cost, sums),
+            6 => fixed::<6>(idx, cost, sums),
+            7 => fixed::<7>(idx, cost, sums),
+            8 => fixed::<8>(idx, cost, sums),
+            q => {
+                for (row, sum) in idx.chunks_exact(q).zip(sums) {
+                    *sum = row_cost(row, cost);
+                }
+            }
+        }
+    }
+}
+
+/// One candidate's cost, `0.0 + cost[row[0]] + cost[row[1]] + …`;
+/// inlined so a fixed-width caller's loop unrolls.
+#[inline(always)]
+fn row_cost(row: &[u32], cost: &[f64]) -> f64 {
+    row.iter().fold(0.0, |d, &c| d + cost[c as usize])
+}
+
+/// The index of the first minimum of `costs` (non-empty, every cost
+/// `>= +0.0`): a strict `<` scan keeps the earliest of tied minima, as
+/// `min_by` does, and stops at the first 0.0, which nothing undercuts.
+fn first_min(costs: impl IntoIterator<Item = f64>) -> usize {
+    let mut best = (0, f64::INFINITY);
+    for (i, c) in costs.into_iter().enumerate() {
         if c < best.1 {
             best = (i, c);
+            if c == 0.0 {
+                break;
+            }
         }
     }
     best.0

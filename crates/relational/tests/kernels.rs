@@ -258,4 +258,130 @@ mod cluster {
         let slow = oracle::cluster::anonymize(&input(&t, 10, 2), 3).unwrap();
         assert_eq!(fast.anon, slow.anon);
     }
+
+    /// `q` QI columns, numeric and categorical in turn, column `pos`
+    /// with the value domain `0..doms[pos]` and hierarchy fanout
+    /// `fanout`; each row holds `q` cells, taken modulo the domain.
+    fn wide_input(t: &RtTable, q: usize, k: usize, fanout: usize) -> RelationalInput<'_> {
+        RelationalInput {
+            table: t,
+            qi_attrs: (0..q).collect(),
+            hierarchies: (0..q)
+                .map(|pos| auto_hierarchy(t.pool(pos), kind(pos), fanout).unwrap())
+                .collect(),
+            k,
+        }
+    }
+
+    fn kind(pos: usize) -> AttributeKind {
+        if pos.is_multiple_of(2) {
+            AttributeKind::Numeric
+        } else {
+            AttributeKind::Categorical
+        }
+    }
+
+    fn wide_table(doms: &[usize], rows: &[Vec<usize>]) -> RtTable {
+        let attrs = (0..doms.len())
+            .map(|pos| Attribute::new(format!("A{pos}"), kind(pos)))
+            .collect();
+        let mut t = RtTable::new(Schema::new(attrs).unwrap());
+        for (pos, &dom) in doms.iter().enumerate() {
+            for v in 0..dom {
+                t.intern_value(pos, &v.to_string()).unwrap();
+            }
+        }
+        for row in rows {
+            let cells: Vec<String> = row
+                .iter()
+                .zip(doms)
+                .map(|(c, dom)| (c % dom).to_string())
+                .collect();
+            let cells: Vec<&str> = cells.iter().map(String::as_str).collect();
+            t.push_row(&cells, &[]).unwrap();
+        }
+        t
+    }
+
+    /// Which scan paths one kernel run took, from its counters.
+    struct Paths {
+        /// Candidate costs the greedy steps compared (`ncp_evals`
+        /// without the leftover phase's).
+        greedy_evals: u64,
+        /// Candidate costs summed from the tables: short of
+        /// `greedy_evals` exactly when some step kept the sums.
+        cost_sums: u64,
+        /// Greedy picks that moved no LCA: each was a 0.0 minimum, so
+        /// its scan ended at the first zero.
+        zero_picks: u64,
+    }
+
+    fn traced(i: &RelationalInput, seed: u64) -> (secreta_metrics::AnonTable, Paths) {
+        let rec = secreta_obsv::Recorder::enabled();
+        let out = {
+            let _installed = secreta_obsv::install(&rec);
+            anonymize(i, seed).unwrap()
+        };
+        let profile = rec.finish("cluster").unwrap();
+        let count = |name| profile.counter(name).unwrap_or(0);
+        let clusters = count("cluster/clusters");
+        let paths = Paths {
+            greedy_evals: count("cluster/ncp_evals") - count("cluster/leftovers") * clusters,
+            cost_sums: count("cluster/cost_sums"),
+            zero_picks: clusters * i.k as u64 - count("cluster/cost_rebuilds"),
+        };
+        (out.anon, paths)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Every QI width from 1 to 9 (the kernel's unrolled widths and
+        /// its plain loop), on a table full of duplicates and on one of
+        /// distinct rows, at every k from 1 to n.
+        #[test]
+        fn kernel_matches_oracle_at_every_width_and_k(
+            n in 6usize..22,
+            cells in prop::collection::vec(0usize..1000, 9 * 22),
+            templates in 1usize..4,
+            dom in 2usize..9,
+            fanout in 2usize..4,
+            seed in any::<u64>(),
+        ) {
+            for q in 1..=9 {
+                let row = |i: usize| cells[i * 9..i * 9 + q].to_vec();
+                // full of duplicates: every row repeats one of a few
+                let dups: Vec<Vec<usize>> = (0..n).map(|i| row(i % templates)).collect();
+                // distinct: the first column alone tells the rows apart
+                let distinct: Vec<Vec<usize>> = (0..n)
+                    .map(|i| {
+                        let mut r = row(i);
+                        r[0] = i;
+                        r
+                    })
+                    .collect();
+                let mut doms = vec![dom; q];
+                let dup_table = wide_table(&doms, &dups);
+                doms[0] = n;
+                let distinct_table = wide_table(&doms, &distinct);
+
+                let (mut kept, mut zeros) = (false, false);
+                for k in 1..=n {
+                    for (name, t) in [("dups", &dup_table), ("distinct", &distinct_table)] {
+                        let i = wide_input(t, q, k, fanout);
+                        let (fast, paths) = traced(&i, seed);
+                        let slow = oracle::cluster::anonymize(&i, seed).unwrap();
+                        prop_assert_eq!(&fast, &slow.anon, "{} q={} k={}", name, q, k);
+                        prop_assert!(paths.cost_sums <= paths.greedy_evals);
+                        if name == "dups" {
+                            kept |= paths.cost_sums < paths.greedy_evals;
+                            zeros |= paths.zero_picks > 0;
+                        }
+                    }
+                }
+                prop_assert!(kept, "q={}: no greedy step kept its sums", q);
+                prop_assert!(zeros, "q={}: no scan ended at a zero cost", q);
+            }
+        }
+    }
 }
