@@ -16,6 +16,7 @@ use secreta_data::{ItemId, RtTable};
 use secreta_hierarchy::{Hierarchy, NodeId};
 use secreta_metrics::GenEntry;
 use secreta_policy::{PrivacyPolicy, UtilityPolicy};
+use std::borrow::Cow;
 
 /// Item recoding of one (chunk of a) scoped run.
 #[derive(Debug, Clone)]
@@ -87,23 +88,6 @@ pub fn anonymize_scoped(
         hierarchy
             .ok_or_else(|| TxError::BadInput(format!("{} requires an item hierarchy", algo.name())))
     };
-    let default_privacy;
-    let privacy = match privacy {
-        Some(p) => p,
-        None => {
-            default_privacy = PrivacyPolicy::all_items(table);
-            &default_privacy
-        }
-    };
-    let default_utility;
-    let utility = match utility {
-        Some(u) => u,
-        None => {
-            default_utility = UtilityPolicy::unconstrained(table);
-            &default_utility
-        }
-    };
-
     match algo {
         TransactionAlgorithm::Apriori => {
             let h = need_h()?;
@@ -199,16 +183,22 @@ pub fn anonymize_scoped(
                 chunks: vec![ItemMap::Nodes(map)],
             })
         }
-        TransactionAlgorithm::Coat => {
-            let groups = constrain(table, rows, k, privacy, utility);
-            Ok(ClusterTx {
-                rows: rows.to_vec(),
-                chunk_of_row: vec![0; rows.len()],
-                chunks: vec![ItemMap::from_groups(groups)],
-            })
-        }
-        TransactionAlgorithm::Pcta => {
-            let groups = cluster_items(table, rows, k, privacy, utility);
+        TransactionAlgorithm::Coat | TransactionAlgorithm::Pcta => {
+            // only COAT and PCTA read the policies, so only they pay
+            // for building the defaults
+            let privacy = privacy.map_or_else(
+                || Cow::Owned(PrivacyPolicy::all_items(table)),
+                Cow::Borrowed,
+            );
+            let utility = utility.map_or_else(
+                || Cow::Owned(UtilityPolicy::unconstrained(table)),
+                Cow::Borrowed,
+            );
+            let groups = if algo == TransactionAlgorithm::Coat {
+                constrain(table, rows, k, &privacy, &utility)
+            } else {
+                cluster_items(table, rows, k, &privacy, &utility)
+            };
             Ok(ClusterTx {
                 rows: rows.to_vec(),
                 chunk_of_row: vec![0; rows.len()],
