@@ -25,6 +25,7 @@
 //! tracks real slowdowns instead of host lottery.
 
 use secreta_core::metrics::PhaseTimes;
+use secreta_core::{out, outln};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Debug;
@@ -397,24 +398,24 @@ impl Bench {
         }
         let outputs_identical = compared.then(|| outputs.windows(2).all(|w| w[0].1 == w[1].1));
 
-        print!("  {id:<16} n={:<9}", self.rows);
+        out!("  {id:<16} n={:<9}", self.rows);
         for v in &measured {
-            print!("  {} {:.2}ms", v.name, v.wall_ms);
+            out!("  {} {:.2}ms", v.name, v.wall_ms);
             for (k, x) in &v.extras {
-                print!(" {k}={x}");
+                out!(" {k}={x}");
             }
         }
         if let (Some(same), Some(&(a, _)), Some(&(b, _))) =
             (outputs_identical, outputs.first(), outputs.last())
         {
-            print!(
+            out!(
                 "  {}/{} {:.2}x  outputs identical: {same}",
                 measured[a].name,
                 measured[b].name,
                 best[a] / best[b].max(1e-9)
             );
         }
-        println!();
+        outln!();
 
         self.cases.push(BenchCase {
             id,
@@ -473,15 +474,19 @@ fn gate(path: &str, new: &BenchReport, gate_pct: f64) -> Result<(), String> {
     let base: BenchReport =
         serde_json::from_str(&text).map_err(|e| format!("{path}: not a bench report: {e}"))?;
     let deltas = compare(&base, new).map_err(|e| format!("{path}: {e}"))?;
-    println!("baseline comparison ({path}, gate {gate_pct}%):");
-    println!(
+    outln!("baseline comparison ({path}, gate {gate_pct}%):");
+    outln!(
         "  baseline calibration {:.1}ms, this run {:.1}ms",
-        base.calibration_ms, new.calibration_ms
+        base.calibration_ms,
+        new.calibration_ms
     );
     for d in &deltas {
-        println!(
+        outln!(
             "  {:<16} base {:>9.2}ms  new {:>9.2}ms  normalized delta {:>+7.1}%",
-            d.id, d.base_ms, d.new_ms, d.delta_pct
+            d.id,
+            d.base_ms,
+            d.new_ms,
+            d.delta_pct
         );
     }
     let bad = regressions(&deltas, gate_pct);
@@ -497,7 +502,7 @@ fn gate(path: &str, new: &BenchReport, gate_pct: f64) -> Result<(), String> {
             list.join(", ")
         ));
     }
-    println!("  gate passed: no case regressed more than {gate_pct}%");
+    outln!("  gate passed: no case regressed more than {gate_pct}%");
     Ok(())
 }
 
@@ -538,9 +543,9 @@ pub fn run(suite: &Suite, options: &Options) -> Result<(), String> {
     let handicap = handicap()?;
     let scratch = Scratch::create(name)?;
 
-    println!("bench --suite {name} (seed={seed}, best of {reps})");
+    outln!("bench --suite {name} (seed={seed}, best of {reps})");
     let calibration_ms = calibrate();
-    println!("  calibration: {calibration_ms:.1}ms");
+    outln!("  calibration: {calibration_ms:.1}ms");
     let mut bench = Bench {
         reps,
         handicap,
@@ -578,7 +583,7 @@ pub fn run(suite: &Suite, options: &Options) -> Result<(), String> {
         let body = serde_json::to_string_pretty(&report)
             .map_err(|e| format!("internal error: report serialization failed: {e}"))?;
         std::fs::write(path, body).map_err(|e| format!("{path}: {e}"))?;
-        println!("wrote {path}");
+        outln!("wrote {path}");
     }
     let gated = match &options.baseline {
         Some(path) => gate(path, &report, options.gate_pct),

@@ -8,10 +8,11 @@
 //! Exit codes: `0` success, `1` fatal error, `2` usage error,
 //! `3` degraded (a sweep or fsck completed with failures on record).
 //! A closed stdout changes none of them: output stops, the work does
-//! not (see `out`).
+//! not (see `secreta_core::out`).
 
 #[macro_use]
-mod out;
+extern crate secreta_core;
+
 mod args;
 mod bench;
 mod commands;

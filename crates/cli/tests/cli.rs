@@ -1022,9 +1022,10 @@ fn manifests_in(store: &std::path::Path) -> Vec<PathBuf> {
     found
 }
 
-/// A closed stdout is the reader leaving, not a crash: `help` and a
-/// stored `evaluate` with stdout on a pipe whose reader is gone each
-/// exit 0 without a panic, and the run still lands in the store.
+/// A closed stdout is the reader leaving, not a crash: `help`, a
+/// stored `evaluate` and a `bench` report with stdout on a pipe whose
+/// reader is gone each exit 0 without a panic, and the run still lands
+/// in the store.
 #[test]
 fn closed_stdout_is_not_a_panic() {
     let _machine = shared_machine();
@@ -1045,7 +1046,18 @@ fn closed_stdout_is_not_a_panic() {
         "--store-dir",
         store_arg,
     ];
-    for line in [&["help"][..], &evaluate[..]] {
+    let bench = [
+        "bench",
+        "--suite",
+        "kernels",
+        "--rows",
+        "200",
+        "--reps",
+        "1",
+        "--threads",
+        "1",
+    ];
+    for line in [&["help"][..], &evaluate[..], &bench[..]] {
         let (reader, writer) = std::io::pipe().unwrap();
         drop(reader);
         let out = secreta().args(line).stdout(writer).output().unwrap();

@@ -30,6 +30,7 @@ pub mod distributed;
 pub mod evaluator;
 pub mod export;
 pub mod orchestrator;
+pub mod out;
 #[cfg(test)]
 #[path = "../../store/tests/support/scratch.rs"]
 mod scratch;

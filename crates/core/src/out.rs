@@ -1,8 +1,9 @@
-//! Standard output for every verb.
+//! Standard output for every `secreta` verb.
 //!
 //! `println!` panics when stdout is a pipe whose reader has gone (as in
 //! `secreta runs list | head -1`), which ends the process with exit code
-//! 101. Every verb prints through [`out!`] and [`outln!`] instead. They
+//! 101. Every verb, and the `secreta bench` report, prints through
+//! [`out!`](crate::out!) and [`outln!`](crate::outln!) instead. They
 //! treat a broken pipe as the reader leaving: output stops there, and
 //! the command still does all its work and exits with its usual code.
 
@@ -28,6 +29,7 @@ pub fn write(args: fmt::Arguments<'_>) {
 }
 
 /// `print!` that stops quietly once stdout's reader has left.
+#[macro_export]
 macro_rules! out {
     ($($arg:tt)*) => {
         $crate::out::write(format_args!($($arg)*))
@@ -35,6 +37,7 @@ macro_rules! out {
 }
 
 /// `println!` that stops quietly once stdout's reader has left.
+#[macro_export]
 macro_rules! outln {
     () => {
         $crate::out::write(format_args!("\n"))
