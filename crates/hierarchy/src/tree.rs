@@ -232,25 +232,6 @@ impl Hierarchy {
         self.nodes[self.euler[step as usize] as usize].depth
     }
 
-    /// Lowest common ancestor by walking parent pointers — O(height).
-    ///
-    /// The pre-Euler-tour implementation, kept as an independently
-    /// correct reference for property tests and kernel benchmarks.
-    pub fn lca_walk(&self, a: NodeId, b: NodeId) -> NodeId {
-        let (mut a, mut b) = (a, b);
-        while self.depth(a) > self.depth(b) {
-            a = self.parent(a).expect("deeper node has a parent");
-        }
-        while self.depth(b) > self.depth(a) {
-            b = self.parent(b).expect("deeper node has a parent");
-        }
-        while a != b {
-            a = self.parent(a).expect("non-root differs from sibling");
-            b = self.parent(b).expect("non-root differs from sibling");
-        }
-        a
-    }
-
     /// Lowest common ancestor of the leaves of a set of value ids.
     /// Returns `None` for an empty set.
     pub fn lca_of_values(&self, values: impl IntoIterator<Item = u32>) -> Option<NodeId> {
@@ -670,12 +651,28 @@ mod tests {
         assert!(!h.is_ancestor_or_self(h.leaf(0), a));
     }
 
+    /// Lowest common ancestor by walking parent pointers, O(height):
+    /// the pre-Euler-tour implementation, an independent reference.
+    fn lca_walk(h: &Hierarchy, mut a: NodeId, mut b: NodeId) -> NodeId {
+        while h.depth(a) > h.depth(b) {
+            a = h.parent(a).expect("deeper node has a parent");
+        }
+        while h.depth(b) > h.depth(a) {
+            b = h.parent(b).expect("deeper node has a parent");
+        }
+        while a != b {
+            a = h.parent(a).expect("non-root differs from sibling");
+            b = h.parent(b).expect("non-root differs from sibling");
+        }
+        a
+    }
+
     #[test]
     fn euler_lca_agrees_with_parent_walk() {
         let h = sample();
         for a in h.all_nodes() {
             for b in h.all_nodes() {
-                assert_eq!(h.lca(a, b), h.lca_walk(a, b), "lca({a}, {b})");
+                assert_eq!(h.lca(a, b), lca_walk(&h, a, b), "lca({a}, {b})");
             }
         }
     }
