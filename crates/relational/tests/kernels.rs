@@ -259,9 +259,8 @@ mod cluster {
         assert_eq!(fast.anon, slow.anon);
     }
 
-    /// `q` QI columns, numeric and categorical in turn, column `pos`
-    /// with the value domain `0..doms[pos]` and hierarchy fanout
-    /// `fanout`; each row holds `q` cells, taken modulo the domain.
+    /// The first `q` columns of `t` as QIs, each with an auto
+    /// hierarchy of fanout `fanout`.
     fn wide_input(t: &RtTable, q: usize, k: usize, fanout: usize) -> RelationalInput<'_> {
         RelationalInput {
             table: t,
@@ -281,6 +280,9 @@ mod cluster {
         }
     }
 
+    /// One column per entry of `doms`, numeric and categorical in
+    /// turn, column `pos` with the value domain `0..doms[pos]`; each
+    /// row's cells are taken modulo their column's domain.
     fn wide_table(doms: &[usize], rows: &[Vec<usize>]) -> RtTable {
         let attrs = (0..doms.len())
             .map(|pos| Attribute::new(format!("A{pos}"), kind(pos)))
